@@ -12,7 +12,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -365,25 +364,46 @@ func (c *Circuit) EvalOutputs(inputs map[int]bool) []bool {
 	return out
 }
 
+// SimulateNodes is Simulate restricted to ids, which must be ascending and
+// closed under fanins (a TFC, for example): only those nodes are evaluated,
+// so one node's cone can be simulated in place without extracting it. vals
+// must have length Len(); the caller presets the words of the input nodes
+// among ids, and every other entry is left as it was.
+func (c *Circuit) SimulateNodes(ids []int, vals []uint64) {
+	for _, id := range ids {
+		n := &c.Nodes[id]
+		if n.Type == Input {
+			continue
+		}
+		vals[id] = evalGate(n, vals)
+	}
+}
+
 // TFC returns the transitive fanin cone of root (including root itself) as
 // a sorted list of node ids.
 func (c *Circuit) TFC(root int) []int {
-	seen := make(map[int]bool)
-	stack := []int{root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
+	// Fanins precede their node (the topological-order invariant), so
+	// one descending pass over 0..root marks the whole cone.
+	mark := make([]bool, root+1)
+	mark[root] = true
+	n := 1
+	for v := root; v >= 0; v-- {
+		if !mark[v] {
 			continue
 		}
-		seen[v] = true
-		stack = append(stack, c.Nodes[v].Fanins...)
+		for _, f := range c.Nodes[v].Fanins {
+			if !mark[f] {
+				mark[f] = true
+				n++
+			}
+		}
 	}
-	ids := make([]int, 0, len(seen))
-	for v := range seen {
-		ids = append(ids, v)
+	ids := make([]int, 0, n)
+	for v, in := range mark {
+		if in {
+			ids = append(ids, v)
+		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 

@@ -343,6 +343,59 @@ func TestQuickConePreservesFunction(t *testing.T) {
 	}
 }
 
+// Property: TFC equals a reference depth-first search, and SimulateNodes
+// over a node's TFC computes the node's Simulate word while leaving every
+// entry outside the TFC untouched.
+func TestQuickTFCAndSimulateNodes(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		c := randomCircuit(r, 2+r.Intn(6), 1+r.Intn(30))
+		root := r.Intn(c.Len())
+		seen := map[int]bool{}
+		stack := []int{root}
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !seen[v] {
+				seen[v] = true
+				stack = append(stack, c.Nodes[v].Fanins...)
+			}
+		}
+		tfc := c.TFC(root)
+		if len(tfc) != len(seen) {
+			return false
+		}
+		for i, v := range tfc {
+			if !seen[v] || (i > 0 && tfc[i-1] >= v) {
+				return false
+			}
+		}
+		full := make([]uint64, c.Len())
+		part := make([]uint64, c.Len())
+		const canary = 0xdeadbeef
+		for i := range part {
+			part[i] = canary
+		}
+		for _, in := range c.Inputs() {
+			full[in] = r.Uint64()
+			if seen[in] {
+				part[in] = full[in]
+			}
+		}
+		c.Simulate(full)
+		c.SimulateNodes(tfc, part)
+		for id := range part {
+			if seen[id] && part[id] != full[id] || !seen[id] && part[id] != canary {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestStringSmoke(t *testing.T) {
 	c, _, _ := buildFig2a(t)
 	s := c.String()

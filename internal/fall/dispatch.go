@@ -1,123 +1,204 @@
 package fall
 
 import (
+	"context"
 	"math/bits"
-	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/circuit"
+	"repro/internal/obs"
 )
 
-// This file implements adaptive dispatch inside the FALL analysis grid:
-// candidate×polarity cells are handed to the worker pool in
-// longest-expected-first order (the grid-level analogue of
-// exp.DispatchOrder), so one late heavy cell cannot run alone after
+// This file decides each support-matched candidate once, before any of
+// its candidate×polarity cells run, and orders the grid from those
+// decisions. The pre-pass (filterCandidates) computes a candidate's TFC,
+// flags key dependence, and runs the density filter's single
+// 16384-pattern sweep on the locked netlist itself, which fixes the
+// verdicts of both polarities at once; there is no separate probe. The
+// cells read those verdicts, and the first cell that passes the filter
+// extracts the cone the candidate's cells share. Cells are handed to the
+// worker pool in longest-expected-first order (the grid-level analogue
+// of exp.DispatchOrder), so one late heavy cell cannot run alone after
 // every cheap cell has drained. Dispatch order changes scheduling only:
 // outcomes are written at the cell's original index and merged in
 // candidate order, so the shortlist stays byte-identical to a serial
 // run for every worker count.
 
-// cellEstimate estimates the relative runtime of one candidate's grid
-// cells. The deterministic drivers, cheapest to probe:
-//
-//   - cone size: every SAT query Tseitin-encodes the cone (twice for
-//     the HD instances), and UNSAT lemma proofs grow with it;
-//   - a 256-pattern on-set density probe, the same signal (and the
-//     same shared threshold/RNG, see densityThreshold/densityRNG) the
-//     density pre-filter applies on 16384 patterns: cells the filter
-//     will reject are near-free (one simulation sweep, no SAT), while
-//     cells that pass it run the full analysis plus the
-//     equivalence-check UNSAT proof. With the filter disabled
-//     (ablation) the relation inverts — dense parity-like cells are
-//     precisely the ones whose lemma proofs blow up, so they cost the
-//     most.
-type cellEstimate struct {
-	coneLen int
-	// dense[0]/dense[1] report the positive/negated polarity probe
-	// exceeding the stripper-density threshold.
-	dense [2]bool
+// densityWords is the density filter's sample: 256 words of 64
+// patterns.
+const densityWords = 256
+
+// candidate is one support-matched node's grid state, shared by its two
+// polarity cells. The pre-pass fills the verdicts before any cell runs.
+// The first cell that passes the filter extracts the cone and creates
+// the prefix cache, which every passing cell reads; the last passing
+// cell to finish drops them, so a grid holds only the state of
+// candidates still in flight.
+type candidate struct {
+	node int
+
+	// Set by the pre-pass.
+	decided bool    // the pre-pass reached this candidate before cancellation
+	keydep  bool    // the TFC contains a key input: not a cube stripper
+	coneLen int     // TFC size, which is the extracted cone's node count
+	dense   [2]bool // positive/negated polarity rejected by the density filter
+
+	coneOnce sync.Once
+	cone     *circuit.Circuit
+	inputMap map[int]int // cone input id -> locked-circuit node id
+	inputs   []int       // cone input ids, sorted
+	pre      *candPrefixes
+	pending  atomic.Int32 // cells that passed the filter and have not finished
 }
 
-// estimateCandidate probes one candidate node; a pure function of the
-// cone, never of run order.
-func estimateCandidate(c *circuit.Circuit, cand, h int) cellEstimate {
-	cone, _ := c.Cone(cand)
-	ins := cone.Inputs()
-	m := len(ins)
-	est := cellEstimate{coneLen: cone.Len()}
-	if m == 0 {
-		return est
+func newCandidate(node int) *candidate {
+	return &candidate{node: node}
+}
+
+// decide fills the candidate's verdicts from the locked netlist without
+// extracting its cone. scratch holds a word per node of c; only the
+// TFC's entries are written or read.
+func (cd *candidate) decide(c *circuit.Circuit, h int, scratch []uint64) {
+	cd.decided = true
+	tfc := c.TFC(cd.node)
+	cd.coneLen = len(tfc)
+	var ins []int
+	for _, id := range tfc {
+		if c.Nodes[id].Type != circuit.Input {
+			continue
+		}
+		if c.Nodes[id].IsKey {
+			cd.keydep = true
+			return
+		}
+		ins = append(ins, id)
 	}
-	const words = 4 // 256 patterns: a probe, not the filter itself
-	n := float64(words * 64)
-	threshold := densityThreshold(n, m, h)
-	rng := densityRNG(cone.Len(), m)
-	vals := make([]uint64, cone.Len())
-	var on float64
-	for w := 0; w < words; w++ {
+	cd.dense = densityVerdicts(c, tfc, ins, cd.node, h, scratch)
+	for _, d := range cd.dense {
+		if !d {
+			cd.pending.Add(1)
+		}
+	}
+}
+
+// densityVerdicts runs the density filter (see densityThreshold) for
+// both polarities of node in one sweep over its TFC. The patterns are
+// the ones the filter draws on the extracted cone: the same densityRNG
+// seed, words assigned to the inputs in the same (ascending id) order.
+// The negated polarity's on-count is the positive polarity's off-count.
+// A count above the threshold rejects its polarity, since it can only
+// grow; a count that stays within it even if every remaining pattern is
+// on accepts. The sweep stops once both polarities are decided, so a
+// threshold of at least the sample size simulates nothing.
+func densityVerdicts(c *circuit.Circuit, tfc, ins []int, node, h int, vals []uint64) [2]bool {
+	const patterns = densityWords * 64
+	threshold := densityThreshold(patterns, len(ins), h)
+	decided := func(count, rest int) bool {
+		return float64(count) > threshold || float64(count+rest) <= threshold
+	}
+	rng := densityRNG(len(tfc), len(ins))
+	on, n := 0, 0
+	for n < patterns && !(decided(on, patterns-n) && decided(n-on, patterns-n)) {
 		for _, in := range ins {
 			vals[in] = rng.Uint64()
 		}
-		cone.Simulate(vals)
-		on += float64(bits.OnesCount64(vals[cone.Outputs[0]]))
+		c.SimulateNodes(tfc, vals)
+		on += bits.OnesCount64(vals[node])
+		n += 64
 	}
-	est.dense[0] = on > threshold
-	est.dense[1] = n-on > threshold
-	return est
+	return [2]bool{float64(on) > threshold, float64(n-on) > threshold}
 }
 
-func (e cellEstimate) cost(neg bool, h int, filterEnabled bool) int64 {
-	pol := 0
+// filterCandidates is the grid's pre-pass: it decides every candidate on
+// the grid's worker pool, observing ctx between candidates, under a
+// fall.filter span. Candidates it does not reach stay undecided.
+func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidate, h, workers int) {
+	sp := obs.SpanFrom(ctx).Child("fall.filter")
+	scratch := sync.Pool{New: func() any {
+		vals := make([]uint64, c.Len())
+		return &vals
+	}}
+	attack.ForEachIndexed(workers, len(cands), func(i int) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		vals := scratch.Get().(*[]uint64)
+		cands[i].decide(c, h, *vals)
+		scratch.Put(vals)
+		return true
+	})
+	if sp == nil {
+		return
+	}
+	var decided, dense, keydep int
+	for _, cd := range cands {
+		if cd.decided {
+			decided++
+		}
+		if cd.keydep {
+			keydep++
+		}
+		for _, d := range cd.dense {
+			if d {
+				dense++
+			}
+		}
+	}
+	sp.Set("candidates", decided)
+	sp.Set("dense_cells", dense)
+	sp.Set("keydep", keydep)
+	sp.End()
+}
+
+// extractCone builds the cone both polarity cells analyze, and their
+// prefix cache, once.
+func (cd *candidate) extractCone(c *circuit.Circuit) {
+	cd.coneOnce.Do(func() {
+		cd.cone, cd.inputMap = c.Cone(cd.node)
+		cd.inputs = cd.cone.Inputs()
+		cd.pre = &candPrefixes{}
+	})
+}
+
+// cellDone records that one of the candidate's cells that passed the
+// filter finished; after the last one the shared cone and prefixes
+// become garbage.
+func (cd *candidate) cellDone() {
+	if cd.pending.Add(-1) == 0 {
+		cd.cone, cd.inputMap, cd.inputs, cd.pre = nil, nil, nil, nil
+	}
+}
+
+// cost estimates the relative runtime of one of the candidate's cells
+// from its exact pre-pass verdicts. A cell that is key-dependent or
+// rejected by the density filter does no work. Every other cell runs the
+// full analysis and the equivalence-check UNSAT proof, whose cost grows
+// with the cone (every SAT query Tseitin-encodes it, twice for the HD
+// instances) and with h.
+func (cd *candidate) cost(neg bool, h int) int64 {
+	if !cd.decided || cd.keydep || cd.dense[polarity(neg)] {
+		return 0
+	}
+	return int64(cd.coneLen) * int64(2+h)
+}
+
+func polarity(neg bool) int {
 	if neg {
-		pol = 1
+		return 1
 	}
-	full := int64(e.coneLen) * int64(2+h)
-	if !e.dense[pol] {
-		// Stripper-like density: survives the filter, runs the full
-		// analysis and the equivalence-check UNSAT proof.
-		return full
-	}
-	if filterEnabled {
-		// The density filter will reject this cell after one cheap
-		// simulation sweep.
-		return 1 + int64(e.coneLen)/64
-	}
-	// Filter disabled (ablation): dense parity-like cells are the ones
-	// whose UNSAT lemma proofs explode.
-	return 8 * full
+	return 0
 }
 
 // gridDispatchOrder returns the indices of jobs sorted
-// longest-expected-first, ties broken by job index so the order is
-// deterministic. Candidates are probed once (not once per polarity
-// cell), on the same worker pool the grid itself will use, so the
-// probe adds no serial prefix before the first cell dispatches.
-func gridDispatchOrder(c *circuit.Circuit, jobs []analysisJob, opts *Options) []int {
-	var cands []int
-	seen := map[int]bool{}
-	for _, j := range jobs {
-		if !seen[j.cand] {
-			seen[j.cand] = true
-			cands = append(cands, j.cand)
-		}
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	estimates := make([]cellEstimate, len(cands))
-	attack.ForEachIndexed(workers, len(cands), func(i int) bool {
-		estimates[i] = estimateCandidate(c, cands[i], opts.H)
-		return true
-	})
-	est := make(map[int]cellEstimate, len(cands))
-	for i, cand := range cands {
-		est[cand] = estimates[i]
-	}
+// longest-expected-first, ties broken by job index, so the order is a
+// pure function of the circuit and h.
+func gridDispatchOrder(jobs []analysisJob, h int) []int {
 	cost := make([]int64, len(jobs))
 	for i, j := range jobs {
-		cost[i] = est[j.cand].cost(j.neg, opts.H, !opts.DisableDensityFilter)
+		cost[i] = j.cand.cost(j.neg, h)
 	}
 	order := make([]int, len(jobs))
 	for i := range order {

@@ -97,15 +97,6 @@ type Options struct {
 	// the unateness analysis (ablation knob; the SAT queries alone are
 	// exact).
 	DisableSimPrefilter bool
-	// DisableDensityFilter turns off the onset-density candidate
-	// pre-filter (ablation knob). The filter skips candidate nodes whose
-	// sampled on-set density is far above C(m,h)/2^m, the density of a
-	// true cube stripper — e.g. popcount sum bits, which share the
-	// stripper's support but are parity-like and make the SAT lemma
-	// checks exponentially hard. The margin is wide enough that
-	// rejecting a true stripper has negligible probability (see
-	// densityFilter).
-	DisableDensityFilter bool
 	// Workers bounds how many candidate×polarity analyses run
 	// concurrently; <= 0 means runtime.GOMAXPROCS(0). Each worker owns
 	// its solvers, and results merge in candidate order, so the
@@ -373,55 +364,25 @@ func stripperLog2Density(m, h int) float64 {
 	return log2d
 }
 
-// densityThreshold returns the accept threshold for n sampled patterns:
-// 16x the stripper's expected on-count plus an additive slack (64 at
-// the filter's 16384 patterns, scaled for smaller probes). Shared by
-// densityFilter and the dispatch cost probe so the two never disagree
-// about what the filter will reject.
+// densityThreshold returns the density filter's reject threshold for n
+// sampled patterns over m inputs. The filter rejects a candidate cell
+// whose sampled on-set density is far above C(m,h)/2^m, the density of
+// a true cube stripper: strip_h has exactly C(m,h) on-minterms out of
+// 2^m, while nodes like popcount sum bits share the stripper's support
+// but sit near 50% density and are precisely the candidates whose UNSAT
+// lemma proofs blow up. A cell is rejected when its on-count exceeds
+// 16x the stripper's expected on-count plus 64 (at the filter's 16384
+// patterns) — a margin so far above the stripper's concentration
+// (Chernoff tail < 2^-50) that the filter is sound in practice.
 func densityThreshold(n float64, m, h int) float64 {
 	return 16*n*math.Exp2(stripperLog2Density(m, h)) + 64*n/16384
 }
 
 // densityRNG returns the deterministic pattern source for density
-// sampling over a cone: a pure function of the cone, never of run
-// order, and likewise shared by the filter and the dispatch probe.
+// sampling over a cone of coneLen nodes and m inputs: a pure function
+// of the cone, never of run order.
 func densityRNG(coneLen, m int) *rand.Rand {
 	return rand.New(rand.NewSource(int64(coneLen)*2654435761 + int64(m)))
-}
-
-// densityFilter reports whether the analyzed function's sampled on-set
-// density is consistent with a cube stripper. strip_h has exactly
-// C(m,h) on-minterms out of 2^m; nodes like adder sum bits share the
-// stripper's support but sit near 50% density and are precisely the
-// candidates whose UNSAT lemma proofs blow up. We sample 16384 random
-// patterns and keep the candidate unless its on-count exceeds
-// 16*expected + 64 — a margin so far above the stripper's concentration
-// (Chernoff tail < 2^-50) that the filter is sound in practice.
-func (a *analysisContext) densityFilter(h int) bool {
-	if a.opts.DisableDensityFilter {
-		return true
-	}
-	m := len(a.inputs)
-	const words = 256 // 16384 patterns
-	threshold := densityThreshold(float64(words*64), m, h)
-	rng := densityRNG(a.cone.Len(), m)
-	vals := make([]uint64, a.cone.Len())
-	count := 0.0
-	for w := 0; w < words; w++ {
-		for _, in := range a.inputs {
-			vals[in] = rng.Uint64()
-		}
-		a.cone.Simulate(vals)
-		out := vals[a.cone.Outputs[0]]
-		if a.neg {
-			out = ^out
-		}
-		count += float64(bits.OnesCount64(out))
-		if count > threshold {
-			return false
-		}
-	}
-	return true
 }
 
 // prefixes returns the candidate's prefix cache, creating a private
@@ -769,13 +730,11 @@ func Attack(ctx context.Context, locked *circuit.Circuit, opts Options) (*Result
 	}()
 	ctx = obs.With(ctx, spAnalysis)
 
-	jobs := make([]analysisJob, 0, 2*len(res.Candidates))
-	for _, cand := range res.Candidates {
-		for _, neg := range []bool{false, true} {
-			jobs = append(jobs, analysisJob{cand: cand, neg: neg})
-		}
+	cands := make([]*candidate, len(res.Candidates))
+	for i, node := range res.Candidates {
+		cands[i] = newCandidate(node)
 	}
-	outcomes := runAnalysisGrid(ctx, locked, jobs, m, &opts, pairing)
+	outcomes := runAnalysisGrid(ctx, locked, cands, m, &opts, pairing)
 
 	// Merge in job (candidate-id × polarity) order: the shortlist and the
 	// first error reported are identical for every worker count.
@@ -798,7 +757,7 @@ func Attack(ctx context.Context, locked *circuit.Circuit, opts Options) (*Result
 
 // analysisJob is one cell of the candidate×polarity analysis grid.
 type analysisJob struct {
-	cand int
+	cand *candidate
 	neg  bool
 }
 
@@ -810,34 +769,34 @@ type analysisOutcome struct {
 	err error
 }
 
-// runAnalysisGrid evaluates every grid cell on a bounded worker pool and
-// returns the outcomes indexed like jobs. Cells are handed to the pool
-// in adaptive longest-expected-first order (gridDispatchOrder) to cut
-// tail latency, but each outcome is written at its job index and merged
-// in candidate order, so the completed-run shortlist does not depend on
-// the worker count or the dispatch order. Cells are independent and
-// deterministic (every solver and RNG is local to the cell). An
-// erroring cell (hard failure or ctx cancellation) stops further cells
-// from being dispatched, so the grid fails fast and drains promptly;
-// every cell dispatched before the first error still completes.
-func runAnalysisGrid(ctx context.Context, locked *circuit.Circuit, jobs []analysisJob, m int, opts *Options, pairing map[int]pairEntry) []analysisOutcome {
-	outcomes := make([]analysisOutcome, len(jobs))
+// runAnalysisGrid decides every candidate in a pre-pass
+// (filterCandidates), then evaluates its two polarity cells on a
+// bounded worker pool and returns the outcomes indexed in candidate ×
+// polarity order. Cells are handed to the pool in adaptive
+// longest-expected-first order (gridDispatchOrder) to cut tail latency,
+// but each outcome is written at its job index and merged in candidate
+// order, so the completed-run shortlist does not depend on the worker
+// count or the dispatch order. Cells are deterministic: every solver
+// and RNG is local to the cell, and the two cells of a candidate share
+// only read-only state (verdicts, cone, frozen prefixes). An erroring
+// cell (hard failure or ctx cancellation) stops further cells from
+// being dispatched, so the grid fails fast and drains promptly; every
+// cell dispatched before the first error still completes.
+func runAnalysisGrid(ctx context.Context, locked *circuit.Circuit, cands []*candidate, m int, opts *Options, pairing map[int]pairEntry) []analysisOutcome {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// One prefix cache per candidate: the two polarity cells fork the
-	// same frozen encodings instead of re-encoding the cone.
-	pres := make(map[int]*candPrefixes, len(jobs))
-	for _, j := range jobs {
-		if pres[j.cand] == nil {
-			pres[j.cand] = &candPrefixes{}
-		}
+	filterCandidates(ctx, locked, cands, opts.H, workers)
+	jobs := make([]analysisJob, 0, 2*len(cands))
+	for _, cd := range cands {
+		jobs = append(jobs, analysisJob{cand: cd, neg: false}, analysisJob{cand: cd, neg: true})
 	}
-	order := gridDispatchOrder(locked, jobs, opts)
+	outcomes := make([]analysisOutcome, len(jobs))
+	order := gridDispatchOrder(jobs, opts.H)
 	attack.ForEachIndexed(workers, len(jobs), func(j int) bool {
 		i := order[j]
-		outcomes[i] = analyzeCell(ctx, locked, jobs[i], m, opts, pairing, pres[jobs[i].cand])
+		outcomes[i] = analyzeCell(ctx, locked, jobs[i], m, opts, pairing)
 		return outcomes[i].err == nil
 	})
 	return outcomes
@@ -846,12 +805,12 @@ func runAnalysisGrid(ctx context.Context, locked *circuit.Circuit, jobs []analys
 // analyzeCell runs one candidate×polarity cell, wrapping it in a
 // trace span (parenting every solver query the cell issues) when the
 // grid runs traced.
-func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry, pre *candPrefixes) analysisOutcome {
-	cell := obs.SpanFrom(ctx).Child("fall.cell", "node", job.cand, "neg", job.neg)
+func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry) analysisOutcome {
+	cell := obs.SpanFrom(ctx).Child("fall.cell", "node", job.cand.node, "neg", job.neg)
 	if cell == nil {
-		return analyzeCellInner(ctx, locked, job, m, opts, pairing, pre)
+		return analyzeCellInner(ctx, locked, job, m, opts, pairing)
 	}
-	oc := analyzeCellInner(obs.With(ctx, cell), locked, job, m, opts, pairing, pre)
+	oc := analyzeCellInner(obs.With(ctx, cell), locked, job, m, opts, pairing)
 	switch {
 	case oc.err != nil:
 		cell.Set("outcome", "error")
@@ -864,23 +823,23 @@ func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, 
 	return oc
 }
 
-// analyzeCellInner runs the density filter, the selected functional
-// analysis and the equivalence check for one candidate×polarity cell.
-// All solver state is created here, per cell, so cells never share
-// solvers; only the immutable frozen prefixes in pre are shared
-// across cells.
-func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry, pre *candPrefixes) analysisOutcome {
-	if ctx.Err() != nil {
+// analyzeCellInner applies the pre-pass verdicts, then runs the
+// selected functional analysis and the equivalence check for one
+// candidate×polarity cell. All solver state is created here, per cell,
+// so cells never share solvers; only the candidate's read-only cone and
+// immutable frozen prefixes are shared across its two cells.
+func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry) analysisOutcome {
+	cd := job.cand
+	if ctx.Err() != nil || !cd.decided {
 		return analysisOutcome{err: ErrTimeout}
 	}
-	actx, err := newAnalysisContext(ctx, locked, job.cand, job.neg, opts)
-	if err != nil {
-		return analysisOutcome{} // key-dependent candidate: not a stripper
+	if cd.keydep || cd.dense[polarity(job.neg)] {
+		return analysisOutcome{} // not a stripper, or too dense to be one
 	}
-	actx.pre = pre
-	if !actx.densityFilter(opts.H) {
-		return analysisOutcome{}
-	}
+	cd.extractCone(locked)
+	defer cd.cellDone()
+	actx := &analysisContext{ctx: ctx, cone: cd.cone, inputMap: cd.inputMap, inputs: cd.inputs,
+		neg: job.neg, opts: opts, pre: cd.pre}
 	cube, ok, algo, err := runAnalysis(actx, m, *opts)
 	if err != nil {
 		return analysisOutcome{err: err}
@@ -896,7 +855,7 @@ func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysis
 		return analysisOutcome{}
 	}
 	ck := cubeToKey(locked, cube, pairing)
-	ck.Node = job.cand
+	ck.Node = cd.node
 	ck.Negated = job.neg
 	ck.Analysis = algo
 	return analysisOutcome{key: ck, ok: true}

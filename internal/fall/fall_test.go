@@ -562,7 +562,9 @@ func TestAttackDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Cancelling the context must stop a multi-worker attack promptly, and
-// the pool's goroutines must all drain (no leaks).
+// the pool's goroutines must all drain (no leaks): whether the context
+// is cancelled before the candidate pre-pass, part way through it, or
+// while the grid's cells run.
 func TestAttackCancellationDrainsPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	orig := testcirc.Random(rng, 14, 150)
@@ -570,32 +572,54 @@ func TestAttackCancellationDrainsPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err = Attack(ctx, lr.Locked, Options{H: 3, Workers: 4})
-	elapsed := time.Since(start)
-	if err != ErrTimeout {
-		// The attack may legitimately finish within 10ms on a fast
-		// machine; only a wrong error is a failure.
-		if err != nil {
-			t.Fatalf("cancelled attack returned %v, want ErrTimeout or nil", err)
-		}
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		// mayFinish: the attack may legitimately complete before the
+		// cancellation lands on a fast machine.
+		mayFinish bool
+	}{
+		{"before-prepass", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, cancel
+		}, false},
+		{"during-prepass", func() (context.Context, context.CancelFunc) {
+			ctx := newCancelAfter(3)
+			return ctx, ctx.cancel
+		}, false},
+		{"during-grid", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(10 * time.Millisecond)
+				cancel()
+			}()
+			return ctx, cancel
+		}, true},
 	}
-	if elapsed > 30*time.Second {
-		t.Errorf("cancelled attack took %v to drain", elapsed)
-	}
-	// The pool goroutines must exit once Attack returns.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > before {
-		t.Errorf("goroutines leaked: %d before, %d after drain window", before, got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			start := time.Now()
+			_, err := Attack(ctx, lr.Locked, Options{H: 3, Workers: 4})
+			elapsed := time.Since(start)
+			if err != ErrTimeout && (err != nil || !tc.mayFinish) {
+				t.Fatalf("cancelled attack returned %v, want ErrTimeout", err)
+			}
+			if elapsed > 30*time.Second {
+				t.Errorf("cancelled attack took %v to drain", elapsed)
+			}
+			// The pool goroutines must exit once Attack returns.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := runtime.NumGoroutine(); got > before {
+				t.Errorf("goroutines leaked: %d before, %d after drain window", before, got)
+			}
+		})
 	}
 }
 

@@ -67,32 +67,24 @@ func TestAttackPortfolioGridMatchesDefault(t *testing.T) {
 }
 
 // TestGridDispatchOrderDeterministic: the adaptive dispatch permutation
-// is a pure function of the circuit and options.
+// is a pure function of the circuit and h, whatever the pre-pass's
+// worker count.
 func TestGridDispatchOrderDeterministic(t *testing.T) {
 	_, lr := lockFig2a(t, 1, 11)
-	cands := SupportMatch(lr.Locked, func() []int {
-		comps := FindComparators(lr.Locked)
-		seen := map[int]bool{}
-		var xs []int
-		for _, cp := range comps {
-			if !seen[cp.Input] {
-				seen[cp.Input] = true
-				xs = append(xs, cp.Input)
-			}
+	order := func(workers int) []int {
+		cands := supportCandidates(lr.Locked)
+		filterCandidates(context.Background(), lr.Locked, cands, 1, workers)
+		var jobs []analysisJob
+		for _, cd := range cands {
+			jobs = append(jobs, analysisJob{cd, false}, analysisJob{cd, true})
 		}
-		return xs
-	}())
-	var jobs []analysisJob
-	for _, cand := range cands {
-		jobs = append(jobs, analysisJob{cand, false}, analysisJob{cand, true})
+		return gridDispatchOrder(jobs, 1)
 	}
-	opts := &Options{H: 1}
-	a := gridDispatchOrder(lr.Locked, jobs, opts)
-	b := gridDispatchOrder(lr.Locked, jobs, opts)
-	if len(a) != len(jobs) {
-		t.Fatalf("order has %d entries, want %d", len(a), len(jobs))
+	a, b := order(1), order(4)
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("orders have %d and %d entries", len(a), len(b))
 	}
-	seen := make([]bool, len(jobs))
+	seen := make([]bool, len(a))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("dispatch order differs between computations at %d", i)

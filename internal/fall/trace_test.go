@@ -13,10 +13,10 @@ import (
 
 // TestTraceSpanIntegrity runs the FALL grid under a worker pool with
 // tracing on and checks the emitted span tree is sound: unique ids,
-// every child's parent emitted, cells parented under the analysis
-// phase, queries parented under their cell — the invariants tracestat
-// relies on. Run under -race this also exercises concurrent span
-// emission from the pool.
+// every child's parent emitted, the candidate pre-pass and the cells
+// parented under the analysis phase, queries parented under their
+// cell — the invariants tracestat relies on. Run under -race this also
+// exercises concurrent span emission from the pool.
 func TestTraceSpanIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	orig := testcirc.Random(rng, 12, 120)
@@ -49,7 +49,7 @@ func TestTraceSpanIntegrity(t *testing.T) {
 		}
 		ids[sp.ID] = sp.Name
 	}
-	var cells, queries int
+	var filters, cells, queries int
 	for _, sp := range spans {
 		if sp.Parent != 0 {
 			if _, ok := ids[sp.Parent]; !ok {
@@ -57,6 +57,14 @@ func TestTraceSpanIntegrity(t *testing.T) {
 			}
 		}
 		switch sp.Name {
+		case "fall.filter":
+			filters++
+			if ids[sp.Parent] != "fall.analysis" {
+				t.Errorf("filter %d parented under %q, want fall.analysis", sp.ID, ids[sp.Parent])
+			}
+			if n, ok := sp.Attrs["candidates"].(int); !ok || n != len(res.Candidates) {
+				t.Errorf("filter span decided %v candidates, want %d", sp.Attrs["candidates"], len(res.Candidates))
+			}
 		case "fall.cell":
 			cells++
 			if ids[sp.Parent] != "fall.analysis" {
@@ -68,6 +76,9 @@ func TestTraceSpanIntegrity(t *testing.T) {
 				t.Errorf("query %d parented under %q, want fall.cell", sp.ID, ids[sp.Parent])
 			}
 		}
+	}
+	if filters != 1 {
+		t.Errorf("grid emitted %d fall.filter spans, want 1", filters)
 	}
 	if cells == 0 || queries == 0 {
 		t.Fatalf("grid emitted %d cells, %d queries — tracing did not reach the workers", cells, queries)
