@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -296,7 +297,11 @@ func benchSolverEngine(b *testing.B, n int) {
 		if n <= 1 {
 			e = sat.New()
 		} else {
-			e = sat.NewPortfolio(sat.PortfolioConfigs(sat.Config{}, n), nil)
+			engines := make([]sat.Engine, n)
+			for j, cfg := range sat.PortfolioConfigs(sat.Config{}, n) {
+				engines[j] = sat.NewWith(cfg)
+			}
+			e = sat.NewEnginePortfolio(engines)
 		}
 		const p, holes = 8, 7
 		vars := make([][]int, p)
@@ -340,7 +345,10 @@ func benchFALLSolver(b *testing.B, portfolio int) {
 	lr := ablationCase(b, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		setup := attack.NewSolverSetup(sat.Config{}, portfolio)
+		setup, err := attack.SolverSetupFromFlags("", strconv.Itoa(portfolio))
+		if err != nil {
+			b.Fatal(err)
+		}
 		res, err := fall.Attack(context.Background(), lr.Locked, fall.Options{
 			H: 4, Analysis: fall.SlidingWindow, Solver: setup.Factory(),
 		})

@@ -43,13 +43,8 @@ func main() {
 		timeout    = flag.Duration("timeout", 1000*time.Second, "attack time budget (0 = none)")
 		maxIter    = flag.Int("maxiter", 0, "iteration cap for iterative attacks (0 = unlimited)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for attacks that parallelize internally (1 = serial)")
-		solver     = flag.String("solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | bdd:max-nodes=1<<20 (empty = baseline CDCL; see sat.ParseEngineSpec)")
-		portfolio  = flag.String("portfolio", "", "race engines per query, first verdict wins: an integer derives N internal variants, a list like internal,kissat,bdd races heterogeneous backends")
-		memo       = flag.Bool("memo", false, "share a cross-query verdict cache across this run's solver queries (verdicts unchanged; hit statistics on stderr)")
-		memoDir    = flag.String("memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
-		memoMax    = flag.Int64("memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
-		tracePath  = flag.String("trace", "", "write an NDJSON span trace of the run to FILE (verdicts and stdout unchanged; analyze with tracestat)")
 		jsonOut    = flag.Bool("json", false, "emit the result as a single JSON document on stdout (recovered netlists print as BENCH on stderr)")
+		sf         = attack.RegisterFlags(flag.CommandLine)
 	)
 	start := time.Now()
 	flag.Parse()
@@ -71,33 +66,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	setup, err := attack.SolverSetupFromFlags(*solver, *portfolio)
-	if err != nil {
+	if err := sf.Start("attack", "attack", *name, "locked", *lockedPath); err != nil {
 		fatalf("%v", err)
-	}
-	if err := setup.Check(); err != nil {
-		fatalf("%v", err)
-	}
-	if m, err := attack.NewMemoFromFlags(*memo, *memoDir, *memoMax); err != nil {
-		fatalf("%v", err)
-	} else if m != nil {
-		if setup == nil {
-			setup = &attack.SolverSetup{}
-		}
-		setup.Memo = m
-	}
-	var tracer *obs.Tracer
-	var root *obs.Span
-	if *tracePath != "" {
-		tracer, err = obs.NewFileTracer(*tracePath)
-		if err != nil {
-			fatalf("trace: %v", err)
-		}
-		root = tracer.Start("attack", "attack", *name, "locked", *lockedPath)
-		if setup == nil {
-			setup = &attack.SolverSetup{}
-		}
-		setup.TraceTo(root)
 	}
 	tgt := attack.Target{
 		Locked:        parse(*lockedPath),
@@ -105,7 +75,7 @@ func main() {
 		Seed:          *seed,
 		MaxIterations: *maxIter,
 		Workers:       *workers,
-		Solver:        setup.Factory(),
+		Solver:        sf.Setup.Factory(),
 	}
 	if *oraclePath != "" {
 		tgt.Oracle = oracle.NewSim(parse(*oraclePath))
@@ -124,24 +94,11 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res, err := atk.Run(obs.With(ctx, root), tgt)
+	res, err := atk.Run(obs.With(ctx, sf.Root), tgt)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	setup.FprintWinStats(os.Stderr)
-	if st := setup.MemoStats(); st != nil {
-		attack.FprintMemoSummary(os.Stderr, setup.Memo, *st, -1)
-	}
-	setup.Close()
-	if tracer != nil {
-		// Closed here, after setup.Close emitted the session spans and
-		// before the verdict-driven os.Exit paths (which skip defers).
-		root.Set("status", res.Status.String())
-		root.End()
-		if err := tracer.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "attack: trace: %v\n", err)
-		}
-	}
+	sf.Finish(os.Stderr, res.Status.String())
 	if *jsonOut {
 		// The JSON result carries the end-to-end wall clock and the
 		// resolved engine labels, the same fields attackd persists in
@@ -149,8 +106,8 @@ func main() {
 		// field-for-field.
 		j := res.JSON()
 		j.WallNS = time.Since(start)
-		j.Engines = setup.EngineLabels()
-		j.SolveNS = int64(setup.SolveTime())
+		j.Engines = sf.Setup.EngineLabels()
+		j.SolveNS = int64(sf.Setup.SolveTime())
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(j); err != nil {

@@ -27,18 +27,13 @@ import (
 
 func main() {
 	var (
-		inPath    = flag.String("in", "", "locked circuit in BENCH format")
-		h         = flag.Int("h", 0, "Hamming distance parameter of the locking scheme")
-		analysis  = flag.String("analysis", "auto", "functional analysis: auto | unate | window | dist2h")
-		timeout   = flag.Duration("timeout", 1000*time.Second, "attack time budget (0 = none)")
-		enc       = flag.String("enc", "adder", "cardinality encoding: adder | seq")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "candidate analyses run concurrently (1 = serial; shortlist is identical either way)")
-		solver    = flag.String("solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | bdd:max-nodes=1<<20 (empty = baseline CDCL)")
-		portfolio = flag.String("portfolio", "", "race engines per analysis query: an integer derives N internal variants, a list like internal,kissat,bdd races heterogeneous backends")
-		memo      = flag.Bool("memo", false, "share a cross-query verdict cache across the analyses (verdicts unchanged; hit statistics on stderr)")
-		memoDir   = flag.String("memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
-		memoMax   = flag.Int64("memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
-		tracePath = flag.String("trace", "", "write an NDJSON span trace of the run to FILE (verdicts and stdout unchanged; analyze with tracestat)")
+		inPath   = flag.String("in", "", "locked circuit in BENCH format")
+		h        = flag.Int("h", 0, "Hamming distance parameter of the locking scheme")
+		analysis = flag.String("analysis", "auto", "functional analysis: auto | unate | window | dist2h")
+		timeout  = flag.Duration("timeout", 1000*time.Second, "attack time budget (0 = none)")
+		enc      = flag.String("enc", "adder", "cardinality encoding: adder | seq")
+		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "candidate analyses run concurrently (1 = serial; shortlist is identical either way)")
+		sf       = attack.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	if *inPath == "" {
@@ -85,51 +80,14 @@ func main() {
 		defer cancel()
 	}
 
-	setup, err := attack.SolverSetupFromFlags(*solver, *portfolio)
-	if err != nil {
+	if err := sf.Start("fallattack", "locked", *inPath, "h", *h); err != nil {
 		fatalf("%v", err)
 	}
-	if err := setup.Check(); err != nil {
-		fatalf("%v", err)
-	}
-	if m, err := attack.NewMemoFromFlags(*memo, *memoDir, *memoMax); err != nil {
-		fatalf("%v", err)
-	} else if m != nil {
-		if setup == nil {
-			setup = &attack.SolverSetup{}
-		}
-		setup.Memo = m
-	}
-	var tracer *obs.Tracer
-	var root *obs.Span
-	if *tracePath != "" {
-		tracer, err = obs.NewFileTracer(*tracePath)
-		if err != nil {
-			fatalf("trace: %v", err)
-		}
-		root = tracer.Start("fallattack", "locked", *inPath, "h", *h)
-		if setup == nil {
-			setup = &attack.SolverSetup{}
-		}
-		setup.TraceTo(root)
-	}
-	out, err := fall.New(opts).Run(obs.With(ctx, root), attack.Target{Locked: locked, H: *h, Workers: *workers, Solver: setup.Factory()})
+	out, err := fall.New(opts).Run(obs.With(ctx, sf.Root), attack.Target{Locked: locked, H: *h, Workers: *workers, Solver: sf.Setup.Factory()})
 	if err != nil {
 		fatalf("attack: %v", err)
 	}
-	setup.FprintWinStats(os.Stderr)
-	if st := setup.MemoStats(); st != nil {
-		attack.FprintMemoSummary(os.Stderr, setup.Memo, *st, -1)
-	}
-	setup.Close()
-	if tracer != nil {
-		// Closed after the session spans and before the os.Exit paths.
-		root.Set("status", out.Status.String())
-		root.End()
-		if err := tracer.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fallattack: trace: %v\n", err)
-		}
-	}
+	sf.Finish(os.Stderr, out.Status.String())
 	res := out.Details.(*fall.Result)
 	fmt.Printf("status: %s\n", out.Status)
 	fmt.Printf("comparators: %d (pairing %d circuit inputs)\n", len(res.Comparators), len(res.CompX))

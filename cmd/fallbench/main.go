@@ -17,14 +17,14 @@
 //	               (seed=3,restart=geometric), an external DIMACS
 //	               solver (kissat, process:cmd=/path), or the BDD
 //	               engine (bdd:max-nodes=1<<20)
-//	-portfolio P   race engines per solver query: an integer derives N
-//	               internal variants, a list (internal,kissat,bdd)
-//	               races heterogeneous backends; decided verdicts are
-//	               identical for every mix
-//	-learn-from F  reorder/prune the engine list from a prior run's
-//	               portfolio-stats file before racing
-//	-adapt-after N retire an engine mid-run once it has lost N races
-//	               without a win
+//	-portfolio P   race engines per solver query: an integer N is
+//	               shorthand for N internal variants of -solver, a list
+//	               (internal,kissat,bdd) races heterogeneous backends;
+//	               decided verdicts are identical for every mix
+//	-learn-from F  reorder/prune the raced engines (two or more) from a
+//	               prior run's portfolio-stats file before racing
+//	-adapt-after N retire a raced engine mid-run once it has lost N
+//	               races without a win
 //	-stats-out F   persist the aggregated per-engine win statistics as
 //	               JSON (feeds -learn-from of a later run)
 //	-memo          share a cross-query verdict cache across every attack
@@ -59,7 +59,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/exp"
 	"repro/internal/genbench"
-	"repro/internal/obs"
 	"repro/internal/sat"
 )
 
@@ -75,15 +74,10 @@ func main() {
 		seed       = flag.Int64("seed", 2019, "base seed")
 		enc        = flag.String("enc", "adder", "cardinality encoding: adder | seq")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "suite cases run concurrently (1 = serial; output is identical either way)")
-		solver     = flag.String("solver", "", "solver engine spec for every attack and scoring miter (empty = baseline CDCL)")
-		portfolio  = flag.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat,bdd")
 		learnFrom  = flag.String("learn-from", "", "portfolio-stats JSON from a prior run; reorders/prunes the engine list before racing")
 		adaptAfter = flag.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
 		statsOut   = flag.String("stats-out", "", "write the aggregated per-engine win statistics to this JSON file")
-		memo       = flag.Bool("memo", false, "share a cross-query verdict cache across every attack and scoring miter (verdicts unchanged; hit statistics on stderr)")
-		memoDir    = flag.String("memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
-		memoMax    = flag.Int64("memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
-		tracePath  = flag.String("trace", "", "write an NDJSON span trace of the whole suite to FILE (stdout unchanged; analyze with tracestat)")
+		sf         = attack.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -95,11 +89,14 @@ func main() {
 	if cfg.Enc, err = cnf.ParseCardEncoding(*enc); err != nil {
 		fatalf("%v", err)
 	}
-	if err := cfg.ApplySolverFlags(*solver, *portfolio); err != nil {
+	if err := sf.Start("fallbench", "scale", *scale, "seed", *seed); err != nil {
 		fatalf("%v", err)
 	}
-	cfg.AdaptAfter = *adaptAfter
-	if len(cfg.Engines) > 0 {
+	cfg.Engines, cfg.Memo, cfg.Trace, cfg.AdaptAfter = sf.Specs, sf.Memo, sf.Root, *adaptAfter
+	if *adaptAfter > 0 || *learnFrom != "" {
+		if len(cfg.Engines) < 2 {
+			fatalf("-adapt-after/-learn-from need a -portfolio of at least two engines")
+		}
 		if *learnFrom != "" {
 			prior, err := sat.ReadStatsFile(*learnFrom)
 			if err != nil {
@@ -107,25 +104,9 @@ func main() {
 			}
 			cfg.Engines = sat.LearnedConfigs(cfg.Engines, prior, *adaptAfter)
 		}
-		if err := attack.NewSolverSetupEngines(cfg.Engines).Check(); err != nil {
-			fatalf("%v", err)
-		}
 		if *adaptAfter > 0 {
 			cfg.Adapt = sat.NewLedgerLabels(sat.EngineLabels(cfg.Engines))
 		}
-	} else if *adaptAfter > 0 || *learnFrom != "" {
-		fatalf("-adapt-after/-learn-from need a -portfolio engine list to act on")
-	}
-	if cfg.Memo, err = attack.NewMemoFromFlags(*memo, *memoDir, *memoMax); err != nil {
-		fatalf("%v", err)
-	}
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		var err error
-		if tracer, err = obs.NewFileTracer(*tracePath); err != nil {
-			fatalf("trace: %v", err)
-		}
-		cfg.Trace = tracer.Start("fallbench", "scale", *scale, "seed", *seed)
 	}
 
 	var level exp.HLevel
@@ -223,13 +204,8 @@ func main() {
 	if cfg.Memo != nil {
 		attack.FprintMemoSummary(os.Stderr, cfg.Memo, cfg.Memo.Stats(), cfg.Memo.Len())
 	}
-	if tracer != nil {
-		// Closed before the failure exit path (os.Exit skips defers).
-		cfg.Trace.End()
-		if err := tracer.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "fallbench: trace: %v\n", err)
-		}
-	}
+	// Closed before the failure exit path (os.Exit skips defers).
+	sf.EndTrace(os.Stderr)
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "fallbench: %d attack run(s) failed\n", failed)
 		os.Exit(2)

@@ -32,12 +32,7 @@ func main() {
 		timeout    = flag.Duration("timeout", 1000*time.Second, "time budget (0 = none)")
 		pureAlg4   = flag.Bool("pure", false, "disable the double-DIP acceleration (paper Algorithm 4 verbatim)")
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "key-space partitions searched concurrently in phi=true mode (1 = serial)")
-		solver     = flag.String("solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | bdd:max-nodes=1<<20 (empty = baseline CDCL)")
-		portfolio  = flag.String("portfolio", "", "race engines per query: an integer derives N internal variants, a list like internal,kissat,bdd races heterogeneous backends")
-		memo       = flag.Bool("memo", false, "share a cross-query verdict cache across the P/Q/D solvers (verdicts unchanged; hit statistics on stderr)")
-		memoDir    = flag.String("memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
-		memoMax    = flag.Int64("memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
-		tracePath  = flag.String("trace", "", "write an NDJSON span trace of the run to FILE (verdicts and stdout unchanged; analyze with tracestat)")
+		sf         = attack.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 	if *lockedPath == "" || *oraclePath == "" {
@@ -64,59 +59,21 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	setup, err := attack.SolverSetupFromFlags(*solver, *portfolio)
-	if err != nil {
+	if err := sf.Start("keyconfirm", "locked", *lockedPath, "candidates", len(cands)); err != nil {
 		fatalf("%v", err)
 	}
-	if err := setup.Check(); err != nil {
-		fatalf("%v", err)
-	}
-	if m, err := attack.NewMemoFromFlags(*memo, *memoDir, *memoMax); err != nil {
-		fatalf("%v", err)
-	} else if m != nil {
-		if setup == nil {
-			setup = &attack.SolverSetup{}
-		}
-		setup.Memo = m
-	}
-	var tracer *obs.Tracer
-	var root *obs.Span
-	if *tracePath != "" {
-		tracer, err = obs.NewFileTracer(*tracePath)
-		if err != nil {
-			fatalf("trace: %v", err)
-		}
-		root = tracer.Start("keyconfirm", "locked", *lockedPath, "candidates", len(cands))
-		if setup == nil {
-			setup = &attack.SolverSetup{}
-		}
-		setup.TraceTo(root)
-	}
-	ctx = obs.With(ctx, root)
 	atk := keyconfirm.New(keyconfirm.Options{DisableDoubleDIP: *pureAlg4})
-	res, err := atk.Run(ctx, attack.Target{
+	res, err := atk.Run(obs.With(ctx, sf.Root), attack.Target{
 		Locked:     locked,
 		Oracle:     oracle.NewSim(orig),
 		Candidates: cands,
 		Workers:    *workers,
-		Solver:     setup.Factory(),
+		Solver:     sf.Setup.Factory(),
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
-	setup.FprintWinStats(os.Stderr)
-	if st := setup.MemoStats(); st != nil {
-		attack.FprintMemoSummary(os.Stderr, setup.Memo, *st, -1)
-	}
-	setup.Close()
-	if tracer != nil {
-		// Closed after the session spans and before the os.Exit paths.
-		root.Set("status", res.Status.String())
-		root.End()
-		if err := tracer.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "keyconfirm: trace: %v\n", err)
-		}
-	}
+	sf.Finish(os.Stderr, res.Status.String())
 	fmt.Printf("status: %s, iterations: %d, oracle queries: %d, elapsed: %v\n",
 		res.Status, res.Iterations, res.OracleQueries, res.Elapsed.Round(time.Millisecond))
 	if res.Status == attack.StatusTimeout {

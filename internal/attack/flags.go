@@ -1,0 +1,99 @@
+package attack
+
+import (
+	"flag"
+	"fmt"
+	"io"
+
+	"repro/internal/obs"
+	"repro/internal/sat"
+)
+
+// SolverFlags is the solver, memo and trace flag set shared by the
+// attack CLIs, declared once by RegisterFlags. Start resolves the
+// parsed flags into the exported fields; Finish ends the run.
+type SolverFlags struct {
+	// Specs is the engine list -solver/-portfolio resolve to
+	// (sat.ResolveSolverFlags); nil selects the default engine.
+	Specs []sat.EngineSpec
+	// Memo is the verdict cache -memo/-memo-dir ask for, or nil.
+	Memo *sat.Memo
+	// Setup builds the run's engines over Specs, carrying Memo and the
+	// trace; nil when no flag asks for one (the default engine).
+	Setup *SolverSetup
+	// Root is the trace's root span; nil without -trace.
+	Root *obs.Span
+
+	solver, portfolio, memoDir, trace string
+	memo                              bool
+	memoMax                           int64
+	name                              string
+	tracer                            *obs.Tracer
+}
+
+// RegisterFlags declares -solver, -portfolio, -memo, -memo-dir,
+// -memo-max-bytes and -trace on fs.
+func RegisterFlags(fs *flag.FlagSet) *SolverFlags {
+	f := &SolverFlags{}
+	fs.StringVar(&f.solver, "solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | bdd:max-nodes=1<<20 (empty = baseline CDCL; see sat.ParseEngineSpec)")
+	fs.StringVar(&f.portfolio, "portfolio", "", "race engines per query, first verdict wins: an integer N races N internal variants of -solver, a list like internal,kissat,bdd races heterogeneous backends")
+	fs.BoolVar(&f.memo, "memo", false, "share a cross-query verdict cache across the run's solver queries (verdicts unchanged; hit statistics on stderr)")
+	fs.StringVar(&f.memoDir, "memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
+	fs.Int64Var(&f.memoMax, "memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
+	fs.StringVar(&f.trace, "trace", "", "write an NDJSON span trace of the run to FILE (verdicts and stdout unchanged; analyze with tracestat)")
+	return f
+}
+
+// Start resolves the parsed flags: the engine specs (failing fast when
+// a process engine's binary is missing), the memo, and — with -trace —
+// a tracer whose root span is name with the attribute pairs attrs.
+// name also prefixes Finish's diagnostics.
+func (f *SolverFlags) Start(name string, attrs ...any) error {
+	f.name = name
+	var err error
+	if f.Specs, err = sat.ResolveSolverFlags(f.solver, f.portfolio); err != nil {
+		return err
+	}
+	setup := NewSolverSetupEngines(f.Specs)
+	if err := setup.Check(); err != nil {
+		return err
+	}
+	if f.Memo, err = NewMemoFromFlags(f.memo, f.memoDir, f.memoMax); err != nil {
+		return err
+	}
+	if f.trace != "" {
+		if f.tracer, err = obs.NewFileTracer(f.trace); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		f.Root = f.tracer.Start(name, attrs...)
+	}
+	if f.Specs != nil || f.Memo != nil || f.tracer != nil {
+		setup.Memo = f.Memo
+		setup.TraceTo(f.Root)
+		f.Setup = setup
+	}
+	return nil
+}
+
+// Finish ends a run whose engines Setup built: the racing statistics
+// and memo summary go to w, persistent solver sessions close, the root
+// span records status, and the trace is closed. Call it before any
+// verdict-driven os.Exit, which skips deferred calls.
+func (f *SolverFlags) Finish(w io.Writer, status string) {
+	f.Setup.FprintWinStats(w)
+	if st := f.Setup.MemoStats(); st != nil {
+		FprintMemoSummary(w, f.Memo, *st, -1)
+	}
+	f.Setup.Close()
+	f.Root.Set("status", status)
+	f.EndTrace(w)
+}
+
+// EndTrace ends the root span and closes the trace file (no-op without
+// -trace), reporting a close failure on w.
+func (f *SolverFlags) EndTrace(w io.Writer) {
+	f.Root.End()
+	if err := f.tracer.Close(); err != nil {
+		fmt.Fprintf(w, "%s: trace: %v\n", f.name, err)
+	}
+}

@@ -1,0 +1,102 @@
+package attack
+
+import (
+	"context"
+	"flag"
+	"io"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/sat"
+)
+
+// startFlags registers the shared flags on a fresh flag set, parses
+// args and resolves them.
+func startFlags(t *testing.T, args ...string) (*SolverFlags, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return f, f.Start("test")
+}
+
+func TestRegisterFlags(t *testing.T) {
+	f, err := startFlags(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Specs != nil || f.Setup != nil || f.Memo != nil || f.Root != nil || f.tracer != nil {
+		t.Errorf("no flags must resolve to the default engine alone: %+v", f)
+	}
+	f.Finish(io.Discard, "unique-key") // nil-safe without a setup or trace
+
+	f, err = startFlags(t, "-portfolio", "3", "-memo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Specs) != 3 || f.Memo == nil || f.Setup == nil || f.Setup.Memo != f.Memo || len(f.Setup.Specs) != 3 {
+		t.Errorf("-portfolio 3 -memo: specs %+v, memo %v, setup %+v", f.Specs, f.Memo, f.Setup)
+	}
+
+	for _, bad := range [][]string{
+		{"-solver", "frobnicate=1"},
+		{"-portfolio", "internal,internal"},
+		{"-portfolio", "-2"},
+		{"-solver", "definitely-not-a-sat-solver-7f3a"},
+	} {
+		if _, err := startFlags(t, bad...); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
+// TestRegisterFlagsTrace: -trace alone builds a default-engine setup
+// under a root span, and Finish leaves a closed trace whose root span
+// records the status and parents the query spans.
+func TestRegisterFlagsTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.ndjson")
+	f, err := startFlags(t, "-trace", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Setup == nil || f.Root == nil || f.Specs != nil {
+		t.Fatalf("-trace: setup %+v root %v specs %+v", f.Setup, f.Root, f.Specs)
+	}
+	e := f.Setup.Factory()(context.Background())
+	loadPigeonhole(e, 5, 4)
+	if got := e.Solve(); got != sat.Unsat {
+		t.Fatalf("verdict %v, want UNSAT", got)
+	}
+	var stderr strings.Builder
+	f.Finish(&stderr, "refuted")
+	if stderr.Len() != 0 {
+		t.Errorf("a trace-only run printed diagnostics: %q", stderr.String())
+	}
+	tf, err := obs.ReadTraceFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root, queries int
+	for _, sp := range tf.Spans {
+		switch sp.Name {
+		case "test":
+			root++
+			if sp.Attrs["status"] != "refuted" {
+				t.Errorf("root span attrs %v", sp.Attrs)
+			}
+		case "query":
+			queries++
+			if sp.Parent != f.Root.ID() || sp.Attrs["engine"] != "internal" {
+				t.Errorf("query span %+v", sp)
+			}
+		}
+	}
+	if root != 1 || queries != 1 {
+		t.Errorf("trace has %d root and %d query spans, want 1 each", root, queries)
+	}
+}

@@ -27,21 +27,11 @@ import (
 // — when racing — accumulates per-engine win statistics across every
 // engine the factory builds. One setup typically spans one attack run
 // (or one harness case), so its WinStats describe that run.
-//
-// Two construction paths exist. NewSolverSetup (Base + Portfolio) is
-// the pre-heterogeneous form: N internal configurations derived by
-// sat.PortfolioConfigs. NewSolverSetupEngines (Specs) races an explicit
-// engine-spec list — internal configs, external DIMACS solvers, the
-// BDD engine — parsed from the -solver/-portfolio grammar.
 type SolverSetup struct {
-	// Base is the engine configuration (the zero value is the baseline
-	// CDCL configuration). Meaningful on the legacy path only.
-	Base sat.Config
-	// Portfolio is the number of racing engines per solver instance;
-	// values below 2 select a single engine. Legacy path only.
-	Portfolio int
-	// Specs, when non-empty, is the heterogeneous engine list; it
-	// overrides Base/Portfolio.
+	// Specs is the engine list (sat.ResolveSolverFlags): one spec
+	// selects that engine, two or more race per query. Empty builds the
+	// default internal engine, for setups that exist only to carry a
+	// memo or a trace.
 	Specs []sat.EngineSpec
 	// AdaptAfter retires an engine spec from subsequently built
 	// portfolios once it has raced this many times without a single win
@@ -62,7 +52,6 @@ type SolverSetup struct {
 	// setup (MemoStats).
 	Memo *sat.Memo
 
-	configs []sat.Config
 	ledger  *sat.Ledger
 	memoCtr sat.MemoCounters
 	solveNS atomic.Int64
@@ -90,18 +79,6 @@ func (s *SolverSetup) TraceTo(sp *obs.Span) {
 		return
 	}
 	s.trace = sp
-}
-
-// NewSolverSetup derives the portfolio configs (sat.PortfolioConfigs)
-// and win-stats ledger for the requested width — the legacy
-// homogeneous path, byte-compatible with pre-heterogeneous artifacts.
-func NewSolverSetup(base sat.Config, portfolio int) *SolverSetup {
-	s := &SolverSetup{Base: base, Portfolio: portfolio}
-	if portfolio >= 2 {
-		s.configs = sat.PortfolioConfigs(base, portfolio)
-		s.ledger = sat.NewLedger(s.configs)
-	}
-	return s
 }
 
 // NewSolverSetupEngines builds a setup racing the given engine specs
@@ -245,33 +222,23 @@ func (s *SolverSetup) Factory() SolverFactory {
 	if s == nil {
 		return nil
 	}
-	if len(s.Specs) > 0 {
-		return func(ctx context.Context) sat.Engine {
-			active := s.activeSlots()
-			if len(s.Specs) == 1 {
-				return s.wrap(s.buildEngine(ctx, 0, s.Specs[0]), ctx)
-			}
-			engines := make([]sat.Engine, len(active))
-			for i, slot := range active {
-				engines[i] = s.buildEngine(ctx, slot, s.Specs[slot])
-			}
-			p := sat.NewEnginePortfolio(engines, s.ledger, s.Global)
-			p.SetLedgerSlots(active)
-			p.SetContext(ctx)
-			return s.wrap(p, ctx)
-		}
-	}
 	return func(ctx context.Context) sat.Engine {
-		if s.Portfolio >= 2 {
-			p := sat.NewPortfolio(s.configs, s.ledger)
-			p.SetContext(ctx)
-			return s.wrap(p, ctx)
+		if len(s.Specs) < 2 {
+			spec := sat.InternalSpec(sat.Config{})
+			if len(s.Specs) == 1 {
+				spec = s.Specs[0]
+			}
+			return s.wrap(s.buildEngine(ctx, 0, spec), ctx)
 		}
-		e := sat.NewWith(s.Base)
-		if ctx != nil {
-			e.SetContext(ctx)
+		active := s.activeSlots()
+		engines := make([]sat.Engine, len(active))
+		for i, slot := range active {
+			engines[i] = s.buildEngine(ctx, slot, s.Specs[slot])
 		}
-		return s.wrap(e, ctx)
+		p := sat.NewEnginePortfolio(engines, s.ledger, s.Global)
+		p.SetLedgerSlots(active)
+		p.SetContext(ctx)
+		return s.wrap(p, ctx)
 	}
 }
 
@@ -418,63 +385,27 @@ func unwrapEngine(e sat.Engine) sat.Engine {
 	}
 }
 
-// SolverSetupFromSpec resolves a legacy -solver/-portfolio flag pair:
-// the spec is parsed with sat.ParseConfig, and both flags unset yield a
-// nil setup (the attacks' built-in default engine).
-func SolverSetupFromSpec(spec string, portfolio int) (*SolverSetup, error) {
-	if spec == "" && portfolio < 2 {
-		return nil, nil
-	}
-	cfg, err := sat.ParseConfig(spec)
-	if err != nil {
-		return nil, err
-	}
-	return NewSolverSetup(cfg, portfolio), nil
-}
-
-// SolverSetupFromFlags resolves the full -solver/-portfolio flag
-// grammar (sat.ResolveSolverFlags): an integer -portfolio derives N
-// internal variants of the -solver base config, an engine list races
-// heterogeneous backends. Both flags unset (or width < 2 with a
-// default solver) yield a nil setup: the attacks' built-in default
-// engine, byte-identical to not passing the flags at all.
+// SolverSetupFromFlags resolves the -solver/-portfolio flag pair
+// (sat.ResolveSolverFlags) into a setup. Both flags unset (or a width
+// below 2 with no solver) yield a nil setup: the attacks' built-in
+// default engine, byte-identical to not passing the flags at all.
 func SolverSetupFromFlags(solver, portfolio string) (*SolverSetup, error) {
-	base, width, specs, err := sat.ResolveSolverFlags(solver, portfolio)
-	if err != nil {
+	specs, err := sat.ResolveSolverFlags(solver, portfolio)
+	if specs == nil {
 		return nil, err
 	}
-	if specs != nil {
-		return NewSolverSetupEngines(specs), nil
-	}
-	if solver == "" && width < 2 {
-		return nil, nil
-	}
-	return NewSolverSetup(base, width), nil
+	return NewSolverSetupEngines(specs), nil
 }
 
 // EngineLabels returns the canonical label of every engine the setup
 // resolves to, in racing order — ["internal"] for a nil setup or the
-// all-default single engine, the per-variant config strings for a
-// derived-width portfolio, the spec labels for a heterogeneous list.
-// This is the "engines" field of ResultJSON and of attackd artifacts.
+// default single engine, the spec labels otherwise. This is the
+// "engines" field of ResultJSON and of attackd artifacts.
 func (s *SolverSetup) EngineLabels() []string {
-	if s == nil {
+	if s.Label() == "" {
 		return []string{"internal"}
 	}
-	if len(s.Specs) > 0 {
-		return sat.EngineLabels(s.Specs)
-	}
-	if s.Portfolio >= 2 {
-		labels := make([]string, len(s.configs))
-		for i, c := range s.configs {
-			labels[i] = c.String()
-		}
-		return labels
-	}
-	if lbl := s.Label(); lbl != "" {
-		return []string{lbl}
-	}
-	return []string{"internal"}
+	return sat.EngineLabels(s.Specs)
 }
 
 // FprintStats writes one racing-statistics line per engine — the
@@ -502,25 +433,16 @@ func (s *SolverSetup) WinStats() []sat.ConfigStats {
 }
 
 // Label returns a human/artifact-readable description of the setup:
-// "" for the all-default single engine (so serialized outcomes stay
-// byte-identical to pre-portfolio ones), the engine spec for a single
-// non-default engine, "portfolio(N) of <spec>" for derived-width
-// racing, and "portfolio(<spec> | ...)" for heterogeneous racing.
+// "" for the default single engine however it is spelled (so serialized
+// outcomes stay byte-identical to pre-portfolio ones), the engine spec
+// for a single non-default engine, and "portfolio(<spec> | ...)" for
+// racing.
 func (s *SolverSetup) Label() string {
-	if s == nil {
+	switch {
+	case s == nil || len(s.Specs) == 0 || (len(s.Specs) == 1 && s.Specs[0] == sat.InternalSpec(sat.Config{})):
 		return ""
+	case len(s.Specs) == 1:
+		return s.Specs[0].String()
 	}
-	if len(s.Specs) > 0 {
-		if len(s.Specs) == 1 {
-			return s.Specs[0].String()
-		}
-		return fmt.Sprintf("portfolio(%s)", strings.Join(sat.EngineLabels(s.Specs), " | "))
-	}
-	if s.Portfolio >= 2 {
-		return fmt.Sprintf("portfolio(%d) of %s", s.Portfolio, s.Base.String())
-	}
-	if s.Base != (sat.Config{}) && s.Base != sat.DefaultConfig() {
-		return s.Base.String()
-	}
-	return ""
+	return fmt.Sprintf("portfolio(%s)", strings.Join(sat.EngineLabels(s.Specs), " | "))
 }

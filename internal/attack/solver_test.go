@@ -2,57 +2,89 @@ package attack
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/sat"
 )
 
+// TestSolverSetupFromFlags pins the single resolution path: every flag
+// pair becomes an engine-spec list (nil = the default engine), the
+// default internal engine has one label however it is spelled, and an
+// integer width records exactly the PortfolioConfigs labels that
+// portfolio_stats.json files carry.
 func TestSolverSetupFromFlags(t *testing.T) {
-	// Both unset: nil setup (the default engine).
-	s, err := SolverSetupFromFlags("", "")
-	if err != nil || s != nil {
-		t.Fatalf("unset flags: %+v, %v", s, err)
+	internal := sat.InternalSpec(sat.Config{})
+	bdd := sat.EngineSpec{Kind: sat.EngineBDD}
+	// An integer width is N internal specs labelled exactly like the
+	// PortfolioConfigs strings, so stats files written by earlier width
+	// runs still match under -learn-from.
+	width := func(base sat.Config, n int) []sat.EngineSpec {
+		var specs []sat.EngineSpec
+		for _, cfg := range sat.PortfolioConfigs(base, n) {
+			specs = append(specs, sat.InternalSpec(cfg))
+		}
+		return specs
 	}
-	// Legacy integer width over an internal base.
-	s, err = SolverSetupFromFlags("seed=3,restart=geometric", "3")
-	if err != nil {
-		t.Fatal(err)
+	widthLabels := func(base sat.Config, n int) []string {
+		var labels []string
+		for _, cfg := range sat.PortfolioConfigs(base, n) {
+			labels = append(labels, cfg.String())
+		}
+		return labels
 	}
-	if s.Portfolio != 3 || s.Base.Seed != 3 || len(s.Specs) != 0 {
-		t.Errorf("legacy form: %+v", s)
-	}
-	if !strings.HasPrefix(s.Label(), "portfolio(3) of ") {
-		t.Errorf("legacy label: %q", s.Label())
-	}
-	// "0"/"1" widths with a default solver collapse to nil too.
-	if s, err = SolverSetupFromFlags("", "1"); err != nil || s != nil {
-		t.Errorf("width 1, default solver: %+v, %v", s, err)
-	}
-	// Single non-internal engine via -solver.
-	s, err = SolverSetupFromFlags("bdd:max-nodes=4096", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Specs) != 1 || s.Specs[0].Kind != sat.EngineBDD || s.Label() != "bdd:max-nodes=4096" {
-		t.Errorf("bdd solver: %+v label %q", s, s.Label())
-	}
-	if s.WinStats() != nil {
-		t.Error("single engine must not account")
-	}
-	// Heterogeneous list; bare internal inherits the -solver base.
-	s, err = SolverSetupFromFlags("seed=5", "internal,bdd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Specs) != 2 || s.Specs[0].Config.Seed != 5 || s.Specs[1].Kind != sat.EngineBDD {
-		t.Errorf("list form: %+v", s.Specs)
-	}
-	if !strings.HasPrefix(s.Label(), "portfolio(") || !strings.Contains(s.Label(), "bdd") {
-		t.Errorf("list label: %q", s.Label())
+	geo3 := sat.Config{Seed: 3, Restart: sat.RestartGeometric}
+	for _, tc := range []struct {
+		solver, portfolio string
+		specs             []sat.EngineSpec
+		label             string
+		engines, ledger   []string
+	}{
+		{"", "", nil, "", []string{"internal"}, nil},
+		{"internal", "", []sat.EngineSpec{internal}, "", []string{"internal"}, nil},
+		{"", "internal", []sat.EngineSpec{internal}, "", []string{"internal"}, nil},
+		{"", "1", nil, "", []string{"internal"}, nil},
+		{"seed=3", "", []sat.EngineSpec{sat.InternalSpec(sat.Config{Seed: 3})}, "seed=3", []string{"seed=3"}, nil},
+		{"", "3", width(sat.Config{}, 3),
+			"portfolio(seed=0 | seed=2654435769,restart=geometric | seed=5308871538,phase=false,vdecay=0.9)",
+			widthLabels(sat.Config{}, 3), widthLabels(sat.Config{}, 3)},
+		{"seed=3,restart=geometric", "3", width(geo3, 3),
+			"portfolio(" + strings.Join(widthLabels(geo3, 3), " | ") + ")",
+			widthLabels(geo3, 3), widthLabels(geo3, 3)},
+		{"bdd:max-nodes=4096", "", []sat.EngineSpec{{Kind: sat.EngineBDD, MaxNodes: 4096}},
+			"bdd:max-nodes=4096", []string{"bdd:max-nodes=4096"}, nil},
+		{"seed=5", "internal,bdd", []sat.EngineSpec{sat.InternalSpec(sat.Config{Seed: 5}), bdd},
+			"portfolio(seed=5 | bdd)", []string{"seed=5", "bdd"}, []string{"seed=5", "bdd"}},
+	} {
+		name := tc.solver + "/" + tc.portfolio
+		s, err := SolverSetupFromFlags(tc.solver, tc.portfolio)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if (s == nil) != (tc.specs == nil) {
+			t.Errorf("%s: setup %+v, want nil = %v", name, s, tc.specs == nil)
+		}
+		if s != nil && !reflect.DeepEqual(s.Specs, tc.specs) {
+			t.Errorf("%s: specs %+v, want %+v", name, s.Specs, tc.specs)
+		}
+		if got := s.Label(); got != tc.label {
+			t.Errorf("%s: label %q, want %q", name, got, tc.label)
+		}
+		if got := s.EngineLabels(); !reflect.DeepEqual(got, tc.engines) {
+			t.Errorf("%s: engine labels %q, want %q", name, got, tc.engines)
+		}
+		var ledger []string
+		for _, cs := range s.WinStats() {
+			ledger = append(ledger, cs.Config)
+		}
+		if !reflect.DeepEqual(ledger, tc.ledger) {
+			t.Errorf("%s: ledger labels %q, want %q", name, ledger, tc.ledger)
+		}
 	}
 	// Errors: deriving variants of an external engine, non-internal base
-	// with a list, bad grammar.
+	// with a list, bad grammar, a negative width.
 	for _, bad := range [][2]string{
 		{"kissat", "3"},
 		{"kissat", "internal,bdd"},
@@ -60,6 +92,7 @@ func TestSolverSetupFromFlags(t *testing.T) {
 		{"", "internal,frobnicate=1"},
 		{"", "internal,bdd:nodes=x"},
 		{"", "internal,internal"},
+		{"", "-2"},
 	} {
 		if s, err := SolverSetupFromFlags(bad[0], bad[1]); err == nil {
 			t.Errorf("flags %q/%q accepted: %+v", bad[0], bad[1], s)

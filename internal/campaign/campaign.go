@@ -50,6 +50,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/exp"
 	"repro/internal/genbench"
+	"repro/internal/sat"
 )
 
 // PlanVersion is bumped whenever the plan schema or case enumeration
@@ -89,9 +90,11 @@ type Config struct {
 	// changes the recorded solver_config and portfolio_stats artifact
 	// fields. omitempty keeps hashes of pre-portfolio plans unchanged.
 	Solver string `json:"solver,omitempty"`
-	// Portfolio races this many configured internal-engine variants per
-	// solver query (< 2 = single engine); requires an internal (or
-	// empty) Solver spec.
+	// Portfolio races this many internal-engine variants of the Solver
+	// config per solver query (< 2 = single engine, negative rejected);
+	// requires an internal (or empty) Solver spec. An integer -portfolio
+	// lands here rather than in PortfolioEngines so its plan hash stays
+	// the one earlier plans recorded.
 	Portfolio int `json:"portfolio,omitempty"`
 	// PortfolioEngines, when set, races an explicit heterogeneous
 	// engine list instead (sat.ParseEngineList grammar, e.g.
@@ -99,8 +102,9 @@ type Config struct {
 	// Solver base config. omitempty keeps pre-heterogeneous plan hashes
 	// unchanged.
 	PortfolioEngines string `json:"portfolio_engines,omitempty"`
-	// AdaptAfter retires a PortfolioEngines entry mid-run once it has
-	// raced this many times without a win (0 = never). Dropping only
+	// AdaptAfter retires a racing engine (of a width or an engine list)
+	// mid-run once it has raced this many times without a win (0 =
+	// never); it needs at least two engines. Dropping only
 	// redistributes racing effort, never verdicts, but it is part of
 	// the plan because it changes the recorded portfolio_stats.
 	AdaptAfter int64 `json:"adapt_after,omitempty"`
@@ -130,20 +134,18 @@ func (c Config) ExpConfig() (exp.Config, error) {
 		SATIterCap: c.SATIterCap,
 		AdaptAfter: c.AdaptAfter,
 	}
-	portfolio := ""
-	switch {
-	case c.PortfolioEngines != "" && c.Portfolio >= 2:
-		return exp.Config{}, fmt.Errorf("campaign: portfolio and portfolio_engines are mutually exclusive")
-	case c.PortfolioEngines != "":
-		portfolio = c.PortfolioEngines
-	case c.Portfolio != 0:
+	portfolio := c.PortfolioEngines
+	if c.Portfolio != 0 {
+		if portfolio != "" {
+			return exp.Config{}, fmt.Errorf("campaign: portfolio and portfolio_engines are mutually exclusive")
+		}
 		portfolio = strconv.Itoa(c.Portfolio)
 	}
-	if err := cfg.ApplySolverFlags(c.Solver, portfolio); err != nil {
+	if cfg.Engines, err = sat.ResolveSolverFlags(c.Solver, portfolio); err != nil {
 		return exp.Config{}, err
 	}
 	if c.AdaptAfter > 0 && len(cfg.Engines) < 2 {
-		return exp.Config{}, fmt.Errorf("campaign: adapt_after needs a portfolio_engines list to adapt")
+		return exp.Config{}, fmt.Errorf("campaign: adapt_after needs a portfolio of at least two engines")
 	}
 	return cfg, nil
 }

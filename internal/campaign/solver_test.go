@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,24 +39,70 @@ func TestPlanSolverConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ec.Portfolio != 3 || ec.Solver.Seed != 3 {
-		t.Errorf("ExpConfig lost solver settings: %+v portfolio %d", ec.Solver, ec.Portfolio)
+	if len(ec.Engines) != 3 || ec.Engines[0].Config.Seed != 3 || ec.Engines[0].Config.Restart != sat.RestartGeometric {
+		t.Errorf("ExpConfig lost solver settings: %+v", ec.Engines)
 	}
 
-	// Default (empty) spec resolves to the zero config so artifacts stay
+	// Default (empty) spec resolves to no engine list so artifacts stay
 	// label-free.
 	ecDefault, err := p1.Config.ExpConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ecDefault.Portfolio != 0 || ecDefault.Solver.RestartBase != 0 {
-		t.Errorf("default plan must keep the zero solver config, got %+v", ecDefault.Solver)
+	if ecDefault.Engines != nil {
+		t.Errorf("default plan must resolve to the default engine, got %+v", ecDefault.Engines)
 	}
 
-	bad := base
-	bad.Solver = "frobnicate=1"
-	if _, err := NewPlan(bad); err == nil {
-		t.Error("bad solver spec accepted at plan time")
+	for _, bad := range []Config{{Solver: "frobnicate=1"}, {Portfolio: -2}} {
+		cfg := base
+		cfg.Solver, cfg.Portfolio = bad.Solver, bad.Portfolio
+		if _, err := NewPlan(cfg); err == nil {
+			t.Errorf("solver %q portfolio %d accepted at plan time", bad.Solver, bad.Portfolio)
+		}
+	}
+}
+
+// TestPlanWidthAdapts: an integer width is an engine list, so a plan
+// racing -portfolio 3 takes adapt_after, and a learned re-run drops the
+// engine a prior stats file records as a chronic loser.
+func TestPlanWidthAdapts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a tiny campaign")
+	}
+	cfg := tinyCampaignConfig("summary")
+	cfg.Specs = cfg.Specs[:1]
+	cfg.Portfolio, cfg.AdaptAfter = 3, 2
+	plan, err := NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := plan.Config.ExpConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := sat.EngineLabels(ec.Engines)
+	if len(labels) != 3 {
+		t.Fatalf("width 3 resolved to %q", labels)
+	}
+	prior := []sat.ConfigStats{{Config: labels[1], Races: 4, Wins: 4}, {Config: labels[2], Races: 4}}
+	statsPath := filepath.Join(t.TempDir(), "portfolio_stats.json")
+	if err := sat.WriteStatsFile(statsPath, prior); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "artifacts")
+	if _, err := Run(context.Background(), plan, dir, RunOptions{Workers: 2, LearnFrom: statsPath}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Merge(plan, []string{dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raced []string
+	for _, cs := range m.WinStats() {
+		raced = append(raced, cs.Config)
+	}
+	if want := []string{labels[1], labels[0]}; !reflect.DeepEqual(raced, want) {
+		t.Errorf("learned width run raced %q, want %q (winner first, loser dropped)", raced, want)
 	}
 }
 

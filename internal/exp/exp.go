@@ -140,20 +140,13 @@ type Config struct {
 	// intra-attack parallelism pinned to 1, and results merge in case
 	// order.
 	Workers int
-	// Solver configures the SAT engine behind every attack query and
-	// scoring miter; the zero value is the baseline single engine.
-	Solver sat.Config
-	// Portfolio races this many differently-configured engines per
-	// solver query, first verdict wins (< 2 disables racing). Racing
-	// never changes verdicts — every engine decides the same formula —
-	// only the runtime distribution; per-config win statistics land in
-	// each Outcome.
-	Portfolio int
-	// Engines, when non-empty, selects an explicit (possibly
-	// heterogeneous) engine list raced per query — internal configs,
-	// external DIMACS solvers, the BDD engine — and overrides
-	// Solver/Portfolio. Entry points that learn from prior runs apply
-	// sat.LearnedConfigs to this list before building the config.
+	// Engines is the engine list behind every attack query and scoring
+	// miter (sat.ResolveSolverFlags); nil selects the baseline single
+	// engine. Two or more engines race per query, first verdict wins:
+	// racing never changes verdicts — every engine decides the same
+	// formula — only the runtime distribution, and per-engine win
+	// statistics land in each Outcome. Entry points that learn from
+	// prior runs apply sat.LearnedConfigs to this list first.
 	Engines []sat.EngineSpec
 	// AdaptAfter retires an Engines entry from later-built portfolios
 	// once it has raced this many times without a win (0 = never); see
@@ -192,41 +185,19 @@ type Config struct {
 	Gate func(Unit) bool
 }
 
-// ApplySolverFlags resolves the -solver/-portfolio flag grammar
-// (sat.ResolveSolverFlags — the same resolution the attack CLIs use)
-// into the config's Solver/Portfolio/Engines fields.
-func (cfg *Config) ApplySolverFlags(solver, portfolio string) error {
-	base, width, specs, err := sat.ResolveSolverFlags(solver, portfolio)
-	if err != nil {
-		return err
-	}
-	cfg.Solver, cfg.Portfolio, cfg.Engines = base, width, specs
-	return nil
-}
-
 // solverSetup derives the per-run solver setup. Each attack run gets a
 // fresh setup, so its recorded win statistics describe that run alone;
 // a fully-default config returns nil (the attacks' built-in default
 // engine), keeping default outcomes byte-identical to pre-portfolio
-// artifacts.
+// artifacts. A memo or trace alone attaches to a setup with no engine
+// list, which builds exactly the default engine, so verdicts and
+// artifacts change only by the memo/solve-time fields themselves.
 func (cfg Config) solverSetup() *attack.SolverSetup {
-	var s *attack.SolverSetup
-	switch {
-	case len(cfg.Engines) > 0:
-		s = attack.NewSolverSetupEngines(cfg.Engines)
-		s.AdaptAfter = cfg.AdaptAfter
-		s.Global = cfg.Adapt
-	case cfg.Portfolio >= 2 || cfg.Solver != (sat.Config{}):
-		s = attack.NewSolverSetup(cfg.Solver, cfg.Portfolio)
-	case cfg.Memo != nil || cfg.Trace != nil:
-		// A zero-value setup builds exactly the default engine, so the
-		// memo or tracer can attach without changing verdicts or
-		// artifacts beyond the memo/solve-time fields themselves.
-		s = &attack.SolverSetup{}
-	default:
+	if len(cfg.Engines) == 0 && cfg.Memo == nil && cfg.Trace == nil {
 		return nil
 	}
-	s.Memo = cfg.Memo
+	s := attack.NewSolverSetupEngines(cfg.Engines)
+	s.AdaptAfter, s.Global, s.Memo = cfg.AdaptAfter, cfg.Adapt, cfg.Memo
 	return s
 }
 

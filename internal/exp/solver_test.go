@@ -26,7 +26,9 @@ func TestHarnessPortfolioVerdictsMatch(t *testing.T) {
 	}
 
 	pcfg := cfg
-	pcfg.Portfolio = 3
+	if pcfg.Engines, err = sat.ResolveSolverFlags("", "3"); err != nil {
+		t.Fatal(err)
+	}
 	port := RunFALL(ctx, cs, fall.Unateness, pcfg)
 	if port.Solved != base.Solved || port.Equivalent != base.Equivalent ||
 		port.PlantedKeyMatch != base.PlantedKeyMatch || port.NumKeys != base.NumKeys ||
@@ -92,7 +94,7 @@ func TestHarnessHeterogeneousEngines(t *testing.T) {
 // recorded without portfolio stats.
 func TestHarnessSolverConfigLabel(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Solver = sat.Config{Seed: 7, Restart: sat.RestartGeometric}
+	cfg.Engines = []sat.EngineSpec{sat.InternalSpec(sat.Config{Seed: 7, Restart: sat.RestartGeometric})}
 	cs, err := BuildCase(cfg.Specs[0], HD0, cfg.Seed)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/lock"
-	"repro/internal/sat"
 	"repro/internal/testcirc"
 )
 
@@ -36,7 +35,10 @@ func TestAttackPortfolioGridMatchesDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := attack.NewSolverSetup(sat.Config{Seed: 9}, 3)
+	setup, err := attack.SolverSetupFromFlags("seed=9", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
 	port, err := Attack(context.Background(), lr.Locked, Options{
 		H: 2, Workers: 4, Solver: setup.Factory(),
 	})

@@ -229,38 +229,31 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestDeadlineFoldsIntoContext: the deprecated SetDeadline must behave
-// exactly like a context deadline, and composing it with SetContext
-// must honor whichever budget is tighter.
+// TestDeadlineFoldsIntoContext: a wall-clock budget is a deadline on
+// the solver's context, and composing it with a cancellable parent
+// honors whichever budget is tighter.
 func TestDeadlineFoldsIntoContext(t *testing.T) {
 	s := New()
 	pigeonholeEngine(s, 9, 8)
-	s.SetDeadline(time.Now().Add(-time.Second))
-	if got := s.Solve(); got != Unknown {
-		t.Fatalf("expired SetDeadline: got %v, want UNKNOWN", got)
-	}
-	// Clearing the deadline restores the (absent) base context.
-	s.SetDeadline(time.Time{})
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("after clearing deadline: got %v, want UNSAT", got)
-	}
-	// Composition: a live base context with an expired folded deadline
-	// still expires, and detaching the context keeps the deadline.
-	s2 := New()
-	pigeonholeEngine(s2, 9, 8)
-	ctx, cancel := context.WithCancel(context.Background())
+	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s2.SetContext(ctx)
-	s2.SetDeadline(time.Now().Add(-time.Second))
-	if got := s2.Solve(); got != Unknown {
-		t.Fatalf("live context + expired deadline: got %v, want UNKNOWN", got)
+	expired, cancelExpired := context.WithDeadline(parent, time.Now().Add(-time.Second))
+	defer cancelExpired()
+	s.SetContext(expired)
+	if got := s.Solve(); got != Unknown {
+		t.Fatalf("live parent + expired deadline: got %v, want UNKNOWN", got)
 	}
-	s2.SetContext(nil)
-	if got := s2.Solve(); got != Unknown {
-		t.Fatalf("detached context must keep the expired deadline: got %v", got)
+	// A cancelled parent expires a child whose deadline is far away.
+	far, cancelFar := context.WithDeadline(parent, time.Now().Add(time.Hour))
+	defer cancelFar()
+	cancel()
+	s.SetContext(far)
+	if got := s.Solve(); got != Unknown {
+		t.Fatalf("cancelled parent + far deadline: got %v, want UNKNOWN", got)
 	}
-	s2.SetDeadline(time.Time{})
-	if got := s2.Solve(); got != Unsat {
+	// Detaching the context clears every budget.
+	s.SetContext(nil)
+	if got := s.Solve(); got != Unsat {
 		t.Fatalf("all budgets cleared: got %v, want UNSAT", got)
 	}
 }

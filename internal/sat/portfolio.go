@@ -37,22 +37,6 @@ type Portfolio struct {
 	winner  int // engine backing Value/LitTrue (last Sat winner)
 }
 
-// NewPortfolio builds a portfolio of internal engines over the given
-// configurations. The optional ledger accumulates per-config win
-// statistics; several portfolios (e.g. one per FALL grid cell) may
-// share one ledger, whose config list must then match. A nil ledger
-// disables accounting.
-func NewPortfolio(configs []Config, ledger *Ledger) *Portfolio {
-	if len(configs) == 0 {
-		panic("sat: NewPortfolio with no configs")
-	}
-	engines := make([]Engine, len(configs))
-	for i, cfg := range configs {
-		engines[i] = NewWith(cfg)
-	}
-	return NewEnginePortfolio(engines, ledger)
-}
-
 // NewEnginePortfolio builds a portfolio over pre-constructed engines of
 // any backend mix. Every engine must be fresh (the portfolio replays
 // one clause stream into all of them). Each non-nil ledger accumulates
@@ -256,17 +240,8 @@ type Ledger struct {
 	stats []ConfigStats
 }
 
-// NewLedger returns a ledger for portfolios built over configs.
-func NewLedger(configs []Config) *Ledger {
-	l := &Ledger{stats: make([]ConfigStats, len(configs))}
-	for i, c := range configs {
-		l.stats[i].Config = c.String()
-	}
-	return l
-}
-
-// NewLedgerLabels returns a ledger whose slots carry arbitrary engine
-// labels (canonical EngineSpec strings for heterogeneous portfolios).
+// NewLedgerLabels returns a ledger whose slots carry the given engine
+// labels (EngineLabels of the raced spec list).
 func NewLedgerLabels(labels []string) *Ledger {
 	l := &Ledger{stats: make([]ConfigStats, len(labels))}
 	for i, lab := range labels {

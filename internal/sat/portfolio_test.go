@@ -6,6 +6,24 @@ import (
 	"time"
 )
 
+// internalPortfolio races fresh internal solvers over configs.
+func internalPortfolio(configs []Config, ledger *Ledger) *Portfolio {
+	engines := make([]Engine, len(configs))
+	for i, cfg := range configs {
+		engines[i] = NewWith(cfg)
+	}
+	return NewEnginePortfolio(engines, ledger)
+}
+
+// configLabels returns the ledger labels of configs.
+func configLabels(configs []Config) []string {
+	labels := make([]string, len(configs))
+	for i, cfg := range configs {
+		labels[i] = cfg.String()
+	}
+	return labels
+}
+
 // TestPortfolioVerdictsMatchSingleEngine: for every instance in the
 // SAT/UNSAT table and every portfolio width, the racing verdict must
 // equal the single-engine verdict, and a SAT portfolio model must
@@ -14,7 +32,7 @@ func TestPortfolioVerdictsMatchSingleEngine(t *testing.T) {
 	for name, load := range instanceTable() {
 		single, _, _ := runInstance(Config{}, load)
 		for _, n := range []int{2, 3, 5} {
-			p := NewPortfolio(PortfolioConfigs(Config{Seed: 1}, n), nil)
+			p := internalPortfolio(PortfolioConfigs(Config{Seed: 1}, n), nil)
 			load(p)
 			if got := p.Solve(); got != single {
 				t.Errorf("%s: portfolio(%d) verdict %v, single engine %v", name, n, got, single)
@@ -24,7 +42,7 @@ func TestPortfolioVerdictsMatchSingleEngine(t *testing.T) {
 }
 
 func TestPortfolioModelSatisfiesClauses(t *testing.T) {
-	p := NewPortfolio(PortfolioConfigs(Config{Seed: 3}, 4), nil)
+	p := internalPortfolio(PortfolioConfigs(Config{Seed: 3}, 4), nil)
 	pigeonholeEngine(p, 5, 5)
 	if got := p.Solve(); got != Sat {
 		t.Fatalf("PHP(5,5): got %v, want SAT", got)
@@ -48,7 +66,7 @@ func TestPortfolioModelSatisfiesClauses(t *testing.T) {
 // TestPortfolioIncremental: assumptions and incremental clause addition
 // must work across races exactly as on a single engine.
 func TestPortfolioIncremental(t *testing.T) {
-	p := NewPortfolio(PortfolioConfigs(Config{}, 3), nil)
+	p := internalPortfolio(PortfolioConfigs(Config{}, 3), nil)
 	a, b := p.NewVar(), p.NewVar()
 	p.AddClause(NegLit(a), PosLit(b)) // a -> b
 	if got := p.SolveAssuming([]Lit{PosLit(a), NegLit(b)}); got != Unsat {
@@ -70,7 +88,7 @@ func TestPortfolioIncremental(t *testing.T) {
 }
 
 func TestPortfolioContextCancellation(t *testing.T) {
-	p := NewPortfolio(PortfolioConfigs(Config{}, 3), nil)
+	p := internalPortfolio(PortfolioConfigs(Config{}, 3), nil)
 	pigeonholeEngine(p, 9, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -85,7 +103,7 @@ func TestPortfolioContextCancellation(t *testing.T) {
 }
 
 func TestPortfolioDeadlineExpiry(t *testing.T) {
-	p := NewPortfolio(PortfolioConfigs(Config{}, 2), nil)
+	p := internalPortfolio(PortfolioConfigs(Config{}, 2), nil)
 	pigeonholeEngine(p, 10, 9)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(10*time.Millisecond))
 	defer cancel()
@@ -100,8 +118,8 @@ func TestPortfolioDeadlineExpiry(t *testing.T) {
 // with the engines' own counters.
 func TestLedgerAccounting(t *testing.T) {
 	configs := PortfolioConfigs(Config{Seed: 5}, 3)
-	ledger := NewLedger(configs)
-	p := NewPortfolio(configs, ledger)
+	ledger := NewLedgerLabels(configLabels(configs))
+	p := internalPortfolio(configs, ledger)
 	pigeonholeEngine(p, 6, 5)
 	const calls = 4
 	for i := 0; i < calls; i++ {
@@ -138,13 +156,13 @@ func TestLedgerAccounting(t *testing.T) {
 // short-lived portfolios over one ledger, possibly concurrently.
 func TestLedgerSharedAcrossPortfolios(t *testing.T) {
 	configs := PortfolioConfigs(Config{}, 2)
-	ledger := NewLedger(configs)
+	ledger := NewLedgerLabels(configLabels(configs))
 	done := make(chan struct{})
 	const workers = 4
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			p := NewPortfolio(configs, ledger)
+			p := internalPortfolio(configs, ledger)
 			pigeonholeEngine(p, 5, 5)
 			if got := p.Solve(); got != Sat {
 				t.Errorf("got %v, want SAT", got)

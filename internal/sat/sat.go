@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 )
 
 // Lit is a literal: variable index shifted left once, low bit set for
@@ -185,13 +184,10 @@ type Solver struct {
 	cfg Config
 	rng *rand.Rand
 
-	// Budgets. SetDeadline and SetContext both fold into ctx, so search
-	// has a single budget check (budgetExceeded) instead of
-	// deadline+context double bookkeeping.
+	// Budgets. A wall-clock deadline travels in ctx, so search has a
+	// single budget check (budgetExceeded).
 	conflictLimit int64           // 0 = unlimited
-	baseCtx       context.Context // as passed to SetContext
-	deadline      time.Time       // as passed to SetDeadline
-	ctx           context.Context // baseCtx composed with the deadline
+	ctx           context.Context // as passed to SetContext
 	budgetPolls   uint32          // throttles the in-search budget checks
 
 	model []lbool // last satisfying assignment
@@ -256,65 +252,11 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // 0 removes the bound. When exceeded, Solve returns Unknown.
 func (s *Solver) SetConflictLimit(n int64) { s.conflictLimit = n }
 
-// SetDeadline sets a wall-clock deadline; a zero time removes it. When
-// exceeded, Solve returns Unknown.
-//
-// Deprecated: express wall-clock budgets through SetContext (wrap the
-// run context with context.WithDeadline). SetDeadline remains as a thin
-// wrapper that folds the deadline into the same context-based budget
-// check the search already performs.
-func (s *Solver) SetDeadline(t time.Time) {
-	s.deadline = t
-	s.recomputeCtx()
-}
-
 // SetContext attaches a context to the solver: once ctx is cancelled or
 // its deadline passes (ctx.Err() reports both), the current and any
 // subsequent Solve calls return Unknown. Passing nil detaches the
 // context.
-func (s *Solver) SetContext(ctx context.Context) {
-	s.baseCtx = ctx
-	s.recomputeCtx()
-}
-
-// recomputeCtx folds the SetContext context and the deprecated
-// SetDeadline deadline into the single ctx consulted by budget checks.
-func (s *Solver) recomputeCtx() {
-	base := s.baseCtx
-	if s.deadline.IsZero() {
-		s.ctx = base
-		return
-	}
-	if base == nil {
-		base = context.Background()
-	}
-	s.ctx = deadlineContext{base, s.deadline}
-}
-
-// deadlineContext adds a lazily-checked wall-clock deadline to a parent
-// context without timer goroutines or cancel bookkeeping: the solver
-// polls Err(), never Done(), so checking the clock inside Err suffices.
-type deadlineContext struct {
-	context.Context
-	t time.Time
-}
-
-func (d deadlineContext) Deadline() (time.Time, bool) {
-	if p, ok := d.Context.Deadline(); ok && p.Before(d.t) {
-		return p, true
-	}
-	return d.t, true
-}
-
-func (d deadlineContext) Err() error {
-	if err := d.Context.Err(); err != nil {
-		return err
-	}
-	if time.Now().After(d.t) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
+func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 
 func (s *Solver) litValue(l Lit) lbool {
 	v := s.value[l.Var()]
@@ -794,13 +736,10 @@ func (s *Solver) decidePolarity(v int) bool {
 }
 
 // budgetExceeded is the per-decision check inside search. ctx.Err()
-// takes a mutex and (through deadlineContext) may read the clock, so the
-// check is rationed to every 256 calls — but by a dedicated poll
-// counter, not the conflict count, so cancellation is still noticed
-// promptly on conflict-free instances. SolveAssuming performs one
-// unthrottled check on entry. This is the single budget check: the
-// deprecated SetDeadline folds into s.ctx, so there is no separate
-// deadline bookkeeping.
+// takes a mutex, so the check is rationed to every 256 calls — but by
+// a dedicated poll counter, not the conflict count, so cancellation is
+// still noticed promptly on conflict-free instances. SolveAssuming performs one
+// unthrottled check on entry.
 func (s *Solver) budgetExceeded() bool {
 	if s.conflictLimit > 0 && s.stats.Conflicts >= s.conflictLimit {
 		return true

@@ -188,20 +188,6 @@ func TestContextDeadline(t *testing.T) {
 	}
 }
 
-func TestDeadline(t *testing.T) {
-	s := New()
-	pigeonhole(s, 9, 8)
-	s.SetDeadline(time.Now().Add(-time.Second))
-	if got := s.Solve(); got != Unknown {
-		t.Fatalf("got %v with expired deadline, want UNKNOWN", got)
-	}
-	s.SetDeadline(time.Time{})
-	s.SetConflictLimit(0)
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("got %v, want UNSAT", got)
-	}
-}
-
 func TestAssumptions(t *testing.T) {
 	s := New()
 	a, b := s.NewVar(), s.NewVar()

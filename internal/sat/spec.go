@@ -324,44 +324,48 @@ func ParseEngineList(list string, base Config) ([]EngineSpec, error) {
 }
 
 // ResolveSolverFlags is the one resolution of the -solver/-portfolio
-// flag pair, shared by the attack CLIs (attack.SolverSetupFromFlags),
-// the harness (exp.Config.ApplySolverFlags) and campaign plans, so a
-// flag pair means the same thing everywhere. solver is one engine spec.
-// portfolio is either an integer width — returned as width, racing N
-// derived internal variants of base — or an engine list, returned as
-// specs (width path and specs path are mutually exclusive: specs is
-// nil on the width path). A non-internal solver spec with no list
-// resolves to a single-entry specs; base stays the zero Config when
-// solver is empty, preserving "no flags = attack-default engine".
-func ResolveSolverFlags(solver, portfolio string) (base Config, width int, specs []EngineSpec, err error) {
+// flag pair, shared by the attack CLIs (attack.RegisterFlags), the
+// daemon, and campaign plans, so a flag pair means the same thing
+// everywhere. solver is one engine spec. portfolio is either an integer
+// width N >= 2 — N internal variants of the -solver config
+// (PortfolioConfigs), whose labels are the ledger labels
+// portfolio_stats.json files record — or an engine list
+// (ParseEngineList). Both flags unset, or a width below 2 with an empty
+// solver, resolve to nil: the attacks' built-in default engine.
+func ResolveSolverFlags(solver, portfolio string) ([]EngineSpec, error) {
 	spec, err := ParseEngineSpec(solver)
 	if err != nil {
-		return Config{}, 0, nil, err
+		return nil, err
 	}
-	portfolio = strings.TrimSpace(portfolio)
-	if portfolio != "" {
+	width := 0
+	if portfolio = strings.TrimSpace(portfolio); portfolio != "" {
 		n, aerr := strconv.Atoi(portfolio)
 		if aerr != nil {
 			// Engine-list form. A non-internal -solver cannot act as the
 			// base the list's bare "internal" entries inherit.
 			if spec.Kind != EngineInternal {
-				return Config{}, 0, nil, fmt.Errorf("sat: -portfolio %q lists engines; -solver must then be an internal config, not %q", portfolio, solver)
+				return nil, fmt.Errorf("sat: -portfolio %q lists engines; -solver must then be an internal config, not %q", portfolio, solver)
 			}
-			specs, err = ParseEngineList(portfolio, spec.Config)
-			return Config{}, 0, specs, err
+			return ParseEngineList(portfolio, spec.Config)
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("sat: -portfolio %d: width must not be negative", n)
 		}
 		width = n
 	}
-	if spec.Kind != EngineInternal {
-		if width >= 2 {
-			return Config{}, 0, nil, fmt.Errorf("sat: -portfolio %d derives internal engine variants; race %q via the list form, e.g. -portfolio internal,%s", width, solver, solver)
+	switch {
+	case width >= 2 && spec.Kind != EngineInternal:
+		return nil, fmt.Errorf("sat: -portfolio %d derives internal engine variants; race %q via the list form, e.g. -portfolio internal,%s", width, solver, solver)
+	case width >= 2:
+		specs := make([]EngineSpec, width)
+		for i, cfg := range PortfolioConfigs(spec.Config, width) {
+			specs[i] = InternalSpec(cfg)
 		}
-		return Config{}, 0, []EngineSpec{spec}, nil
+		return specs, nil
+	case solver == "":
+		return nil, nil
 	}
-	if solver != "" {
-		base = spec.Config
-	}
-	return base, width, nil, nil
+	return []EngineSpec{spec}, nil
 }
 
 // LearnedConfigs reorders — and, with dropAfter > 0, prunes — an

@@ -3,6 +3,7 @@ package sat
 import (
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -121,6 +122,41 @@ func TestParseEngineList(t *testing.T) {
 	for _, bad := range []string{"", " , ", "internal,internal", "kissat,kissat", "bdd,frobnicate=1"} {
 		if specs, err := ParseEngineList(bad, Config{}); err == nil {
 			t.Errorf("ParseEngineList(%q) accepted a bad list: %+v", bad, specs)
+		}
+	}
+}
+
+// TestResolveSolverFlags: an integer width expands at parse time into
+// one internal spec per PortfolioConfigs entry, whose labels are the
+// ledger labels recorded portfolio stats carry; widths below 2 with an
+// empty solver mean the default engine (nil); negative widths are
+// rejected with an error naming the flag.
+func TestResolveSolverFlags(t *testing.T) {
+	base := Config{Seed: 3, Restart: RestartGeometric}
+	specs, err := ResolveSolverFlags("seed=3,restart=geometric", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := PortfolioConfigs(base, 3)
+	if len(specs) != 3 {
+		t.Fatalf("width 3 resolved to %d specs", len(specs))
+	}
+	for i, s := range specs {
+		if s != InternalSpec(configs[i]) || s.String() != configs[i].String() {
+			t.Errorf("spec %d = %+v (%q), want %q", i, s, s, configs[i])
+		}
+	}
+	for _, width := range []string{"", "0", "1", " 1 "} {
+		if specs, err := ResolveSolverFlags("", width); err != nil || specs != nil {
+			t.Errorf("width %q with no solver: %+v, %v", width, specs, err)
+		}
+	}
+	if specs, err := ResolveSolverFlags("seed=3", "1"); err != nil || len(specs) != 1 || specs[0] != InternalSpec(Config{Seed: 3}) {
+		t.Errorf("width 1 with a solver: %+v, %v", specs, err)
+	}
+	for _, pair := range [][2]string{{"", "-2"}, {"seed=3", "-1"}} {
+		if _, err := ResolveSolverFlags(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "-portfolio") {
+			t.Errorf("width %q: error %v does not reject the flag", pair[1], err)
 		}
 	}
 }

@@ -367,7 +367,7 @@ func checkLifecycle(t *testing.T, evs []server.Event) {
 
 // TestSubmitValidation exercises the 400 paths: unknown attack, missing
 // circuit, oracle-guided attack without oracle, bad solver spec,
-// unknown JSON fields.
+// negative portfolio width, unknown JSON fields.
 func TestSubmitValidation(t *testing.T) {
 	_, locked, _, _ := newTTLockFixture(t)
 	_, ts := startDaemon(t, server.Config{Workers: 1})
@@ -379,6 +379,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"no locked", `{"attack":"fall"}`},
 		{"no oracle", fmt.Sprintf(`{"attack":"sat","locked":%q}`, locked)},
 		{"bad solver", fmt.Sprintf(`{"attack":"fall","locked":%q,"solver":"martian"}`, locked)},
+		{"negative portfolio", fmt.Sprintf(`{"attack":"fall","locked":%q,"portfolio":"-2"}`, locked)},
 		{"unknown field", fmt.Sprintf(`{"attack":"fall","locked":%q,"timeout":5}`, locked)},
 		{"bad bench", `{"attack":"fall","locked":"INPUT("}`},
 	}
