@@ -567,12 +567,12 @@ func benchFleet(b *testing.B, plan *campaign.Plan, dir string, opts [2]campaign.
 	}
 }
 
-// BenchmarkFleetMakespan compares the two fleet schedulers on a
-// heterogeneous two-worker fleet: static index-modulo sharding pins
-// half the plan to the slow machine, so the fleet waits on it; claim-
-// file work stealing lets the fast machine drain the shared directory
-// while the slow one contributes what it can. The modulo/steal
-// ns_per_op ratio is the scheduling win (BENCH_campaign.json).
+// BenchmarkFleetMakespan compares two layouts of a heterogeneous
+// two-worker fleet: static shards 0/2 and 1/2 ("modulo") pin half the
+// plan to the slow machine, so the fleet waits on it; two whole-plan
+// workers on a shared directory ("steal") let the fast machine drain
+// what the slow one has not claimed. The modulo/steal ns_per_op ratio
+// is the scheduling win (BENCH_campaign.json).
 func BenchmarkFleetMakespan(b *testing.B) {
 	plan, stub, slow := benchFleetPlan(b)
 	slowSpec := "process:cmd=" + slow
@@ -588,8 +588,8 @@ func BenchmarkFleetMakespan(b *testing.B) {
 	b.Run("steal", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchFleet(b, plan, b.TempDir(), [2]campaign.RunOptions{
-				{Steal: true, Workers: 1, Owner: "slow", Lease: time.Minute, SolverOverride: slowSpec},
-				{Steal: true, Workers: 1, Owner: "fast", Lease: time.Minute, SolverOverride: fastSpec},
+				{Workers: 1, Owner: "slow", Lease: time.Minute, SolverOverride: slowSpec},
+				{Workers: 1, Owner: "fast", Lease: time.Minute, SolverOverride: fastSpec},
 			})
 		}
 	})

@@ -4,39 +4,43 @@
 // per completed case.
 //
 //	campaign plan   -dir camp -scale small -suites table1,summary
-//	campaign run    -dir camp -shard-index 0 -shard-count 4   # per machine
-//	campaign run    -dir camp -steal -budget 25m              # fleet worker
+//	campaign run    -dir camp -budget 25m                     # any number of workers, one dir
+//	campaign run    -dir camp -shard-index 0 -shard-count 4   # per machine, own dir
 //	campaign status -dir camp
 //	campaign retry  -dir camp                                 # recompute failures
 //	campaign merge  -dir camp                                 # render reports
 //	campaign merge  -dir camp -rescore                        # replay verdict scoring
 //
-// Shards partition the plan's cases disjointly and exhaustively for any
-// shard count, each shard writes artifacts atomically, and re-running a
-// shard (after a crash or kill) skips every case whose artifact already
-// exists. With -steal a worker ignores index-modulo and instead claims
-// unowned cases one at a time via O_EXCL claim files in the shared
-// artifact directory, so any number of heterogeneous workers —
-// including ones joining late or dying mid-case — drain the plan
-// cooperatively (a dead worker's claim expires by mtime lease and is
-// re-stolen). -budget stops a worker from starting new cases once its
-// wall clock is spent (in-flight cases finish; exit 4 signals CI to
-// resume later), and -times-from reuses a prior run's measured per-case
-// wall times as the dispatch/steal order, longest first. retry deletes
-// failed artifacts and recomputes exactly those cases. merge renders
-// output byte-identical to a monolithic cmd/fallbench run over the same
-// measurements — regardless of how the fleet split the work — and —
-// when the plan raced solver engines — prints the aggregated per-engine
-// win statistics on stderr and persists them as DIR/portfolio_stats.json,
-// which a later `campaign run -learn-from` uses to seed its portfolio.
-// merge -rescore recomputes each artifact's Solved/Equivalent verdicts
-// from its persisted key shortlist (planted-key membership, then the
-// equivalence miter) and rewrites changed artifacts — no attack re-runs.
+// A run claims unowned cases one at a time via O_EXCL claim files in
+// the artifact directory, so any number of workers — on any machines,
+// at any speeds, joining late or dying mid-case — drain the plan
+// cooperatively when pointed at one directory (a dead worker's claim
+// expires by mtime lease and is re-stolen). -shard-index/-shard-count
+// filter which cases a run takes (index ≡ i mod n): disjoint and
+// exhaustive for any count, for fleets whose workers cannot share a
+// directory. Artifacts are written atomically, and re-running skips
+// every case whose artifact already exists. -budget stops a worker from
+// claiming new cases once its wall clock is spent (in-flight cases
+// finish; exit 4 signals CI to resume later), and -times-from reuses a
+// prior run's measured per-case wall times as the claim order, longest
+// first. SIGINT or SIGTERM ends a run cleanly: in-flight cases are
+// abandoned unpersisted, claims are released, and the run exits 130.
+// retry deletes failed artifacts and recomputes exactly those cases.
+// merge renders output byte-identical to a monolithic cmd/fallbench run
+// over the same measurements — regardless of how the fleet split the
+// work — and — when the plan raced solver engines — prints the
+// aggregated per-engine win statistics on stderr and persists them as
+// DIR/portfolio_stats.json, which a later `campaign run -learn-from`
+// uses to seed its portfolio. merge -rescore recomputes each artifact's
+// Solved/Equivalent verdicts from its persisted key shortlist
+// (planted-key membership, then the equivalence miter) and rewrites
+// changed artifacts — no attack re-runs.
 //
 // Exit codes: 0 success; 1 hard error (stderr explains); 2 completed
 // with failed cases; 3 (status/merge -allow-partial) campaign
 // incomplete; 4 (run -budget) budget exhausted with cases remaining —
-// re-run to resume.
+// re-run to resume; 130 (run, retry, watch) interrupted by SIGINT or
+// SIGTERM.
 package main
 
 import (
@@ -92,7 +96,8 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: campaign <plan|run|retry|merge|status|watch> [flags]
 
   plan    enumerate a campaign's cases into DIR/plan.json
-  run     execute one shard, writing one artifact per completed case
+  run     claim and run the plan's cases (or one static shard's),
+          writing one artifact per completed case
   retry   delete failed artifacts and recompute exactly those cases
   merge   reassemble artifacts into the Table I / Fig. 5 / Fig. 6 /
           summary reports (byte-identical to a monolithic run)
@@ -206,7 +211,7 @@ func cmdPlan(args []string) {
 // shardFlags collects the flags shared by run and retry.
 type shardFlags struct {
 	shardIndex, shardCount, workers  *int
-	quiet, memo, diskMemo, steal     *bool
+	quiet, memo, diskMemo            *bool
 	learnFrom, memoDir, trace, owner *string
 	timesFrom, solverOver            *string
 	memoMax                          *int64
@@ -216,22 +221,21 @@ type shardFlags struct {
 // runFlags declares the flags shared by run and retry on fs.
 func runFlags(fs *flag.FlagSet) shardFlags {
 	return shardFlags{
-		shardIndex: fs.Int("shard-index", 0, "this shard's index in [0, shard-count)"),
-		shardCount: fs.Int("shard-count", 1, "total number of shards"),
+		shardIndex: fs.Int("shard-index", 0, "take only the cases with index ≡ shard-index (mod shard-count)"),
+		shardCount: fs.Int("shard-count", 1, "total number of shards (1 = the whole plan)"),
 		workers:    fs.Int("workers", runtime.GOMAXPROCS(0), "cases run concurrently (1 = serial)"),
 		quiet:      fs.Bool("quiet", false, "suppress per-case progress lines"),
-		steal:      fs.Bool("steal", false, "claim-file work stealing over the shared artifact dir instead of index-modulo sharding (run any number of -steal workers against one dir)"),
-		owner:      fs.String("owner", "", "worker identity for claim files and status lines (default host-pid)"),
+		owner:      fs.String("owner", "", "worker identity for claim files and budget markers (default host-pid)"),
 		lease:      fs.Duration("lease", 0, "claim staleness horizon: an unheartbeated claim older than this is re-stolen (0 = 2m)"),
-		budget:     fs.Duration("budget", 0, "wall-clock budget: stop starting/claiming new cases after this long, finish in-flight ones, exit 4 if cases remain (0 = none)"),
-		timesFrom:  fs.String("times-from", "", "artifact directories of prior runs, comma-separated; their measured per-case wall times set the dispatch/steal order, longest first"),
+		budget:     fs.Duration("budget", 0, "wall-clock budget: stop claiming new cases after this long, finish in-flight ones, exit 4 if cases remain (0 = none)"),
+		timesFrom:  fs.String("times-from", "", "artifact directories of prior runs, comma-separated; their measured per-case wall times set the claim order, longest first"),
 		solverOver: fs.String("solver-override", "", "replace the plan's solver engine spec for this worker only (heterogeneous fleets; must be verdict-equivalent to the plan's engine)"),
-		memo:       fs.Bool("memo", false, "share a cross-query verdict cache across the shard's cases (verdicts unchanged; hit statistics in artifacts)"),
+		memo:       fs.Bool("memo", false, "share a cross-query verdict cache across the run's cases (verdicts unchanged; hit statistics in artifacts)"),
 		diskMemo:   fs.Bool("disk-memo", false, "persist the verdict cache under ARTIFACTS/memo, shared across shards and reruns (implies -memo; verdicts unchanged)"),
 		memoDir:    fs.String("memo-dir", "", "persistent verdict-store directory (implies -memo; overrides -disk-memo's default and the plan's memo_dir)"),
 		memoMax:    fs.Int64("memo-max-bytes", 0, "size cap for the on-disk verdict store before LRU eviction (0 = 1 GiB)"),
 		learnFrom:  fs.String("learn-from", "", "portfolio-stats JSON (e.g. a prior merge's portfolio_stats.json); reorders/prunes the racing engines"),
-		trace:      fs.String("trace", "", "write an NDJSON span trace of the shard to FILE (merge per-shard traces with `campaign merge -traces` or tracestat)"),
+		trace:      fs.String("trace", "", "write an NDJSON span trace of the run to FILE (merge per-run traces with `campaign merge -traces` or tracestat)"),
 	}
 }
 
@@ -240,27 +244,20 @@ func runShard(name string, args []string, retry bool) {
 	dir, artifacts := dirFlags(fs)
 	f := runFlags(fs)
 	fs.Parse(args)
+	if *f.shardCount == 0 {
+		*f.shardCount = 1 // as campaign.Run reads it
+	}
 	p := loadPlan(*dir)
 	dirs := artifactDirs(*dir, *artifacts)
 	if len(dirs) != 1 {
 		fatalf("%s writes to exactly one artifact directory, got %d", name, len(dirs))
 	}
 	if retry {
-		// Delete only the failures this run will recompute: this shard's
-		// under index-modulo (deleting plan-wide would orphan other
-		// shards' cases), the whole plan's under stealing (every worker
-		// draws from the whole plan, so nothing is orphaned).
-		var idxs []int
-		if !*f.steal {
-			count := *f.shardCount
-			if count == 0 {
-				count = 1
-			}
-			var err error
-			idxs, err = p.ShardIndices(*f.shardIndex, count)
-			if err != nil {
-				fatalf("%v", err)
-			}
+		// Delete only the failures this run will recompute: its shard's
+		// (deleting plan-wide would orphan other shards' cases).
+		idxs, err := p.ShardIndices(*f.shardIndex, *f.shardCount)
+		if err != nil {
+			fatalf("%v", err)
 		}
 		deleted, err := campaign.DeleteFailed(p, dirs[0], idxs)
 		if err != nil {
@@ -284,7 +281,6 @@ func runShard(name string, args []string, retry bool) {
 		MemoDir:        memoDir,
 		MemoMaxBytes:   *f.memoMax,
 		Trace:          *f.trace,
-		Steal:          *f.steal,
 		Owner:          *f.owner,
 		Lease:          *f.lease,
 		Budget:         *f.budget,
@@ -296,18 +292,22 @@ func runShard(name string, args []string, retry bool) {
 	if !*f.quiet {
 		opts.Log = os.Stderr
 	}
-	report, err := campaign.Run(context.Background(), p, dirs[0], opts)
-	if err != nil {
+	// An interrupt cancels the run: in-flight cases are abandoned
+	// unpersisted and every claim is released, so peers and re-runs
+	// take the cases at once instead of waiting out a lease.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	report, err := campaign.Run(ctx, p, dirs[0], opts)
+	interrupted := err != nil && ctx.Err() != nil && report != nil
+	if err != nil && !interrupted {
 		fatalf("%v", err)
 	}
-	if *f.steal {
-		fmt.Fprintf(os.Stderr, "campaign: steal: %d cases, %d already done, %d run (%d stolen), %d failed, %d remaining\n",
-			report.ShardCases, report.Skipped, report.Ran, report.Stolen, report.Failed, report.Remaining)
-	} else {
-		fmt.Fprintf(os.Stderr, "campaign: shard %d/%d: %d cases, %d resumed, %d run, %d failed\n",
-			*f.shardIndex, *f.shardCount, report.ShardCases, report.Skipped, report.Ran, report.Failed)
-	}
+	fmt.Fprintf(os.Stderr, "campaign: shard %d/%d: %d cases, %d already done, %d run (%d stolen), %d failed, %d remaining\n",
+		*f.shardIndex, *f.shardCount, report.ShardCases, report.Skipped, report.Ran, report.Stolen, report.Failed, report.Remaining)
 	switch {
+	case interrupted:
+		fmt.Fprintln(os.Stderr, "campaign: interrupted; re-run to resume")
+		os.Exit(130)
 	case report.BudgetStopped:
 		fmt.Fprintf(os.Stderr, "campaign: budget exhausted with %d case(s) remaining; re-run to resume\n", report.Remaining)
 		os.Exit(4)
@@ -365,12 +365,7 @@ func cmdMerge(args []string) {
 		fmt.Fprintf(os.Stderr, "campaign: per-engine win statistics written to %s\n", path)
 	}
 	if st := m.MemoStats(); st != nil {
-		if st.DiskHits > 0 || st.Capped > 0 {
-			fmt.Fprintf(os.Stderr, "campaign: memo: %d memory hits / %d disk hits / %d misses across artifacts (%d capped)\n",
-				st.Hits, st.DiskHits, st.Misses, st.Capped)
-		} else {
-			fmt.Fprintf(os.Stderr, "campaign: memo: %d hits / %d misses across artifacts\n", st.Hits, st.Misses)
-		}
+		attack.FprintMemoSummary(os.Stderr, nil, *st, -1)
 	}
 	// A merged tracestat view over the shards' trace files — stderr,
 	// like every diagnostic, so merge stdout stays byte-identical to a

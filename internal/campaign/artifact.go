@@ -135,7 +135,7 @@ func ReadArtifact(path string) (*Artifact, error) {
 
 // WallTime returns the attack wall time the artifact records — the
 // currency of the dispatch cost model (ObservedTimes feeds it back as
-// measured steal order). Table-only and failed artifacts report zero.
+// measured claim order). Table-only and failed artifacts report zero.
 func (a *Artifact) WallTime() time.Duration {
 	switch {
 	case a.Error != "":

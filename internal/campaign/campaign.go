@@ -9,28 +9,26 @@
 //
 //	plan   capture config + enumerate cases with stable IDs and a plan
 //	       hash (NewPlan / WritePlan)
-//	run    execute shard i of n — cases with index ≡ i (mod n) — writing
-//	       one artifact per completed case; re-runs skip cases whose
-//	       artifact already exists, so a killed shard resumes where it
+//	run    claim, run and persist cases one at a time, writing one
+//	       artifact per completed case; re-runs skip cases whose
+//	       artifact already exists, so a killed run resumes where it
 //	       stopped (Run)
 //	merge  read artifacts back, reassemble results in plan order, and
 //	       render the Table I / Fig. 5 / Fig. 6 / summary reports with
 //	       the exact monolithic formatting (Merge)
 //
-// Sharding is provably disjoint and exhaustive for any shard count
-// (index-modulo partitioning), artifacts are written atomically
-// (temp-file + rename, so a killed shard leaves only complete
-// artifacts), and every artifact embeds the plan hash so stale or
-// foreign results are rejected instead of silently merged.
-//
-// Index-modulo is static: a heterogeneous or preemptible fleet is
-// paced by its slowest shard. RunOptions.Steal replaces it with
-// claim-file work stealing (steal.go): workers claim cases one at a
-// time via O_EXCL claim files in the shared artifact directory,
-// heartbeat them while working, and steal claims whose lease expired —
-// so the fleet drains the plan at the speed of the sum of its members,
-// dead workers cost at most one lease, and the merge stays
-// byte-identical to a monolithic run. RunOptions.Budget bounds a
+// Run has one scheduler: workers claim cases one at a time via O_EXCL
+// claim files next to the artifact paths (steal.go), heartbeat them
+// while working, and steal claims whose lease expired. Any number of
+// runs pointed at one artifact directory therefore drain the plan
+// together at the speed of the sum of their members, and a dead worker
+// costs at most one lease. Index-modulo sharding (shard i of n takes
+// the cases with index ≡ i mod n, disjoint and exhaustive for any n)
+// is a filter on which cases a run claims, for fleets whose workers
+// cannot share a directory. Artifacts are written atomically (temp
+// file + rename, so a killed run leaves only complete artifacts), and
+// every artifact embeds the plan hash so stale or foreign results are
+// rejected instead of silently merged. RunOptions.Budget bounds a
 // worker's wall clock (stop claiming, finish in flight, report
 // BudgetStopped for a later resume), and MergeResult.Rescore replays
 // verdict scoring from the key shortlists artifacts persist — scoring

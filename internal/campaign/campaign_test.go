@@ -398,6 +398,9 @@ func TestResumeAfterKill(t *testing.T) {
 		if strings.HasPrefix(ent.Name(), ".tmp-") {
 			t.Errorf("partial artifact left behind: %s", ent.Name())
 		}
+		if strings.HasSuffix(ent.Name(), ClaimSuffix) {
+			t.Errorf("cancelled run left its claim behind: %s", ent.Name())
+		}
 	}
 
 	report, err = Run(context.Background(), plan, dir, RunOptions{Workers: 1})

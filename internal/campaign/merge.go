@@ -199,7 +199,7 @@ type StatusReport struct {
 	// MissingSample lists up to 10 unfinished case IDs in plan order.
 	MissingSample []string
 	// Claims lists in-flight claim files for still-pending cases, by
-	// owner then case — the fleet's live workers (stealing mode).
+	// owner then case — the fleet's live workers.
 	Claims []WorkerClaim
 	// BudgetStopped lists workers that ran out of wall-clock budget
 	// with cases remaining — distinct from failures: their cases are
@@ -247,7 +247,7 @@ func Status(plan *Plan, dirs []string) (*StatusReport, error) {
 }
 
 // scanFleet collects claim files and budget markers from the artifact
-// directories: the live (and dead) workers of a stealing fleet, and the
+// directories: the live (and dead) workers of the fleet, and the
 // shards that stopped on an exhausted wall-clock budget. Both are
 // advisory displays, so unreadable files are skipped, and claims whose
 // case already has an artifact are litter from a worker that died after

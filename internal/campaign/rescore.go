@@ -55,7 +55,7 @@ type RescoreReport struct {
 // exactly like runtime scoring; an undecided miter counts as not
 // equivalent. Artifacts must have been loaded from disk (Merge).
 func (m *MergeResult) Rescore(ctx context.Context) (*RescoreReport, error) {
-	r := &rescorer{plan: m.Plan, cache: map[caseNeed]*exp.Case{}, report: &RescoreReport{}}
+	r := &rescorer{plan: m.Plan, cache: newCaseCache(m.Plan), report: &RescoreReport{}}
 	for _, pc := range m.Plan.Cases {
 		a, ok := m.Artifacts[pc.ID]
 		if !ok {
@@ -96,24 +96,8 @@ func (m *MergeResult) Rescore(ctx context.Context) (*RescoreReport, error) {
 
 type rescorer struct {
 	plan   *Plan
-	cache  map[caseNeed]*exp.Case
+	cache  *caseCache
 	report *RescoreReport
-}
-
-// buildCase deterministically rebuilds the locked instance an artifact
-// was computed on (same derived seed as planning and running), cached
-// per (spec, level).
-func (r *rescorer) buildCase(n caseNeed) (*exp.Case, error) {
-	if cs, ok := r.cache[n]; ok {
-		return cs, nil
-	}
-	spec := r.plan.Config.Specs[n.specIdx]
-	cs, err := exp.BuildCase(spec, n.level, r.plan.Config.Seed+int64(n.specIdx)*1009)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: rescore: rebuild %s/%s: %w", spec.Name, n.level.Label(), err)
-	}
-	r.cache[n] = cs
-	return cs, nil
 }
 
 // outcome replays scoring for one attack outcome. Returns whether any
@@ -132,9 +116,11 @@ func (r *rescorer) outcome(ctx context.Context, out *exp.Outcome, pc Case, level
 		return false, nil
 	}
 	r.report.Rescored++
-	cs, err := r.buildCase(caseNeed{pc.SpecIdx, level})
+	// The instance the artifact was computed on, rebuilt from the same
+	// derived seed as planning and running.
+	cs, err := r.cache.get(caseNeed{pc.SpecIdx, level})
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("campaign: rescore: %w", err)
 	}
 	planted := false
 	for _, key := range out.Keys {

@@ -53,7 +53,7 @@ func TestPlanSolverConfig(t *testing.T) {
 		t.Errorf("default plan must resolve to the default engine, got %+v", ecDefault.Engines)
 	}
 
-	for _, bad := range []Config{{Solver: "frobnicate=1"}, {Portfolio: -2}} {
+	for _, bad := range []Config{{Solver: "frobnicate=1"}, {Solver: "kissat:cmd="}, {Portfolio: -2}} {
 		cfg := base
 		cfg.Solver, cfg.Portfolio = bad.Solver, bad.Portfolio
 		if _, err := NewPlan(cfg); err == nil {

@@ -20,7 +20,6 @@ package campaign
 // correct artifact; the lease (minutes) dwarfs the window (microseconds).
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -30,9 +29,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"repro/internal/exp"
-	"repro/internal/genbench"
 )
 
 // ClaimSuffix is appended to an artifact path to form its claim path.
@@ -252,7 +248,7 @@ func clearBudgetMarkers(dir string) {
 
 // ObservedTimes harvests per-case attack wall times from artifact
 // directories of prior runs, keyed by case ID — the measured feed for
-// longest-observed-first dispatch and steal order (RunOptions.TimesFrom,
+// the longest-observed-first claim order (RunOptions.TimesFrom,
 // exp.DispatchOrderObserved). It is deliberately lenient: unreadable or
 // foreign-plan artifacts contribute nothing and raise no error, because
 // observed times steer only scheduling, never verdicts. When a case
@@ -282,315 +278,4 @@ func ObservedTimes(dirs []string) map[string]time.Duration {
 		}
 	}
 	return times
-}
-
-// stealState is the shared bookkeeping of one process's stealing
-// workers: which plan cases are verified complete on disk, plus the
-// report tallies.
-type stealState struct {
-	plan   *Plan
-	dir    string
-	owner  string
-	lease  time.Duration
-	order  []int
-	units  []exp.Unit
-	expCfg exp.Config
-	opts   RunOptions
-
-	mu     sync.Mutex
-	done   []bool
-	failed []bool // failure recorded per done case (counted once)
-	report *RunReport
-
-	buildMu sync.Mutex
-	builds  map[caseNeed]*buildEntry
-}
-
-type buildEntry struct {
-	once sync.Once
-	cs   *exp.Case
-	err  error
-}
-
-// buildCase builds (once per process, concurrently safe) the locked
-// instance a case needs — generation and locking are pure functions of
-// the derived seed, so every worker that builds the same instance gets
-// the same circuit.
-func (s *stealState) buildCase(n caseNeed) (*exp.Case, error) {
-	s.buildMu.Lock()
-	e, ok := s.builds[n]
-	if !ok {
-		e = &buildEntry{}
-		s.builds[n] = e
-	}
-	s.buildMu.Unlock()
-	e.once.Do(func() {
-		spec := s.plan.Config.Specs[n.specIdx]
-		e.cs, e.err = exp.BuildCase(spec, n.level, s.plan.Config.Seed+int64(n.specIdx)*1009)
-	})
-	return e.cs, e.err
-}
-
-// markDone records a case as complete on disk.
-func (s *stealState) markDone(i int, failed, ran, stolen bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done[i] {
-		return
-	}
-	s.done[i] = true
-	s.failed[i] = failed
-	if failed {
-		s.report.Failed++
-	}
-	if ran {
-		s.report.Ran++
-		if stolen {
-			s.report.Stolen++
-		}
-	} else {
-		s.report.Skipped++
-	}
-}
-
-func (s *stealState) isDone(i int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.done[i]
-}
-
-// claimNext scans the steal order for the first case that is neither
-// complete on disk nor claimed by a live worker and claims it. It
-// returns (-1, nil, remains) when nothing was claimable: remains
-// distinguishes "the plan is drained" (false) from "every open case is
-// claimed by someone else — poll and retry" (true).
-func (s *stealState) claimNext() (int, *Claim, bool, error) {
-	remains := false
-	for _, i := range s.order {
-		if s.isDone(i) {
-			continue
-		}
-		id := s.plan.Cases[i].ID
-		apath := ArtifactPath(s.dir, id)
-		a, err := ReadArtifact(apath)
-		switch {
-		case err == nil:
-			if a.PlanHash != s.plan.Hash {
-				return -1, nil, false, fmt.Errorf("campaign: existing artifact %s belongs to plan %.12s…, this plan is %.12s… (stale artifact directory?)", apath, a.PlanHash, s.plan.Hash)
-			}
-			if a.CaseID != id {
-				return -1, nil, false, fmt.Errorf("campaign: artifact %s names case %s, want %s", apath, a.CaseID, id)
-			}
-			s.markDone(i, a.Failed(), false, false)
-			// Reap a claim left by a worker that died between writing
-			// the artifact and releasing. Stale only: a live owner is
-			// about to remove it itself, and no one re-claims a case
-			// whose artifact exists, so a stale leftover is pure litter.
-			if st, serr := os.Stat(ClaimPath(s.dir, id)); serr == nil && time.Since(st.ModTime()) > s.lease {
-				os.Remove(ClaimPath(s.dir, id))
-			}
-		case errors.Is(err, fs.ErrNotExist):
-			remains = true
-			c, cerr := TryClaim(ClaimPath(s.dir, id), ClaimInfo{Owner: s.owner, Case: id}, s.lease)
-			if cerr != nil {
-				return -1, nil, false, cerr
-			}
-			if c != nil {
-				return i, c, true, nil
-			}
-		default:
-			return -1, nil, false, fmt.Errorf("campaign: unreadable artifact %s: %w (delete it to recompute the case)", apath, err)
-		}
-	}
-	return -1, nil, remains, nil
-}
-
-// runOne executes one claimed case end to end and releases the claim.
-// The claim is released on every path: with an artifact written the
-// case is done, without one (cancellation, write failure) the release
-// hands the case straight back to the fleet.
-func (s *stealState) runOne(ctx context.Context, i int, claim *Claim) error {
-	defer claim.Release()
-	pc := s.plan.Cases[i]
-	u := s.units[i]
-	var needs []caseNeed
-	if u.Kind == exp.UnitTable1 {
-		for _, level := range exp.Levels {
-			needs = append(needs, caseNeed{pc.SpecIdx, level})
-		}
-	} else {
-		needs = append(needs, caseNeed{pc.SpecIdx, u.Level})
-	}
-	cases := make([]*exp.Case, len(needs))
-	for j, n := range needs {
-		cs, err := s.buildCase(n)
-		if err != nil {
-			return fmt.Errorf("campaign: build suite: %w", err)
-		}
-		cases[j] = cs
-	}
-	results, err := exp.RunUnits(ctx, cases, []exp.Unit{u}, s.expCfg, nil)
-	if err != nil {
-		return err
-	}
-	// A cancelled context means the unit was cut short: its truncated
-	// verdict must not be persisted (the released claim lets any worker
-	// recompute it).
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	a := newArtifact(s.plan.Hash, pc, results[0])
-	if err := WriteArtifact(s.dir, a); err != nil {
-		return err
-	}
-	s.markDone(i, a.Failed(), true, claim.Stolen)
-	if s.opts.Log != nil {
-		status := "ok"
-		if a.Failed() {
-			status = "FAILED"
-		}
-		if claim.Stolen {
-			status += " (stolen)"
-		}
-		fmt.Fprintf(s.opts.Log, "campaign: %s: %s %s\n", s.owner, pc.ID, status)
-	}
-	if s.opts.afterArtifact != nil {
-		s.opts.afterArtifact(pc.ID)
-	}
-	return nil
-}
-
-// runSteal drains the plan by claim-file work stealing on
-// opts.Workers goroutines. It returns when the whole plan is complete
-// on disk (drained by this process and any concurrent peers), the
-// wall-clock budget expires, or the context dies — never because open
-// cases happen to be claimed elsewhere: a peer may die, and then this
-// process steals its lease and finishes the case.
-func runSteal(ctx context.Context, plan *Plan, artifactDir string, opts RunOptions, expCfg exp.Config, deadline time.Time) (*RunReport, error) {
-	units := make([]exp.Unit, len(plan.Cases))
-	specs := make(map[string]genbench.Spec, len(plan.Config.Specs))
-	for i, pc := range plan.Cases {
-		u, err := pc.Unit()
-		if err != nil {
-			return &RunReport{ShardCases: len(plan.Cases)}, err
-		}
-		units[i] = u
-		specs[pc.Circuit] = plan.Config.Specs[pc.SpecIdx]
-	}
-	lease := opts.Lease
-	if lease <= 0 {
-		lease = DefaultLease
-	}
-	owner := opts.Owner
-	if owner == "" {
-		owner = DefaultOwner()
-	}
-	s := &stealState{
-		plan:  plan,
-		dir:   artifactDir,
-		owner: owner,
-		lease: lease,
-		// Steal order is the harness dispatch order — longest first, by
-		// observation where available — so the fleet fronts the heavy
-		// cases while there are still many hands free.
-		order:  exp.DispatchOrderObserved(units, specs, expCfg.Observed),
-		units:  units,
-		expCfg: expCfg,
-		opts:   opts,
-		done:   make([]bool, len(plan.Cases)),
-		failed: make([]bool, len(plan.Cases)),
-		report: &RunReport{ShardCases: len(plan.Cases)},
-		builds: map[caseNeed]*buildEntry{},
-	}
-	budgetExceeded := func() bool {
-		return opts.Budget > 0 && !time.Now().Before(deadline)
-	}
-	// Poll interval while every open case is claimed elsewhere: fast
-	// enough to pick freed work up promptly, slow enough not to hammer
-	// a shared filesystem.
-	poll := lease / 10
-	if poll < 25*time.Millisecond {
-		poll = 25 * time.Millisecond
-	}
-	if poll > 2*time.Second {
-		poll = 2 * time.Second
-	}
-
-	workers := opts.Workers
-	if workers > len(plan.Cases) {
-		workers = len(plan.Cases)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				if budgetExceeded() {
-					return
-				}
-				i, claim, remains, err := s.claimNext()
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if claim == nil {
-					if !remains {
-						return // plan drained
-					}
-					select {
-					case <-ctx.Done():
-						errs[w] = ctx.Err()
-						return
-					case <-time.After(poll):
-					}
-					continue
-				}
-				if err := s.runOne(ctx, i, claim); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return s.report, err
-		}
-	}
-
-	// Remaining work is judged on disk, not in local memory: peers may
-	// have completed cases this process never scanned as done.
-	remaining := 0
-	for i := range plan.Cases {
-		if s.done[i] {
-			continue
-		}
-		if _, err := os.Stat(ArtifactPath(artifactDir, plan.Cases[i].ID)); err != nil {
-			remaining++
-		}
-	}
-	s.report.Remaining = remaining
-	switch {
-	case remaining == 0:
-		clearBudgetMarkers(artifactDir)
-	case budgetExceeded():
-		s.report.BudgetStopped = true
-		if err := writeBudgetMarker(artifactDir, owner, remaining); err != nil && opts.Log != nil {
-			fmt.Fprintf(opts.Log, "campaign: budget marker: %v\n", err)
-		}
-	}
-	if expCfg.Memo != nil && opts.Log != nil {
-		logMemoStats(opts.Log, expCfg.Memo)
-	}
-	return s.report, nil
 }

@@ -147,7 +147,7 @@ func TestStealDisjointExhaustive(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					reports[w], errs[w] = Run(context.Background(), plan, dir, RunOptions{
-						Steal: true, Workers: 2, Owner: "w" + string(rune('0'+w)), Lease: time.Hour,
+						Workers: 2, Owner: "w" + string(rune('0'+w)), Lease: time.Hour,
 					})
 				}(w)
 			}
@@ -198,6 +198,68 @@ func TestStealDisjointExhaustive(t *testing.T) {
 	}
 }
 
+// Static shards are a filter on the claim loop, not a second
+// scheduler: a whole-plan worker and shards 0/2 and 1/2 running at once
+// on one directory claim through the same files, so every case runs
+// exactly once across the three, no claim survives, and the merge
+// equals the monolithic report.
+func TestMixedFleetSharesOneDirectory(t *testing.T) {
+	cfg := tinyCampaignConfig("table1", "summary")
+	plan, err := NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono := monolithicReport(t, cfg)
+	dir := t.TempDir()
+	fleet := []RunOptions{
+		{Workers: 2, Owner: "whole", Lease: time.Minute},
+		{ShardIndex: 0, ShardCount: 2, Workers: 1, Owner: "shard0", Lease: time.Minute},
+		{ShardIndex: 1, ShardCount: 2, Workers: 1, Owner: "shard1", Lease: time.Minute},
+	}
+	reports := make([]*RunReport, len(fleet))
+	errs := make([]error, len(fleet))
+	var wg sync.WaitGroup
+	for w := range fleet {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			reports[w], errs[w] = Run(context.Background(), plan, dir, fleet[w])
+		}(w)
+	}
+	wg.Wait()
+	ran := 0
+	for w := range fleet {
+		if errs[w] != nil {
+			t.Fatalf("worker %s: %v", fleet[w].Owner, errs[w])
+		}
+		ran += reports[w].Ran
+	}
+	if ran != len(plan.Cases) {
+		t.Fatalf("fleet ran %d cases, plan has %d", ran, len(plan.Cases))
+	}
+	claims, err := filepath.Glob(filepath.Join(dir, "*"+ClaimSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(claims) != 0 {
+		t.Errorf("claims left after the fleet drained: %v", claims)
+	}
+	m, err := Merge(plan, []string{dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Complete() {
+		t.Fatalf("fleet merge incomplete: %v", m.Missing)
+	}
+	var b strings.Builder
+	if err := m.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != mono {
+		t.Errorf("fleet merge differs from the monolithic run\n got:\n%s\nwant:\n%s", b.String(), mono)
+	}
+}
+
 // A worker killed mid-claim must not strand its case: the lease
 // expires, another worker steals the claim, and the campaign completes
 // with no duplicate or lost artifacts.
@@ -227,7 +289,7 @@ func TestKillMidClaimResteal(t *testing.T) {
 	}
 
 	report, err := Run(context.Background(), plan, dir, RunOptions{
-		Steal: true, Workers: 2, Owner: "survivor", Lease: time.Minute,
+		Workers: 2, Owner: "survivor", Lease: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +335,7 @@ func TestBudgetStopsStealAndResumes(t *testing.T) {
 	}
 
 	report, err := Run(context.Background(), plan, dir, RunOptions{
-		Steal: true, Workers: 2, Owner: "budgeted", Lease: time.Hour, Budget: 10 * time.Second,
+		Workers: 2, Owner: "budgeted", Lease: time.Hour, Budget: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +371,7 @@ func TestBudgetStopsStealAndResumes(t *testing.T) {
 	// run completes the campaign and clears the budget marker.
 	peer.Release()
 	report, err = Run(context.Background(), plan, dir, RunOptions{
-		Steal: true, Workers: 2, Owner: "resumer", Lease: time.Hour,
+		Workers: 2, Owner: "resumer", Lease: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)

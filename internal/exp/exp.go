@@ -177,12 +177,6 @@ type Config struct {
 	// (DispatchOrderObserved). Scheduling only — results and their order
 	// never depend on it. Never serialized.
 	Observed map[string]time.Duration
-	// Gate, when non-nil, is consulted immediately before each unit
-	// starts; returning false skips the unit entirely — zero UnitResult,
-	// no onDone callback — which is how campaign shards stop claiming
-	// new work when a wall-clock budget expires while in-flight units
-	// run to completion. Never serialized.
-	Gate func(Unit) bool
 }
 
 // solverSetup derives the per-run solver setup. Each attack run gets a
@@ -315,7 +309,7 @@ func Table1FromCases(cases []*Case, cfg Config) ([]Table1Row, error) {
 	for i, spec := range cfg.Specs {
 		units[i] = Unit{Kind: UnitTable1, Circuit: spec.Name}
 	}
-	results, err := RunUnits(context.Background(), cases, units, cfg, nil)
+	results, err := RunUnits(context.Background(), cases, units, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -209,24 +209,19 @@ func unitCost(u Unit, spec genbench.Spec) int64 {
 	}
 }
 
-// DispatchOrder returns the indices of units sorted
+// DispatchOrderObserved returns the indices of units sorted
 // longest-expected-first (ties broken by unit index, so the order is
 // deterministic). Handing the pool the expensive units first cuts tail
 // latency: a long SAT attack started last would otherwise run alone
-// after every cheap analysis has drained.
-func DispatchOrder(units []Unit, specs map[string]genbench.Spec) []int {
-	return DispatchOrderObserved(units, specs, nil)
-}
-
-// DispatchOrderObserved is DispatchOrder with measured wall times from
+// after every cheap analysis has drained. Measured wall times from
 // prior runs (keyed by Unit.ID(), as campaign artifacts record them)
-// overriding the model's prediction: units that have actually been
-// timed sort by their observed duration, and units never seen fall back
-// to the model cost rescaled into observed time by the median
+// override the model's prediction: units that have actually been timed
+// sort by their observed duration, and units never seen fall back to
+// the model cost rescaled into observed time by the median
 // observed/predicted ratio — so a single calibration run turns the
 // whole order from model-predicted into longest-observed-first without
 // leaving unmeasured units stranded at either end. An empty or nil map
-// is exactly DispatchOrder.
+// orders by the model alone.
 func DispatchOrderObserved(units []Unit, specs map[string]genbench.Spec, observed map[string]time.Duration) []int {
 	order := make([]int, len(units))
 	cost := make([]int64, len(units))
@@ -274,11 +269,8 @@ type caseKey struct {
 // RunUnits executes units against the given pre-built cases on the
 // harness worker pool, dispatching longest-expected-first, and returns
 // results indexed like units (output order never depends on
-// scheduling). onDone, when non-nil, is invoked from worker goroutines
-// as each unit completes — campaign shards use it to persist artifacts
-// the moment they are final. It returns an error if some unit has no
-// matching case.
-func RunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config, onDone func(int, UnitResult)) ([]UnitResult, error) {
+// scheduling). It returns an error if some unit has no matching case.
+func RunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config) ([]UnitResult, error) {
 	byKey := make(map[caseKey]*Case, len(cases))
 	specs := make(map[string]genbench.Spec)
 	for _, cs := range cases {
@@ -300,19 +292,7 @@ func RunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config, onDo
 	results := make([]UnitResult, len(units))
 	forEachIndexed(cfg.workers(), len(units), func(j int) {
 		i := order[j]
-		// The gate is consulted at the moment a worker would start the
-		// unit — not at enqueue time — so a wall-clock budget stops
-		// exactly the units that had not begun when it expired. Gated
-		// units are skipped entirely: zero result, no onDone, so a
-		// campaign shard persists nothing for them and a resume
-		// recomputes exactly the unstarted remainder.
-		if cfg.Gate != nil && !cfg.Gate(units[i]) {
-			return
-		}
 		results[i] = runUnit(ctx, units[i], byKey, cfg)
-		if onDone != nil {
-			onDone(i, results[i])
-		}
 	})
 	return results, nil
 }
@@ -320,7 +300,7 @@ func RunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config, onDo
 // mustRunUnits is RunUnits for entry points whose units are derived
 // from the case list itself, where a missing case is impossible.
 func mustRunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config) []UnitResult {
-	results, err := RunUnits(ctx, cases, units, cfg, nil)
+	results, err := RunUnits(ctx, cases, units, cfg)
 	if err != nil {
 		panic(err) // unreachable: units enumerate the provided cases
 	}

@@ -91,7 +91,7 @@ func TestDispatchOrder(t *testing.T) {
 	for _, s := range cfg.Specs {
 		specs[s.Name] = s
 	}
-	order := DispatchOrder(units, specs)
+	order := DispatchOrderObserved(units, specs, nil)
 	if len(order) != len(units) {
 		t.Fatalf("order has %d entries, want %d", len(order), len(units))
 	}
@@ -102,7 +102,7 @@ func TestDispatchOrder(t *testing.T) {
 		}
 		seen[i] = true
 	}
-	if !reflect.DeepEqual(order, DispatchOrder(units, specs)) {
+	if !reflect.DeepEqual(order, DispatchOrderObserved(units, specs, nil)) {
 		t.Error("dispatch order not deterministic")
 	}
 	// Costs must be non-increasing along the order.
@@ -141,7 +141,7 @@ func TestDispatchOrderObserved(t *testing.T) {
 	for _, s := range cfg.Specs {
 		specs[s.Name] = s
 	}
-	base := DispatchOrder(units, specs)
+	base := DispatchOrderObserved(units, specs, nil)
 
 	// Invert reality: the unit the model ranks cheapest was observed to
 	// be by far the slowest, and the model's most expensive unit was
@@ -206,7 +206,7 @@ func TestRunUnitsMissingCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := []Unit{{Kind: UnitSummary, Circuit: "nosuch", Level: HD0}}
-	if _, err := RunUnits(t.Context(), cases, units, cfg, nil); err == nil {
+	if _, err := RunUnits(t.Context(), cases, units, cfg); err == nil {
 		t.Error("RunUnits accepted a unit with no case")
 	}
 }

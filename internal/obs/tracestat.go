@@ -208,7 +208,7 @@ func Analyze(files []*TraceFile, topN int) *Report {
 				engines.add(engine, sp.DurNS)
 				families.add(family, sp.DurNS)
 				switch attrString(sp.Attrs, "memo") {
-				case "hit", "memory": // "hit" is the pre-disk-tier spelling
+				case "memory":
 					rep.MemoHits++
 				case "disk":
 					rep.MemoDisk++

@@ -220,18 +220,19 @@ func ParseConfig(spec string) (Config, error) {
 
 // validate checks an already-normalized config (NewWith normalizes
 // first; ParseConfig starts from DefaultConfig, so an explicit zero in
-// a spec is caught rather than silently re-defaulted).
+// a spec is caught rather than silently re-defaulted). The float checks
+// test for the valid range, so NaN fails them.
 func (c Config) validate() error {
 	switch {
-	case c.VarDecay <= 0 || c.VarDecay > 1:
+	case !(c.VarDecay > 0 && c.VarDecay <= 1):
 		return fmt.Errorf("sat: vdecay %g outside (0,1]", c.VarDecay)
-	case c.ClauseDecay <= 0 || c.ClauseDecay > 1:
+	case !(c.ClauseDecay > 0 && c.ClauseDecay <= 1):
 		return fmt.Errorf("sat: cdecay %g outside (0,1]", c.ClauseDecay)
-	case c.RandomFreq < 0 || c.RandomFreq > 1:
+	case !(c.RandomFreq >= 0 && c.RandomFreq <= 1):
 		return fmt.Errorf("sat: rand %g outside [0,1]", c.RandomFreq)
 	case c.RestartBase < 1:
 		return fmt.Errorf("sat: restart base %d < 1", c.RestartBase)
-	case c.RestartGrowth < 1:
+	case !(c.RestartGrowth >= 1):
 		return fmt.Errorf("sat: restart growth %g < 1", c.RestartGrowth)
 	}
 	return nil

@@ -3,10 +3,12 @@ package sat
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // This file defines the solver-spec grammar shared by every -solver and
@@ -107,9 +109,10 @@ func EngineLabels(specs []EngineSpec) []string {
 }
 
 // isBareSolverName reports whether cmd round-trips through the grammar
-// as a bare word (no path separators, no grammar metacharacters).
+// as a bare word (no path separators, no grammar metacharacters, no
+// white space, which spec parsing trims).
 func isBareSolverName(cmd string) bool {
-	if cmd == "" || strings.ContainsAny(cmd, "/\\:,= \t") {
+	if cmd == "" || strings.ContainsAny(cmd, "/\\:,=") || strings.ContainsFunc(cmd, unicode.IsSpace) {
 		return false
 	}
 	switch cmd {
@@ -182,59 +185,45 @@ func ParseEngineSpec(spec string) (EngineSpec, error) {
 		}
 		return s, nil
 	case "process", "dimacs":
-		s := EngineSpec{Kind: EngineProcess}
-		if hasOpts {
-			for _, kv := range splitOpts(rest) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return EngineSpec{}, fmt.Errorf("sat: process option %q is not key=value", kv)
-				}
-				switch k {
-				case "cmd", "path":
-					s.Cmd = v
-				case "persistent":
-					b, err := strconv.ParseBool(v)
-					if err != nil {
-						return EngineSpec{}, fmt.Errorf("sat: process option %q: %v", kv, err)
-					}
-					s.Persistent = b
-				default:
-					return EngineSpec{}, fmt.Errorf("sat: process option %q: unknown key", kv)
-				}
-			}
-		}
-		if s.Cmd == "" {
-			return EngineSpec{}, fmt.Errorf("sat: process engine spec %q needs cmd=PATH", spec)
-		}
-		return s, nil
+		return parseProcessSpec(spec, "", rest)
 	default:
 		// A bare word names an external solver binary to find on PATH.
 		if !isBareSolverName(head) {
 			return EngineSpec{}, fmt.Errorf("sat: malformed engine spec %q", spec)
 		}
-		s := EngineSpec{Kind: EngineProcess, Cmd: head}
-		if hasOpts {
-			for _, kv := range splitOpts(rest) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return EngineSpec{}, fmt.Errorf("sat: solver option %q is not key=value", kv)
-				}
-				switch k {
-				case "cmd", "path":
-					s.Cmd = v
-				case "persistent":
-					b, err := strconv.ParseBool(v)
-					if err != nil {
-						return EngineSpec{}, fmt.Errorf("sat: solver option %q: %v", kv, err)
-					}
-					s.Persistent = b
-				default:
-					return EngineSpec{}, fmt.Errorf("sat: solver option %q: unknown key", kv)
-				}
-			}
-		}
-		return s, nil
+		return parseProcessSpec(spec, head, rest)
 	}
+}
+
+// parseProcessSpec parses the options of an external-solver spec —
+// cmd (or path) and persistent — for both spellings, "process:<opts>"
+// and "<name>:<opts>", starting from the command cmd. A spec that
+// leaves the command empty is rejected: its canonical form,
+// "process:cmd=", does not parse.
+func parseProcessSpec(spec, cmd, opts string) (EngineSpec, error) {
+	s := EngineSpec{Kind: EngineProcess, Cmd: cmd}
+	for _, kv := range splitOpts(opts) {
+		k, v, ok := strings.Cut(kv, "=")
+		if !ok {
+			return EngineSpec{}, fmt.Errorf("sat: process option %q is not key=value", kv)
+		}
+		switch k {
+		case "cmd", "path":
+			s.Cmd = v
+		case "persistent":
+			b, err := strconv.ParseBool(v)
+			if err != nil {
+				return EngineSpec{}, fmt.Errorf("sat: process option %q: %v", kv, err)
+			}
+			s.Persistent = b
+		default:
+			return EngineSpec{}, fmt.Errorf("sat: process option %q: unknown key", kv)
+		}
+	}
+	if s.Cmd == "" {
+		return EngineSpec{}, fmt.Errorf("sat: process engine spec %q needs cmd=PATH", spec)
+	}
+	return s, nil
 }
 
 func splitOpts(s string) []string {
@@ -247,12 +236,13 @@ func splitOpts(s string) []string {
 	return out
 }
 
-// parseNodeCount parses an integer with optional "1<<20" shift syntax.
+// parseNodeCount parses a positive integer with optional "1<<20" shift
+// syntax; a shift that overflows int is rejected.
 func parseNodeCount(v string) (int, error) {
 	if base, shift, ok := strings.Cut(v, "<<"); ok {
 		b, err1 := strconv.Atoi(strings.TrimSpace(base))
 		s, err2 := strconv.Atoi(strings.TrimSpace(shift))
-		if err1 != nil || err2 != nil || b < 1 || s < 0 || s > 40 {
+		if err1 != nil || err2 != nil || b < 1 || s < 0 || s > 40 || b > math.MaxInt>>s {
 			return 0, fmt.Errorf("bad shift count %q", v)
 		}
 		return b << s, nil

@@ -7,26 +7,50 @@ import (
 	"testing"
 )
 
+// engineSpecForms lists every spelling of the grammar with the spec it
+// parses to.
+var engineSpecForms = []struct {
+	spec string
+	want EngineSpec
+}{
+	{"", InternalSpec(Config{})},
+	{"seed=3,restart=geometric", InternalSpec(Config{Seed: 3, Restart: RestartGeometric})},
+	{"internal", InternalSpec(Config{})},
+	{"internal:seed=7", InternalSpec(Config{Seed: 7})},
+	{"kissat", EngineSpec{Kind: EngineProcess, Cmd: "kissat"}},
+	{"kissat:path=/usr/local/bin/kissat", EngineSpec{Kind: EngineProcess, Cmd: "/usr/local/bin/kissat"}},
+	{"process:cmd=/tmp/solver", EngineSpec{Kind: EngineProcess, Cmd: "/tmp/solver"}},
+	{"kissat:persistent=true", EngineSpec{Kind: EngineProcess, Cmd: "kissat", Persistent: true}},
+	{"kissat:persistent=false", EngineSpec{Kind: EngineProcess, Cmd: "kissat"}},
+	{"process:cmd=/tmp/solver,persistent=true", EngineSpec{Kind: EngineProcess, Cmd: "/tmp/solver", Persistent: true}},
+	{"bdd", EngineSpec{Kind: EngineBDD}},
+	{"bdd:max-nodes=4096", EngineSpec{Kind: EngineBDD, MaxNodes: 4096}},
+	{"bdd:max-nodes=1<<20", EngineSpec{Kind: EngineBDD, MaxNodes: 1 << 20}},
+}
+
+// badEngineSpecs lists specs the grammar must reject.
+var badEngineSpecs = []string{
+	"frobnicate=1",          // unknown internal config key
+	"internal:frobnicate=1", // same, explicit kind
+	"vdecay=NaN",
+	"bdd:max-nodes=0",
+	"bdd:max-nodes=x",
+	"bdd:max-nodes=8388609<<40", // overflows int
+	"bdd:color=red",
+	"process",         // no cmd
+	"process:cmd=",    // empty cmd
+	"kissat:cmd=",     // empty cmd, bare-name spelling
+	"process:wrong=1", // unknown key
+	"kissat:verbose=1",
+	"kissat:persistent=maybe", // unparsable bool
+	"process:cmd=/tmp/s,persistent=2",
+	"a b",  // whitespace in a bare name
+	"a\v:", // trailing white space in a bare name
+	"a,b:", // comma in a bare name
+}
+
 func TestParseEngineSpecForms(t *testing.T) {
-	cases := []struct {
-		spec string
-		want EngineSpec
-	}{
-		{"", InternalSpec(Config{})},
-		{"seed=3,restart=geometric", InternalSpec(Config{Seed: 3, Restart: RestartGeometric})},
-		{"internal", InternalSpec(Config{})},
-		{"internal:seed=7", InternalSpec(Config{Seed: 7})},
-		{"kissat", EngineSpec{Kind: EngineProcess, Cmd: "kissat"}},
-		{"kissat:path=/opt/kissat", EngineSpec{Kind: EngineProcess, Cmd: "/opt/kissat"}},
-		{"process:cmd=/tmp/solver", EngineSpec{Kind: EngineProcess, Cmd: "/tmp/solver"}},
-		{"kissat:persistent=true", EngineSpec{Kind: EngineProcess, Cmd: "kissat", Persistent: true}},
-		{"kissat:persistent=false", EngineSpec{Kind: EngineProcess, Cmd: "kissat"}},
-		{"process:cmd=/tmp/solver,persistent=true", EngineSpec{Kind: EngineProcess, Cmd: "/tmp/solver", Persistent: true}},
-		{"bdd", EngineSpec{Kind: EngineBDD}},
-		{"bdd:max-nodes=4096", EngineSpec{Kind: EngineBDD, MaxNodes: 4096}},
-		{"bdd:max-nodes=1<<20", EngineSpec{Kind: EngineBDD, MaxNodes: 1 << 20}},
-	}
-	for _, c := range cases {
+	for _, c := range engineSpecForms {
 		got, err := ParseEngineSpec(c.spec)
 		if err != nil {
 			t.Errorf("ParseEngineSpec(%q): %v", c.spec, err)
@@ -44,25 +68,38 @@ func TestParseEngineSpecForms(t *testing.T) {
 }
 
 func TestParseEngineSpecRejectsBadSpecs(t *testing.T) {
-	for _, spec := range []string{
-		"frobnicate=1",          // unknown internal config key
-		"internal:frobnicate=1", // same, explicit kind
-		"bdd:max-nodes=0",
-		"bdd:max-nodes=x",
-		"bdd:color=red",
-		"process",         // no cmd
-		"process:cmd=",    // empty cmd
-		"process:wrong=1", // unknown key
-		"kissat:verbose=1",
-		"kissat:persistent=maybe", // unparsable bool
-		"process:cmd=/tmp/s,persistent=2",
-		"a b",  // whitespace in a bare name
-		"a,b:", // comma in a bare name
-	} {
+	for _, spec := range badEngineSpecs {
 		if got, err := ParseEngineSpec(spec); err == nil {
 			t.Errorf("ParseEngineSpec(%q) accepted a bad spec: %+v", spec, got)
 		}
 	}
+}
+
+// FuzzParseEngineSpec: every spec that parses renders, through String,
+// a canonical spec that parses back to an equal engine — the property
+// campaign plans rely on when they record a spec on one machine and run
+// it on another. Plain go test replays the seeds and the corpus under
+// testdata/fuzz.
+func FuzzParseEngineSpec(f *testing.F) {
+	for _, c := range engineSpecForms {
+		f.Add(c.spec)
+	}
+	for _, spec := range badEngineSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseEngineSpec(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParseEngineSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseEngineSpec(%q) = %+v renders %q, which does not parse: %v", spec, s, s.String(), err)
+		}
+		if again != s {
+			t.Fatalf("ParseEngineSpec(%q) = %+v renders %q, which parses to %+v", spec, s, s.String(), again)
+		}
+	})
 }
 
 func TestParseEngineList(t *testing.T) {
