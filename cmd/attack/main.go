@@ -1,7 +1,8 @@
-// Command attack is the generic front end to the unified attack registry:
-// any registered attack runs against any locked BENCH netlist through the
+// Command attack is the front end to the unified attack registry: any
+// registered attack runs against any locked BENCH netlist through the
 // same flags, so a new attack registered with the attack package gets a
-// CLI for free.
+// CLI for free. Its attack and solver flags mirror the fields of the
+// daemon's server.JobSpec.
 //
 // Usage:
 //
@@ -12,13 +13,26 @@
 //
 // Trailing arguments are candidate key files (keyinputN=0/1 lines) passed
 // to confirmation-style attacks as the φ shortlist.
+//
+// The plain view prints the verdict and each key sorted by name; for
+// FALL it adds the comparator and candidate counts, the per-stage times
+// and the analysis and node each key came from. -json prints the result
+// as one JSON document instead. With -oracle, a unique key is checked
+// against the oracle on 1024 random patterns (the check's line goes to
+// stderr under -json).
+//
+// Exit codes: 0 success; 1 usage or input error; 2 the time budget
+// expired; 3 the attack established nothing (inconclusive), refuted
+// its candidates, or found a key that fails the oracle check.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -28,26 +42,42 @@ import (
 	_ "repro/internal/attack/all"
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/fall"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes the command line args, writing to stdout and stderr, and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("attack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list       = flag.Bool("list", false, "list registered attacks and exit")
-		name       = flag.String("name", "", "attack to run (see -list)")
-		lockedPath = flag.String("locked", "", "locked circuit in BENCH format")
-		oraclePath = flag.String("oracle", "", "original circuit in BENCH format (oracle; required by oracle-guided attacks)")
-		h          = flag.Int("h", 0, "Hamming distance parameter of the locking scheme")
-		seed       = flag.Int64("seed", 0, "seed for randomized attack components")
-		timeout    = flag.Duration("timeout", 1000*time.Second, "attack time budget (0 = none)")
-		maxIter    = flag.Int("maxiter", 0, "iteration cap for iterative attacks (0 = unlimited)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for attacks that parallelize internally (1 = serial)")
-		jsonOut    = flag.Bool("json", false, "emit the result as a single JSON document on stdout (recovered netlists print as BENCH on stderr)")
-		sf         = attack.RegisterFlags(flag.CommandLine)
+		list       = fs.Bool("list", false, "list registered attacks and exit")
+		name       = fs.String("name", "", "attack to run (see -list)")
+		lockedPath = fs.String("locked", "", "locked circuit in BENCH format")
+		oraclePath = fs.String("oracle", "", "original circuit in BENCH format (oracle; required by oracle-guided attacks)")
+		h          = fs.Int("h", 0, "Hamming distance parameter of the locking scheme")
+		seed       = fs.Int64("seed", 0, "seed for randomized attack components")
+		timeout    = fs.Duration("timeout", 1000*time.Second, "attack time budget (0 = none)")
+		maxIter    = fs.Int("maxiter", 0, "iteration cap for iterative attacks (0 = unlimited)")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for attacks that parallelize internally (1 = serial)")
+		jsonOut    = fs.Bool("json", false, "emit the result as a single JSON document on stdout (recovered netlists print as BENCH on stderr)")
+		sf         = attack.RegisterFlags(fs)
 	)
 	start := time.Now()
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "attack: "+format+"\n", a...)
+		return 1
+	}
 	if *list {
 		for _, n := range attack.Names() {
 			a, _ := attack.Get(n)
@@ -55,38 +85,44 @@ func main() {
 			if a.NeedsOracle() {
 				kind = "oracle-guided"
 			}
-			fmt.Printf("%-12s %s\n", n, kind)
+			fmt.Fprintf(stdout, "%-12s %s\n", n, kind)
 		}
-		return
+		return 0
 	}
 	if *name == "" || *lockedPath == "" {
-		fatalf("need -name ATTACK and -locked FILE (or -list)")
+		return fail("need -name ATTACK and -locked FILE (or -list)")
 	}
 	atk, err := attack.Get(*name)
 	if err != nil {
-		fatalf("%v", err)
-	}
-	if err := sf.Start("attack", "attack", *name, "locked", *lockedPath); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	tgt := attack.Target{
-		Locked:        parse(*lockedPath),
 		H:             *h,
 		Seed:          *seed,
 		MaxIterations: *maxIter,
 		Workers:       *workers,
-		Solver:        sf.Setup.Factory(),
+	}
+	if tgt.Locked, err = parse(*lockedPath); err != nil {
+		return fail("%v", err)
 	}
 	if *oraclePath != "" {
-		tgt.Oracle = oracle.NewSim(parse(*oraclePath))
+		orig, err := parse(*oraclePath)
+		if err != nil {
+			return fail("%v", err)
+		}
+		tgt.Oracle = oracle.NewSim(orig)
 	}
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
 		k, err := attack.ReadKeyFile(path)
 		if err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		tgt.Candidates = append(tgt.Candidates, k)
 	}
+	if err := sf.Start("attack", "attack", *name, "locked", *lockedPath); err != nil {
+		return fail("%v", err)
+	}
+	tgt.Solver = sf.Setup.Factory()
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -96,9 +132,10 @@ func main() {
 	}
 	res, err := atk.Run(obs.With(ctx, sf.Root), tgt)
 	if err != nil {
-		fatalf("%v", err)
+		sf.Finish(stderr, "error")
+		return fail("%v", err)
 	}
-	sf.Finish(os.Stderr, res.Status.String())
+	sf.Finish(stderr, res.Status.String())
 	if *jsonOut {
 		// The JSON result carries the end-to-end wall clock and the
 		// resolved engine labels, the same fields attackd persists in
@@ -108,66 +145,91 @@ func main() {
 		j.WallNS = time.Since(start)
 		j.Engines = sf.Setup.EngineLabels()
 		j.SolveNS = int64(sf.Setup.SolveTime())
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(j); err != nil {
-			fatalf("encode result: %v", err)
+			return fail("encode result: %v", err)
 		}
 	} else {
-		fmt.Printf("attack: %s\nstatus: %s\niterations: %d\noracle queries: %d\nelapsed: %v\n",
-			res.Attack, res.Status, res.Iterations, res.OracleQueries, res.Elapsed.Round(time.Millisecond))
-		for i, key := range res.Keys {
-			fmt.Printf("key %d:\n", i+1)
-			names := make([]string, 0, len(key))
-			for n := range key {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				v := 0
-				if key[n] {
-					v = 1
-				}
-				fmt.Printf("  %s=%d\n", n, v)
-			}
-		}
+		printResult(stdout, res)
 	}
 	if res.Recovered != nil {
 		if *jsonOut {
 			// Keep stdout a single parseable JSON document (the result
 			// above carries recovered_gates); the netlist goes to stderr
 			// for capture via 2>.
-			fmt.Fprint(os.Stderr, bench.WriteString(res.Recovered))
+			fmt.Fprint(stderr, bench.WriteString(res.Recovered))
 		} else {
-			fmt.Printf("recovered netlist (%d gates) follows:\n", res.Recovered.NumGates())
-			fmt.Print(bench.WriteString(res.Recovered))
+			fmt.Fprintf(stdout, "recovered netlist (%d gates) follows:\n", res.Recovered.NumGates())
+			fmt.Fprint(stdout, bench.WriteString(res.Recovered))
 		}
+	}
+	if res.UniqueKey() && tgt.Oracle != nil {
+		w := stdout
+		if *jsonOut {
+			w = stderr
+		}
+		if err := oracle.CheckKey(tgt.Locked, tgt.Oracle, res.Keys[0], 1024, 7); err != nil {
+			fmt.Fprintf(w, "key failed random validation: %v\n", err)
+			return 3
+		}
+		fmt.Fprintln(w, "key validated against the oracle on 1024 random patterns")
 	}
 	// Exit codes mirror the verdict so scripts and CI can branch on the
 	// result without parsing output: 2 = budget expired, 3 = the attack
 	// completed but established nothing.
 	switch res.Status {
 	case attack.StatusTimeout:
-		os.Exit(2)
+		return 2
 	case attack.StatusInconclusive, attack.StatusRefuted:
-		os.Exit(3)
+		return 3
+	}
+	return 0
+}
+
+// printResult writes the plain view of res. A FALL result adds its
+// structural counts, stage times and the provenance of each key.
+func printResult(w io.Writer, res *attack.Result) {
+	fmt.Fprintf(w, "attack: %s\nstatus: %s\niterations: %d\noracle queries: %d\nelapsed: %v\n",
+		res.Attack, res.Status, res.Iterations, res.OracleQueries, res.Elapsed.Round(time.Millisecond))
+	fr, _ := res.Details.(*fall.Result)
+	if fr != nil {
+		fmt.Fprintf(w, "comparators: %d (pairing %d circuit inputs)\n", len(fr.Comparators), len(fr.CompX))
+		fmt.Fprintf(w, "candidate cube-stripper gates: %d\n", len(fr.Candidates))
+		fmt.Fprintf(w, "stage times: comparators %v, matching %v, analyses %v (total %v)\n",
+			fr.ComparatorTime.Round(time.Millisecond), fr.MatchTime.Round(time.Millisecond),
+			fr.AnalysisTime.Round(time.Millisecond), fr.Total.Round(time.Millisecond))
+	}
+	for i, key := range res.Keys {
+		if fr != nil {
+			fmt.Fprintf(w, "key %d (via %s, node %d):\n", i+1, fr.Keys[i].Analysis, fr.Keys[i].Node)
+		} else {
+			fmt.Fprintf(w, "key %d:\n", i+1)
+		}
+		names := make([]string, 0, len(key))
+		for n := range key {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			v := 0
+			if key[n] {
+				v = 1
+			}
+			fmt.Fprintf(w, "  %s=%d\n", n, v)
+		}
 	}
 }
 
-func parse(path string) *circuit.Circuit {
+func parse(path string) (*circuit.Circuit, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	defer f.Close()
 	c, err := bench.Parse(f, path)
 	if err != nil {
-		fatalf("parse %s: %v", path, err)
+		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
-	return c
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "attack: "+format+"\n", args...)
-	os.Exit(1)
+	return c, nil
 }

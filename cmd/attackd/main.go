@@ -40,7 +40,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -63,10 +62,7 @@ func main() {
 		jobTimeout  = flag.Duration("job-timeout", 0, "time budget for jobs that set none (0 = unbounded)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown grace: in-flight jobs get this long to finish before being cancelled back to the queue")
 		quiet       = flag.Bool("quiet", false, "suppress per-job and per-request log lines")
-		memo        = flag.Bool("memo", false, "share a daemon-global cross-query verdict cache across all jobs (verdicts unchanged; hit counters in /metrics)")
-		diskMemo    = flag.Bool("disk-memo", false, "persist the verdict cache under DIR/memo so it survives restarts alongside the job store (implies -memo)")
-		memoDir     = flag.String("memo-dir", "", "persistent verdict-store directory (implies -memo; overrides -disk-memo's default location)")
-		memoMax     = flag.Int64("memo-max-bytes", 0, "size cap for the on-disk verdict store before LRU eviction (0 = 1 GiB)")
+		memo        = attack.RegisterMemoFlags(flag.CommandLine)
 		logFormat   = flag.String("log-format", "text", "structured log format on stderr: text | json")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		traceSpans  = flag.Int("trace-spans", 2048, "per-job span-trace ring capacity served at GET /jobs/{id}/trace (0 = disable per-job tracing)")
@@ -96,11 +92,7 @@ func main() {
 			fatalf("unknown -log-format %q (want text or json)", *logFormat)
 		}
 	}
-	md := *memoDir
-	if md == "" && *diskMemo {
-		md = filepath.Join(*dir, "memo")
-	}
-	if m, err := attack.NewMemoFromFlags(*memo, md, *memoMax); err != nil {
+	if m, err := attack.NewMemoFromFlags(memo.Enabled, memo.Dir, memo.MaxBytes); err != nil {
 		fatalf("%v", err)
 	} else {
 		cfg.Memo = m

@@ -210,12 +210,12 @@ func cmdPlan(args []string) {
 
 // shardFlags collects the flags shared by run and retry.
 type shardFlags struct {
-	shardIndex, shardCount, workers  *int
-	quiet, memo, diskMemo            *bool
-	learnFrom, memoDir, trace, owner *string
-	timesFrom, solverOver            *string
-	memoMax                          *int64
-	lease, budget                    *time.Duration
+	shardIndex, shardCount, workers *int
+	quiet                           *bool
+	learnFrom, trace, owner         *string
+	timesFrom, solverOver           *string
+	memo                            *attack.MemoFlags
+	lease, budget                   *time.Duration
 }
 
 // runFlags declares the flags shared by run and retry on fs.
@@ -230,10 +230,7 @@ func runFlags(fs *flag.FlagSet) shardFlags {
 		budget:     fs.Duration("budget", 0, "wall-clock budget: stop claiming new cases after this long, finish in-flight ones, exit 4 if cases remain (0 = none)"),
 		timesFrom:  fs.String("times-from", "", "artifact directories of prior runs, comma-separated; their measured per-case wall times set the claim order, longest first"),
 		solverOver: fs.String("solver-override", "", "replace the plan's solver engine spec for this worker only (heterogeneous fleets; must be verdict-equivalent to the plan's engine)"),
-		memo:       fs.Bool("memo", false, "share a cross-query verdict cache across the run's cases (verdicts unchanged; hit statistics in artifacts)"),
-		diskMemo:   fs.Bool("disk-memo", false, "persist the verdict cache under ARTIFACTS/memo, shared across shards and reruns (implies -memo; verdicts unchanged)"),
-		memoDir:    fs.String("memo-dir", "", "persistent verdict-store directory (implies -memo; overrides -disk-memo's default and the plan's memo_dir)"),
-		memoMax:    fs.Int64("memo-max-bytes", 0, "size cap for the on-disk verdict store before LRU eviction (0 = 1 GiB)"),
+		memo:       attack.RegisterMemoFlags(fs),
 		learnFrom:  fs.String("learn-from", "", "portfolio-stats JSON (e.g. a prior merge's portfolio_stats.json); reorders/prunes the racing engines"),
 		trace:      fs.String("trace", "", "write an NDJSON span trace of the run to FILE (merge per-run traces with `campaign merge -traces` or tracestat)"),
 	}
@@ -265,21 +262,14 @@ func runShard(name string, args []string, retry bool) {
 		}
 		fmt.Fprintf(os.Stderr, "campaign: retry: deleted %d failed artifact(s)\n", len(deleted))
 	}
-	// -memo-dir overrides everything; -disk-memo supplies its default
-	// location under the artifact directory unless the plan already
-	// records a shared memo_dir (campaign.Run falls back to that).
-	memoDir := *f.memoDir
-	if memoDir == "" && *f.diskMemo && p.Config.MemoDir == "" {
-		memoDir = filepath.Join(dirs[0], "memo")
-	}
 	opts := campaign.RunOptions{
 		ShardIndex:     *f.shardIndex,
 		ShardCount:     *f.shardCount,
 		Workers:        *f.workers,
 		LearnFrom:      *f.learnFrom,
-		Memo:           *f.memo,
-		MemoDir:        memoDir,
-		MemoMaxBytes:   *f.memoMax,
+		Memo:           f.memo.Enabled,
+		MemoDir:        f.memo.Dir,
+		MemoMaxBytes:   f.memo.MaxBytes,
 		Trace:          *f.trace,
 		Owner:          *f.owner,
 		Lease:          *f.lease,

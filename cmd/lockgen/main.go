@@ -66,7 +66,7 @@ func main() {
 	opts := lock.Options{KeySize: *keys, H: *h, Seed: *seed, Optimize: !*noOpt}
 	if *algo == "none" {
 		// Emit the (generated or parsed) circuit unlocked — the oracle
-		// netlist for cmd/satattack and cmd/keyconfirm.
+		// netlist for cmd/attack's -oracle.
 		out := os.Stdout
 		if *outPath != "" {
 			f, err := os.Create(*outPath)

@@ -30,7 +30,7 @@ func testCtx(t *testing.T, d time.Duration) context.Context {
 	return ctx
 }
 
-// TestEndToEndViaBenchFiles mirrors the lockgen | fallattack pipeline:
+// TestEndToEndViaBenchFiles mirrors the lockgen | attack -name fall pipeline:
 // lock, serialize to BENCH, re-parse (losing all in-memory metadata), and
 // attack the re-parsed netlist.
 func TestEndToEndViaBenchFiles(t *testing.T) {

@@ -156,6 +156,9 @@ func CheckTarget(a Attack, tgt Target) error {
 	if tgt.Locked == nil {
 		return fmt.Errorf("attack %s: no locked circuit in target", a.Name())
 	}
+	if len(tgt.Locked.KeyInputs()) == 0 {
+		return fmt.Errorf("attack %s: circuit has no key inputs", a.Name())
+	}
 	if a.NeedsOracle() && tgt.Oracle == nil {
 		return fmt.Errorf("attack %s: oracle-guided attack needs Target.Oracle", a.Name())
 	}

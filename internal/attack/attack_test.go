@@ -71,11 +71,14 @@ func TestOracleRequiredValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !a.NeedsOracle() {
-			continue
+		if a.NeedsOracle() {
+			if _, err := a.Run(context.Background(), attack.Target{Locked: lr.Locked}); err == nil {
+				t.Errorf("%s: Run without oracle succeeded", name)
+			}
 		}
-		if _, err := a.Run(context.Background(), attack.Target{Locked: lr.Locked}); err == nil {
-			t.Errorf("%s: Run without oracle succeeded", name)
+		// A netlist with no key inputs is rejected for every attack.
+		if _, err := a.Run(context.Background(), attack.Target{Locked: orig, Oracle: oracle.NewSim(orig)}); err == nil {
+			t.Errorf("%s: Run on a circuit with no key inputs succeeded", name)
 		}
 	}
 	// A missing circuit is rejected for every attack.

@@ -24,11 +24,10 @@ type SolverFlags struct {
 	// Root is the trace's root span; nil without -trace.
 	Root *obs.Span
 
-	solver, portfolio, memoDir, trace string
-	memo                              bool
-	memoMax                           int64
-	name                              string
-	tracer                            *obs.Tracer
+	solver, portfolio, trace string
+	memoFlags                *MemoFlags
+	name                     string
+	tracer                   *obs.Tracer
 }
 
 // RegisterFlags declares -solver, -portfolio, -memo, -memo-dir,
@@ -37,9 +36,7 @@ func RegisterFlags(fs *flag.FlagSet) *SolverFlags {
 	f := &SolverFlags{}
 	fs.StringVar(&f.solver, "solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | bdd:max-nodes=1<<20 (empty = baseline CDCL; see sat.ParseEngineSpec)")
 	fs.StringVar(&f.portfolio, "portfolio", "", "race engines per query, first verdict wins: an integer N races N internal variants of -solver, a list like internal,kissat,bdd races heterogeneous backends")
-	fs.BoolVar(&f.memo, "memo", false, "share a cross-query verdict cache across the run's solver queries (verdicts unchanged; hit statistics on stderr)")
-	fs.StringVar(&f.memoDir, "memo-dir", "", "persist the verdict cache in DIR, shared across runs (implies -memo; verdicts unchanged)")
-	fs.Int64Var(&f.memoMax, "memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
+	f.memoFlags = RegisterMemoFlags(fs)
 	fs.StringVar(&f.trace, "trace", "", "write an NDJSON span trace of the run to FILE (verdicts and stdout unchanged; analyze with tracestat)")
 	return f
 }
@@ -58,7 +55,7 @@ func (f *SolverFlags) Start(name string, attrs ...any) error {
 	if err := setup.Check(); err != nil {
 		return err
 	}
-	if f.Memo, err = NewMemoFromFlags(f.memo, f.memoDir, f.memoMax); err != nil {
+	if f.Memo, err = NewMemoFromFlags(f.memoFlags.Enabled, f.memoFlags.Dir, f.memoFlags.MaxBytes); err != nil {
 		return err
 	}
 	if f.trace != "" {

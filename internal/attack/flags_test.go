@@ -53,6 +53,27 @@ func TestRegisterFlags(t *testing.T) {
 			t.Errorf("%q accepted", bad)
 		}
 	}
+
+	// The memo trio parses alike inside the shared set and alone, as
+	// campaign run/retry and attackd declare it.
+	for name, register := range map[string]func(*flag.FlagSet) *MemoFlags{
+		"RegisterFlags":     func(fs *flag.FlagSet) *MemoFlags { return RegisterFlags(fs).memoFlags },
+		"RegisterMemoFlags": RegisterMemoFlags,
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		m := register(fs)
+		dir := t.TempDir()
+		if err := fs.Parse([]string{"-memo-dir", dir, "-memo-max-bytes", "4096"}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if *m != (MemoFlags{Dir: dir, MaxBytes: 4096}) {
+			t.Errorf("%s: parsed %+v", name, *m)
+		}
+		if memo, err := NewMemoFromFlags(m.Enabled, m.Dir, m.MaxBytes); err != nil || memo == nil || memo.Disk() == nil {
+			t.Errorf("%s: -memo-dir built memo %v (err %v), want a disk tier", name, memo, err)
+		}
+	}
 }
 
 // TestRegisterFlagsTrace: -trace alone builds a default-engine setup

@@ -8,8 +8,8 @@ import (
 )
 
 // ReadKeyFile parses a candidate key file of name=0/1 lines (the format
-// written by cmd/lockgen's -keyout and accepted as φ candidates by the
-// confirmation CLIs). Blank lines and #-comments are ignored.
+// written by cmd/lockgen's -keyout and accepted as φ candidates by
+// cmd/attack). Blank lines and #-comments are ignored.
 func ReadKeyFile(path string) (Key, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"flag"
 	"fmt"
 	"io"
 
@@ -12,6 +13,25 @@ import (
 // -memo-dir, -memo-max-bytes) and prints the same stderr summary, so
 // the flag→cache construction and the summary formatting live here
 // instead of being repeated per command.
+
+// MemoFlags holds the parsed memo flag trio; its fields are
+// NewMemoFromFlags's arguments.
+type MemoFlags struct {
+	Enabled  bool   // -memo
+	Dir      string // -memo-dir
+	MaxBytes int64  // -memo-max-bytes
+}
+
+// RegisterMemoFlags declares -memo, -memo-dir and -memo-max-bytes on fs:
+// the memo part of RegisterFlags, and the memo flags of the commands
+// that build their engines elsewhere (campaign run/retry, attackd).
+func RegisterMemoFlags(fs *flag.FlagSet) *MemoFlags {
+	m := &MemoFlags{}
+	fs.BoolVar(&m.Enabled, "memo", false, "share one cross-query verdict cache across all solver queries (verdicts unchanged)")
+	fs.StringVar(&m.Dir, "memo-dir", "", "persist the verdict cache in DIR, shared across runs and processes (implies -memo; verdicts unchanged)")
+	fs.Int64Var(&m.MaxBytes, "memo-max-bytes", 0, "size cap for -memo-dir before LRU eviction (0 = 1 GiB)")
+	return m
+}
 
 // NewMemoFromFlags builds the verdict memo the standard CLI flags
 // describe: nil when caching is off, memory-only under -memo, and

@@ -437,8 +437,10 @@ func (s *scheduler) unreserve(i int) {
 // the peer may die and leave its claim to be stolen.
 func (s *scheduler) work(ctx context.Context) error {
 	// Poll fast enough to pick freed work up promptly, slow enough not
-	// to hammer a shared filesystem.
-	poll := min(max(s.opts.Lease/10, 25*time.Millisecond), 2*time.Second)
+	// to hammer a shared filesystem. One poll touches only the
+	// peer-held cases: an artifact read, an O_EXCL create and a stat
+	// each.
+	poll := min(max(s.opts.Lease/10, 25*time.Millisecond), 100*time.Millisecond)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -388,6 +388,70 @@ func TestBudgetStopsStealAndResumes(t *testing.T) {
 	}
 }
 
+// A worker whose last open case a peer holds picks the peer's artifact
+// up within one poll of its release: at the default 2 m lease the poll
+// interval is capped at 100 ms, so Run returns well within a second.
+func TestPeerHeldLastCaseReturnsPromptly(t *testing.T) {
+	cfg := tinyCampaignConfig("summary")
+	cfg.Specs = cfg.Specs[:1] // 4 cases
+	plan, err := NewPlan(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := t.TempDir(), t.TempDir()
+	if _, err := Run(context.Background(), plan, src, RunOptions{Workers: 2, Owner: "earlier"}); err != nil {
+		t.Fatal(err)
+	}
+	copyArtifact := func(id string) {
+		data, err := os.ReadFile(ArtifactPath(src, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFileAtomic(dst, ArtifactFileName(id), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := plan.Cases[len(plan.Cases)-1].ID
+	for _, c := range plan.Cases {
+		if c.ID != held {
+			copyArtifact(c.ID)
+		}
+	}
+	peer, err := TryClaim(ClaimPath(dst, held), ClaimInfo{Owner: "peer", Case: held}, 0)
+	if err != nil || peer == nil {
+		t.Fatalf("peer claim: %v %v", peer, err)
+	}
+
+	type result struct {
+		report *RunReport
+		err    error
+		at     time.Time
+	}
+	done := make(chan result, 1)
+	go func() {
+		report, err := Run(context.Background(), plan, dst, RunOptions{Workers: 1, Owner: "waiter"})
+		done <- result{report, err, time.Now()}
+	}()
+	time.Sleep(200 * time.Millisecond) // the peer finishing its case
+	copyArtifact(held)
+	peer.Release()
+	released := time.Now()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if wait := r.at.Sub(released); wait > time.Second {
+			t.Errorf("Run returned %v after the peer released its last case, want < 1s", wait)
+		}
+		if r.report.Ran != 0 || r.report.Remaining != 0 {
+			t.Errorf("report %+v, want nothing run and nothing remaining", r.report)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return after the peer released its last case")
+	}
+}
+
 // The modulo path honors budgets too: an expired budget gates pending
 // units, the run reports BudgetStopped, and resuming completes it with
 // a report identical to an unbudgeted run's.

@@ -36,7 +36,7 @@ type Metrics struct {
 	MemoEntries int   `json:"memo_entries,omitempty"`
 	MemoCapped  int64 `json:"memo_capped,omitempty"`
 	// MemoDisk* report the persistent on-disk tier when one is attached
-	// (-disk-memo / -memo-dir): the cache that survives daemon restarts.
+	// (-memo-dir): the cache that survives daemon restarts.
 	MemoDiskHits    int64 `json:"memo_disk_hits,omitempty"`
 	MemoDiskEntries int64 `json:"memo_disk_entries,omitempty"`
 	MemoDiskBytes   int64 `json:"memo_disk_bytes,omitempty"`
