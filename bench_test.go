@@ -28,7 +28,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/oracle"
 	"repro/internal/sat"
-	"repro/internal/sat/bddengine"
 	"repro/internal/sat/testsolver"
 	"repro/internal/satattack"
 	"repro/internal/testcirc"
@@ -420,15 +419,12 @@ func BenchmarkStrash(b *testing.B) {
 	}
 }
 
-// benchConeEngine loads the SFLL-HD cube-stripper shell [HD(x,c) == h]
-// over an n-input cone into a fresh engine and runs the two
+// benchCone loads the SFLL-HD cube-stripper shell [HD(x,c) == h] over
+// an n-input cone into a fresh internal engine and runs the two
 // FALL-shaped query classes against it: a SAT on-set witness query and
 // an UNSAT exclusion query (the protected cube itself cannot sit on the
-// shell). This is the query mix on which the BDD engine competes with
-// CDCL — exact reasoning on small structured cones — and the benchmark
-// pair BenchmarkConeSAT/BenchmarkConeBDD locates the crossover cone
-// size recorded in the README.
-func benchConeEngine(b *testing.B, n int, mk func() sat.Engine) {
+// shell).
+func benchCone(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(int64(n)))
 	cube := make([]bool, n)
 	for i := range cube {
@@ -440,7 +436,7 @@ func benchConeEngine(b *testing.B, n int, mk func() sat.Engine) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := mk()
+		e := sat.New()
 		enc := cnf.NewEncoder(e)
 		xs := make([]sat.Lit, n)
 		cs := make([]sat.Lit, n)
@@ -451,13 +447,7 @@ func benchConeEngine(b *testing.B, n int, mk func() sat.Engine) {
 			onCube[j] = attack.LitWithValue(xs[j], cube[j])
 		}
 		enc.HammingEq(xs, cs, h, cnf.AdderTree)
-		got := e.Solve()
-		if be, ok := e.(*bddengine.Engine); ok && got == sat.Unknown && be.LimitReached() {
-			// The engine's designed fallthrough: report where the node
-			// budget gives out instead of failing the benchmark run.
-			b.Skipf("n=%d: ROBDD node budget exceeded (portfolio falls through to SAT here)", n)
-		}
-		if got != sat.Sat {
+		if got := e.Solve(); got != sat.Sat {
 			b.Fatalf("n=%d: shell on-set query: %v", n, got)
 		}
 		if got := e.SolveAssuming(onCube); got != sat.Unsat {
@@ -471,19 +461,7 @@ func benchConeEngine(b *testing.B, n int, mk func() sat.Engine) {
 func BenchmarkConeSAT(b *testing.B) {
 	for _, n := range []int{8, 12, 16, 20, 24, 32} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchConeEngine(b, n, func() sat.Engine { return sat.New() })
-		})
-	}
-}
-
-// BenchmarkConeBDD runs the same queries on the BDD engine (default
-// node budget; the shell's ROBDD is O(n·h) nodes, but it is built from
-// the Tseitin clause stream, which is the honest comparison — both
-// engines see the identical sat.Engine interface).
-func BenchmarkConeBDD(b *testing.B) {
-	for _, n := range []int{8, 12, 16, 20, 24, 32} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchConeEngine(b, n, func() sat.Engine { return bddengine.New(0) })
+			benchCone(b, n)
 		})
 	}
 }

@@ -148,7 +148,7 @@ func cmdPlan(args []string) {
 	iterCap := fs.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
 	enc := fs.String("enc", "adder", "cardinality encoding: adder | seq")
 	solver := fs.String("solver", "", "solver engine spec for every attack and scoring miter (empty = baseline CDCL)")
-	portfolio := fs.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat,bdd")
+	portfolio := fs.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat")
 	adaptAfter := fs.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
 	memoDir := fs.String("memo-dir", "", "record a persistent verdict-store directory in the plan: every shard run attaches the on-disk memo there (verdicts unchanged)")
 	suites := fs.String("suites", strings.Join(campaign.DefaultSuites(), ","), "report suites, comma-separated")

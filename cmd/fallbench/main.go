@@ -14,12 +14,11 @@
 //	-workers N     suite cases run concurrently (default: all cores;
 //	               output is identical for every worker count)
 //	-solver SPEC   solver engine spec: an internal config
-//	               (seed=3,restart=geometric), an external DIMACS
-//	               solver (kissat, process:cmd=/path), or the BDD
-//	               engine (bdd:max-nodes=1<<20)
+//	               (seed=3,restart=geometric) or an external DIMACS
+//	               solver (kissat, process:cmd=/path)
 //	-portfolio P   race engines per solver query: an integer N is
 //	               shorthand for N internal variants of -solver, a list
-//	               (internal,kissat,bdd) races heterogeneous backends;
+//	               (internal,kissat) races heterogeneous backends;
 //	               decided verdicts are identical for every mix
 //	-learn-from F  reorder/prune the raced engines (two or more) from a
 //	               prior run's portfolio-stats file before racing

@@ -1,9 +1,9 @@
 // Command tracestat analyzes NDJSON span traces written by the attack
 // CLIs (-trace FILE), campaign shards, or fetched from an attackd
 // job's trace endpoint: per-phase, per-engine and per-query-family
-// cost breakdowns, the top-N slowest solver queries, and memo /
-// persistent-session efficiency. Multiple files merge into one view
-// (the fleet case: one trace per shard).
+// cost breakdowns, the top-N slowest solver queries, and memo
+// efficiency. Multiple files merge into one view (the fleet case: one
+// trace per shard).
 //
 //	tracestat trace.ndjson
 //	tracestat -top 20 shard-*.ndjson

@@ -34,8 +34,8 @@ type SolverFlags struct {
 // -memo-max-bytes and -trace on fs.
 func RegisterFlags(fs *flag.FlagSet) *SolverFlags {
 	f := &SolverFlags{}
-	fs.StringVar(&f.solver, "solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | bdd:max-nodes=1<<20 (empty = baseline CDCL; see sat.ParseEngineSpec)")
-	fs.StringVar(&f.portfolio, "portfolio", "", "race engines per query, first verdict wins: an integer N races N internal variants of -solver, a list like internal,kissat,bdd races heterogeneous backends")
+	fs.StringVar(&f.solver, "solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | process:cmd=/path/to/solver (empty = baseline CDCL; see sat.ParseEngineSpec)")
+	fs.StringVar(&f.portfolio, "portfolio", "", "race engines per query, first verdict wins: an integer N races N internal variants of -solver, a list like internal,kissat races heterogeneous backends")
 	f.memoFlags = RegisterMemoFlags(fs)
 	fs.StringVar(&f.trace, "trace", "", "write an NDJSON span trace of the run to FILE (verdicts and stdout unchanged; analyze with tracestat)")
 	return f
@@ -73,15 +73,14 @@ func (f *SolverFlags) Start(name string, attrs ...any) error {
 }
 
 // Finish ends a run whose engines Setup built: the racing statistics
-// and memo summary go to w, persistent solver sessions close, the root
-// span records status, and the trace is closed. Call it before any
-// verdict-driven os.Exit, which skips deferred calls.
+// and memo summary go to w, the root span records status, and the
+// trace is closed. Call it before any verdict-driven os.Exit, which
+// skips deferred calls.
 func (f *SolverFlags) Finish(w io.Writer, status string) {
 	f.Setup.FprintWinStats(w)
 	if st := f.Setup.MemoStats(); st != nil {
 		FprintMemoSummary(w, f.Memo, *st, -1)
 	}
-	f.Setup.Close()
 	f.Root.Set("status", status)
 	f.EndTrace(w)
 }

@@ -89,10 +89,9 @@ func NewEngine(ctx context.Context, f SolverFactory) sat.Engine {
 
 // NewEngineOn builds an engine through NewEngine and primes it with a
 // frozen clause-stream prefix (sat.Prime; a nil frozen is a no-op).
-// Priming is O(1) for sat.FrozenLoader engines — persistent process
-// sessions, the memo engine, portfolios of either — and an exact
-// replay otherwise, so the primed engine is state-identical to one
-// that encoded the prefix directly.
+// Priming is O(1) for sat.FrozenLoader engines — the memo engine and
+// portfolios — and an exact replay otherwise, so the primed engine is
+// state-identical to one that encoded the prefix directly.
 func NewEngineOn(ctx context.Context, f SolverFactory, frozen *sat.Frozen) sat.Engine {
 	e := NewEngine(ctx, f)
 	sat.Prime(e, frozen)

@@ -6,13 +6,11 @@ import (
 	"io"
 	"os/exec"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sat"
-	"repro/internal/sat/bddengine"
 	"repro/internal/sat/procengine"
 )
 
@@ -58,22 +56,17 @@ type SolverSetup struct {
 
 	// trace, when non-nil, is the fallback parent span for query spans
 	// built by engines whose construction context carries no span of
-	// its own, and the parent of the per-session spans emitted at
-	// Close. Set once via TraceTo before the run starts.
+	// its own. Set once via TraceTo before the run starts.
 	trace *obs.Span
-
-	mu    sync.Mutex
-	hosts map[int]*procengine.Host // persistent-session hosts by spec slot
 }
 
 // TraceTo attaches the setup to a tracing span: every engine the
 // factory builds afterwards emits one child span per solver query
 // (engine label, verdict, conflicts/decisions delta, memo hit/miss,
-// cancellation cause), and Close emits one span per persistent
-// session (cmd, spawn count, broken state). Queries whose build
-// context carries a more specific span (a grid cell, a query family)
-// parent there instead. Call before the run begins; nil-safe on both
-// sides, and a setup never traced pays one nil check per solve.
+// cancellation cause). Queries whose build context carries a more
+// specific span (a grid cell, a query family) parent there instead.
+// Call before the run begins; nil-safe on both sides, and a setup
+// never traced pays one nil check per solve.
 func (s *SolverSetup) TraceTo(sp *obs.Span) {
 	if s == nil || sp == nil {
 		return
@@ -109,82 +102,18 @@ func (s *SolverSetup) Check() error {
 	return nil
 }
 
-// buildEngine constructs one backend engine for the spec in slot, bound
-// to ctx. Persistent process specs answer through a long-lived per-slot
-// host session (one subprocess per slot per setup) instead of a
-// per-query dump/respawn.
-func (s *SolverSetup) buildEngine(ctx context.Context, slot int, spec sat.EngineSpec) sat.Engine {
+// buildEngine constructs one backend engine for spec, bound to ctx.
+func buildEngine(ctx context.Context, spec sat.EngineSpec) sat.Engine {
 	var e sat.Engine
-	switch {
-	case spec.Kind == sat.EngineProcess && spec.Persistent:
-		e = procengine.NewPersistent(s.hostFor(slot, spec))
-	case spec.Kind == sat.EngineProcess:
+	if spec.Kind == sat.EngineProcess {
 		e = procengine.New(spec.Cmd)
-	case spec.Kind == sat.EngineBDD:
-		e = bddengine.New(spec.MaxNodes)
-	default:
+	} else {
 		e = sat.NewWith(spec.Config)
 	}
 	if ctx != nil {
 		e.SetContext(ctx)
 	}
 	return e
-}
-
-// hostFor returns (creating on first use) the persistent-session host
-// for a spec slot.
-func (s *SolverSetup) hostFor(slot int, spec sat.EngineSpec) *procengine.Host {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.hosts == nil {
-		s.hosts = make(map[int]*procengine.Host)
-	}
-	h, ok := s.hosts[slot]
-	if !ok {
-		h = procengine.NewHost(spec.Cmd)
-		s.hosts[slot] = h
-	}
-	return h
-}
-
-// Hosts returns the persistent-session hosts created so far, keyed by
-// spec slot (tests assert spawn counts through them).
-func (s *SolverSetup) Hosts() map[int]*procengine.Host {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]*procengine.Host, len(s.hosts))
-	for k, v := range s.hosts {
-		out[k] = v
-	}
-	return out
-}
-
-// Close shuts down any persistent solver sessions the setup spawned,
-// emitting one trace span per session when the setup is traced. Safe
-// on a nil or session-less setup; engines already built fall back to
-// one-shot solving if used afterwards.
-func (s *SolverSetup) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var first error
-	for slot, h := range s.hosts {
-		if s.trace != nil {
-			sp := s.trace.Child("session",
-				"slot", slot, "cmd", h.Cmd(), "spawns", h.Spawns(), "broken", h.Broken())
-			sp.EndAfter(0)
-		}
-		if err := h.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.hosts = nil
-	return first
 }
 
 // activeSlots returns the Specs indices still worth racing under the
@@ -228,12 +157,12 @@ func (s *SolverSetup) Factory() SolverFactory {
 			if len(s.Specs) == 1 {
 				spec = s.Specs[0]
 			}
-			return s.wrap(s.buildEngine(ctx, 0, spec), ctx)
+			return s.wrap(buildEngine(ctx, spec), ctx)
 		}
 		active := s.activeSlots()
 		engines := make([]sat.Engine, len(active))
 		for i, slot := range active {
-			engines[i] = s.buildEngine(ctx, slot, s.Specs[slot])
+			engines[i] = buildEngine(ctx, s.Specs[slot])
 		}
 		p := sat.NewEnginePortfolio(engines, s.ledger, s.Global)
 		p.SetLedgerSlots(active)

@@ -16,7 +16,7 @@ import (
 // portfolio_stats.json files carry.
 func TestSolverSetupFromFlags(t *testing.T) {
 	internal := sat.InternalSpec(sat.Config{})
-	bdd := sat.EngineSpec{Kind: sat.EngineBDD}
+	budgeted := sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1})
 	// An integer width is N internal specs labelled exactly like the
 	// PortfolioConfigs strings, so stats files written by earlier width
 	// runs still match under -learn-from.
@@ -52,10 +52,12 @@ func TestSolverSetupFromFlags(t *testing.T) {
 		{"seed=3,restart=geometric", "3", width(geo3, 3),
 			"portfolio(" + strings.Join(widthLabels(geo3, 3), " | ") + ")",
 			widthLabels(geo3, 3), widthLabels(geo3, 3)},
-		{"bdd:max-nodes=4096", "", []sat.EngineSpec{{Kind: sat.EngineBDD, MaxNodes: 4096}},
-			"bdd:max-nodes=4096", []string{"bdd:max-nodes=4096"}, nil},
-		{"seed=5", "internal,bdd", []sat.EngineSpec{sat.InternalSpec(sat.Config{Seed: 5}), bdd},
-			"portfolio(seed=5 | bdd)", []string{"seed=5", "bdd"}, []string{"seed=5", "bdd"}},
+		{"internal:seed=9,budget=1", "", []sat.EngineSpec{budgeted},
+			"seed=9,budget=1", []string{"seed=9,budget=1"}, nil},
+		{"kissat", "", []sat.EngineSpec{{Kind: sat.EngineProcess, Cmd: "kissat"}},
+			"kissat", []string{"kissat"}, nil},
+		{"seed=5", "internal,internal:seed=9,budget=1", []sat.EngineSpec{sat.InternalSpec(sat.Config{Seed: 5}), budgeted},
+			"portfolio(seed=5 | seed=9,budget=1)", []string{"seed=5", "seed=9,budget=1"}, []string{"seed=5", "seed=9,budget=1"}},
 	} {
 		name := tc.solver + "/" + tc.portfolio
 		s, err := SolverSetupFromFlags(tc.solver, tc.portfolio)
@@ -84,13 +86,17 @@ func TestSolverSetupFromFlags(t *testing.T) {
 		}
 	}
 	// Errors: deriving variants of an external engine, non-internal base
-	// with a list, bad grammar, a negative width.
+	// with a list, bad grammar, the removed bdd engine and persistent
+	// sessions, a negative width.
 	for _, bad := range [][2]string{
 		{"kissat", "3"},
-		{"kissat", "internal,bdd"},
+		{"kissat", "internal,cadical"},
 		{"frobnicate=1", ""},
 		{"", "internal,frobnicate=1"},
-		{"", "internal,bdd:nodes=x"},
+		{"bdd", ""},
+		{"", "internal,bdd"},
+		{"kissat:persistent=true", ""},
+		{"", "internal,stub,persistent=true"},
 		{"", "internal,internal"},
 		{"", "-2"},
 	} {
@@ -105,7 +111,7 @@ func TestSolverSetupCheck(t *testing.T) {
 	if err := nilSetup.Check(); err != nil {
 		t.Errorf("nil setup: %v", err)
 	}
-	ok := NewSolverSetupEngines([]sat.EngineSpec{sat.InternalSpec(sat.Config{}), {Kind: sat.EngineBDD}})
+	ok := NewSolverSetupEngines([]sat.EngineSpec{sat.InternalSpec(sat.Config{}), sat.InternalSpec(sat.Config{Seed: 9})})
 	if err := ok.Check(); err != nil {
 		t.Errorf("no process engines: %v", err)
 	}
@@ -146,7 +152,7 @@ func loadPigeonhole(e sat.Engine, p, h int) {
 func TestHeterogeneousFactoryVerdicts(t *testing.T) {
 	setup := NewSolverSetupEngines([]sat.EngineSpec{
 		sat.InternalSpec(sat.Config{}),
-		{Kind: sat.EngineBDD, MaxNodes: 1 << 18},
+		sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1}),
 	})
 	f := setup.Factory()
 	e := f(context.Background())
@@ -155,7 +161,7 @@ func TestHeterogeneousFactoryVerdicts(t *testing.T) {
 		t.Fatalf("verdict %v, want UNSAT", got)
 	}
 	stats := setup.WinStats()
-	if len(stats) != 2 || stats[0].Config != "seed=0" || stats[1].Config != "bdd:max-nodes=262144" {
+	if len(stats) != 2 || stats[0].Config != "seed=0" || stats[1].Config != "seed=9,budget=1" {
 		t.Fatalf("stats labels: %+v", stats)
 	}
 	if stats[0].Races+stats[1].Races == 0 || stats[0].Wins+stats[1].Wins != 1 {
@@ -169,7 +175,7 @@ func TestHeterogeneousFactoryVerdicts(t *testing.T) {
 func TestAdaptiveDrop(t *testing.T) {
 	setup := NewSolverSetupEngines([]sat.EngineSpec{
 		sat.InternalSpec(sat.Config{}),
-		{Kind: sat.EngineBDD, MaxNodes: 8}, // blows up instantly: never wins
+		sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1}), // gives up at once: never wins
 	})
 	setup.AdaptAfter = 2
 	f := setup.Factory()
@@ -183,7 +189,7 @@ func TestAdaptiveDrop(t *testing.T) {
 			t.Fatalf("round %d: portfolio size %d, want 2", i, p.Size())
 		}
 		if i == 2 && p.Size() != 1 {
-			t.Fatalf("after %d losses the bdd engine must be dropped; size %d", i, p.Size())
+			t.Fatalf("after %d losses the budgeted engine must be dropped; size %d", i, p.Size())
 		}
 		loadPigeonhole(e, 5, 4)
 		if got := e.Solve(); got != sat.Unsat {
@@ -205,7 +211,7 @@ func TestAdaptiveDrop(t *testing.T) {
 func TestGlobalLedgerDrivesDrop(t *testing.T) {
 	specs := []sat.EngineSpec{
 		sat.InternalSpec(sat.Config{}),
-		{Kind: sat.EngineBDD, MaxNodes: 8},
+		sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1}),
 	}
 	global := sat.NewLedgerLabels(sat.EngineLabels(specs))
 

@@ -5,7 +5,9 @@
 // engine to the SAT-based analyses (DESIGN.md experiment E9): BDDs excel
 // on the small, structured cube-stripper cones the attack isolates, while
 // SAT scales to cones whose BDDs blow up. The bypass/BDD trade-off
-// analysis of Xu et al. [28] motivates having both.
+// analysis of Xu et al. [28] motivates having both. Sharing no code
+// with the SAT engines, it is also the independent oracle of the
+// solver differential test (internal/sat).
 package bdd
 
 import (
@@ -76,14 +78,6 @@ func (m *Manager) Var(i int) Node {
 		panic(fmt.Sprintf("bdd: variable %d out of range", i))
 	}
 	return m.mk(int32(i), False, True)
-}
-
-// VarNode is Var with the node budget reported as ErrNodeLimit instead
-// of a panic, for callers building formulas outside the apply-style
-// operations (the bddengine solver adapter).
-func (m *Manager) VarNode(i int) (n Node, err error) {
-	defer m.guard(&err)
-	return m.Var(i), nil
 }
 
 func (m *Manager) mk(level int32, low, hi Node) Node {

@@ -96,8 +96,8 @@ type Config struct {
 	Portfolio int `json:"portfolio,omitempty"`
 	// PortfolioEngines, when set, races an explicit heterogeneous
 	// engine list instead (sat.ParseEngineList grammar, e.g.
-	// "internal,kissat,bdd"); a bare "internal" entry inherits the
-	// Solver base config. omitempty keeps pre-heterogeneous plan hashes
+	// "internal,kissat"); a bare "internal" entry inherits the Solver
+	// base config. omitempty keeps pre-heterogeneous plan hashes
 	// unchanged.
 	PortfolioEngines string `json:"portfolio_engines,omitempty"`
 	// AdaptAfter retires a racing engine (of a width or an engine list)

@@ -118,7 +118,7 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 
 	het := base
 	het.Solver = "seed=5"
-	het.PortfolioEngines = "internal,bdd:max-nodes=1<<18"
+	het.PortfolioEngines = "internal,internal:seed=9,budget=1"
 	het.AdaptAfter = 10
 	p, err := NewPlan(het)
 	if err != nil {
@@ -128,7 +128,7 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ec.Engines) != 2 || ec.Engines[0].Config.Seed != 5 || ec.Engines[1].Kind != sat.EngineBDD {
+	if len(ec.Engines) != 2 || ec.Engines[0].Config.Seed != 5 || ec.Engines[1].Config.ConflictBudget != 1 {
 		t.Errorf("engines lost in resolution: %+v", ec.Engines)
 	}
 	if ec.AdaptAfter != 10 {
@@ -137,21 +137,24 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 
 	// A single non-internal -solver also lands in Engines.
 	single := base
-	single.Solver = "bdd"
+	single.Solver = "kissat"
 	ec, err = single.ExpConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ec.Engines) != 1 || ec.Engines[0].Kind != sat.EngineBDD {
-		t.Errorf("bdd solver resolution: %+v", ec.Engines)
+	if len(ec.Engines) != 1 || ec.Engines[0] != (sat.EngineSpec{Kind: sat.EngineProcess, Cmd: "kissat"}) {
+		t.Errorf("kissat solver resolution: %+v", ec.Engines)
 	}
 
 	for name, bad := range map[string]Config{
 		"badList":       {Solver: "", PortfolioEngines: "internal,frobnicate=1"},
-		"widthAndList":  {Portfolio: 3, PortfolioEngines: "internal,bdd"},
-		"externalBase":  {Solver: "kissat", PortfolioEngines: "internal,bdd"},
+		"widthAndList":  {Portfolio: 3, PortfolioEngines: "internal,kissat"},
+		"externalBase":  {Solver: "kissat", PortfolioEngines: "internal,cadical"},
 		"widthExternal": {Solver: "kissat", Portfolio: 3},
 		"adaptNoList":   {Solver: "seed=1", AdaptAfter: 5},
+		"bddSolver":     {Solver: "bdd"},
+		"bddInList":     {PortfolioEngines: "internal,bdd"},
+		"persistent":    {Solver: "kissat:persistent=true"},
 	} {
 		cfg := base
 		cfg.Solver, cfg.Portfolio, cfg.PortfolioEngines, cfg.AdaptAfter =
@@ -180,8 +183,9 @@ func TestPlanHashBackwardCompatible(t *testing.T) {
 	}
 }
 
-// TestCampaignHeterogeneousMatchesDefault: a campaign racing
-// internal+bdd engines (with mid-run adaptation) renders the same
+// TestCampaignHeterogeneousMatchesDefault: a campaign racing the
+// default internal engine against a budgeted one that gives up at its
+// first conflict (with mid-run adaptation) renders the same
 // verdict report as the default single-engine campaign, records
 // portfolio stats under spec labels, aggregates them in WinStats, and
 // its stats file feeds a learned re-run.
@@ -218,14 +222,14 @@ func TestCampaignHeterogeneousMatchesDefault(t *testing.T) {
 	}
 
 	hetCfg := tinyCampaignConfig("summary")
-	hetCfg.PortfolioEngines = "internal,bdd:max-nodes=1<<16"
+	hetCfg.PortfolioEngines = "internal,internal:seed=9,budget=1"
 	hetCfg.AdaptAfter = 50
 	hetReport, hetMerge := run(hetCfg, RunOptions{Workers: 2})
 	if hetReport != defReport {
 		t.Errorf("heterogeneous campaign report differs from default:\n--- default\n%s\n--- heterogeneous\n%s", defReport, hetReport)
 	}
 	stats := hetMerge.WinStats()
-	if len(stats) != 2 || stats[0].Config != "seed=0" || !strings.HasPrefix(stats[1].Config, "bdd") {
+	if len(stats) != 2 || stats[0].Config != "seed=0" || stats[1].Config != "seed=9,budget=1" {
 		t.Fatalf("campaign stats: %+v", stats)
 	}
 	if stats[0].Races == 0 {

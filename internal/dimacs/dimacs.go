@@ -131,9 +131,10 @@ type Result struct {
 // `s UNKNOWN` status line plus `v` value lines terminated by 0 — and in
 // the bare minisat result-file dialect (`SAT`/`UNSAT` status, literal
 // lines without the `v ` prefix). Malformed output is an error, never a
-// silent verdict: a missing status line, a truncated model (v lines
-// that never reach the 0 terminator), a satisfiable claim without a
-// model, literals outside 1..numVars, or garbage tokens.
+// silent verdict: a missing or repeated status line (in either
+// dialect), a truncated model (v lines that never reach the 0
+// terminator), a satisfiable claim without a model, literals outside
+// 1..numVars, or garbage tokens.
 func ParseResult(r io.Reader, numVars int) (*Result, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -142,6 +143,14 @@ func ParseResult(r io.Reader, numVars int) (*Result, error) {
 	model := make([]bool, numVars+1)
 	inModel := false    // saw at least one value literal
 	terminated := false // saw the 0 terminator
+	setStatus := func(line string, st sat.Status) error {
+		if sawStatus {
+			return fmt.Errorf("dimacs: duplicate status line %q", line)
+		}
+		sawStatus = true
+		res.Status = st
+		return nil
+	}
 	addLits := func(fields []string) error {
 		for _, tok := range fields {
 			lit, err := strconv.Atoi(tok)
@@ -169,43 +178,36 @@ func ParseResult(r io.Reader, numVars int) (*Result, error) {
 	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
+		var err error
 		switch {
 		case line == "" || strings.HasPrefix(line, "c"):
 			continue
 		case strings.HasPrefix(line, "s "):
-			if sawStatus {
-				return nil, fmt.Errorf("dimacs: duplicate status line %q", line)
-			}
-			sawStatus = true
 			switch strings.TrimSpace(line[2:]) {
 			case "SATISFIABLE":
-				res.Status = sat.Sat
+				err = setStatus(line, sat.Sat)
 			case "UNSATISFIABLE":
-				res.Status = sat.Unsat
+				err = setStatus(line, sat.Unsat)
 			case "UNKNOWN", "INDETERMINATE":
-				res.Status = sat.Unknown
+				err = setStatus(line, sat.Unknown)
 			default:
-				return nil, fmt.Errorf("dimacs: unrecognized status line %q", line)
+				err = fmt.Errorf("dimacs: unrecognized status line %q", line)
 			}
 		case line == "SAT" || line == "SATISFIABLE":
-			sawStatus = true
-			res.Status = sat.Sat
+			err = setStatus(line, sat.Sat)
 		case line == "UNSAT" || line == "UNSATISFIABLE":
-			sawStatus = true
-			res.Status = sat.Unsat
+			err = setStatus(line, sat.Unsat)
 		case line == "INDET" || line == "INDETERMINATE" || line == "UNKNOWN":
-			sawStatus = true
-			res.Status = sat.Unknown
+			err = setStatus(line, sat.Unknown)
 		case strings.HasPrefix(line, "v ") || line == "v":
-			if err := addLits(strings.Fields(line[1:])); err != nil {
-				return nil, err
-			}
+			err = addLits(strings.Fields(line[1:]))
 		default:
 			// Bare literal lines (minisat result files) — every field must
 			// be an integer, anything else is garbage.
-			if err := addLits(strings.Fields(line)); err != nil {
-				return nil, err
-			}
+			err = addLits(strings.Fields(line))
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -1,7 +1,10 @@
 package dimacs
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,6 +142,9 @@ func TestParseResult(t *testing.T) {
 		{"satNoModel", "s SATISFIABLE\n"},
 		{"badStatus", "s MAYBE\n"},
 		{"dupStatus", "s UNSATISFIABLE\ns UNSATISFIABLE\n"},
+		{"competitionThenBareStatus", "s UNSATISFIABLE\nSAT\nv 1 0\n"},
+		{"bareDupStatus", "UNSAT\nSAT\n1 0\n"},
+		{"bareStatusOverridden", "SAT\nUNSAT\n"},
 		{"garbageV", "s SATISFIABLE\nv 1 two 0\n"},
 		{"outOfRange", "s SATISFIABLE\nv 1 -2 9 0\n"},
 		{"litsAfterTerminator", "s SATISFIABLE\nv 1 0\nv 2 0\n"},
@@ -150,6 +156,44 @@ func TestParseResult(t *testing.T) {
 			t.Errorf("%s: accepted malformed output: %+v", tc.name, res)
 		}
 	}
+}
+
+// FuzzParseResult: for any solver output and any problem size in
+// 0..64, ParseResult never panics, and an accepted result written back
+// in competition format (an s line plus v lines) parses back equal.
+// Plain go test replays the corpus under testdata/fuzz.
+func FuzzParseResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, out []byte, numVars uint8) {
+		n := int(numVars % 65)
+		res, err := ParseResult(bytes.NewReader(out), n)
+		if err != nil {
+			return
+		}
+		var b strings.Builder
+		switch res.Status {
+		case sat.Sat:
+			b.WriteString("s SATISFIABLE\nv")
+			for v := 1; v <= n; v++ {
+				lit := v
+				if !res.Model[v] {
+					lit = -v
+				}
+				fmt.Fprintf(&b, " %d", lit)
+			}
+			b.WriteString(" 0\n")
+		case sat.Unsat:
+			b.WriteString("s UNSATISFIABLE\n")
+		default:
+			b.WriteString("s UNKNOWN\n")
+		}
+		back, err := ParseResult(strings.NewReader(b.String()), n)
+		if err != nil {
+			t.Fatalf("ParseResult(%q) = %+v renders %q, which does not parse: %v", out, res, b.String(), err)
+		}
+		if !reflect.DeepEqual(back, res) {
+			t.Fatalf("ParseResult(%q) = %+v renders %q, which parses to %+v", out, res, b.String(), back)
+		}
+	})
 }
 
 // Property: write/parse round trip preserves the formula, and solving the

@@ -104,8 +104,8 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 	// an iteration on the SARLock layer (Shen & Zhou's key insight).
 	// Encoded into a clause stream and frozen: the engine is primed with
 	// the four-copy instance in one shot (O(1) and content-hashed for
-	// persistent or memoizing backends) and the per-iteration I/O
-	// constraints extend the live engine.
+	// memoizing backends) and the per-iteration I/O constraints extend
+	// the live engine.
 	dst := sat.NewStream()
 	de := cnf.NewEncoder(dst)
 	d1 := de.EncodeCircuitWith(locked, nil)

@@ -435,9 +435,8 @@ func scoreShortlist(ctx context.Context, cs *Case, keys []attack.Key, cfg Config
 }
 
 // finishSolver records the setup's timing and memoization diagnostics
-// into the outcome and releases any persistent solver processes it
-// spawned. Nil-safe: a nil setup (the baseline default engine) records
-// nothing, keeping default artifacts byte-identical.
+// into the outcome. Nil-safe: a nil setup (the baseline default engine)
+// records nothing, keeping default artifacts byte-identical.
 func finishSolver(setup *attack.SolverSetup, out *Outcome) {
 	if setup == nil {
 		return
@@ -445,7 +444,6 @@ func finishSolver(setup *attack.SolverSetup, out *Outcome) {
 	out.PortfolioStats = setup.WinStats()
 	out.SolveNS = int64(setup.SolveTime())
 	out.MemoStats = setup.MemoStats()
-	setup.Close()
 }
 
 // attackCtx derives the per-run context implementing cfg.Timeout.
@@ -473,7 +471,6 @@ func RunFALL(ctx context.Context, cs *Case, analysis fall.Analysis, cfg Config) 
 		// Hard failure (timeouts come back as StatusTimeout, not errors):
 		// report the outcome failed with no fabricated timing.
 		out.Failed = true
-		setup.Close()
 		return out
 	}
 	out.Time = res.Elapsed
@@ -513,7 +510,6 @@ func RunSAT(ctx context.Context, cs *Case, cfg Config) Outcome {
 		// a zero-duration "timeout" when cfg.Timeout was 0). Report the
 		// failure distinctly and leave the timing empty.
 		out.Failed = true
-		setup.Close()
 		return out
 	}
 	out.Time = res.Elapsed
@@ -674,11 +670,8 @@ func RunFig6Case(ctx context.Context, cs *Case, cfg Config) Fig6CaseResult {
 		}
 	}
 	r.KCPortfolio = setup.WinStats()
-	if setup != nil {
-		r.KCSolveNS = int64(setup.SolveTime())
-		r.KCMemoStats = setup.MemoStats()
-		setup.Close()
-	}
+	r.KCSolveNS = int64(setup.SolveTime())
+	r.KCMemoStats = setup.MemoStats()
 	r.SA = RunSAT(ctx, cs, cfg)
 	return r
 }

@@ -50,15 +50,15 @@ func TestHarnessPortfolioVerdictsMatch(t *testing.T) {
 	}
 }
 
-// TestHarnessHeterogeneousEngines: racing an explicit internal+bdd
-// engine list reports the same verdict fields as the default engine,
+// TestHarnessHeterogeneousEngines: racing an explicit engine list (the
+// default engine and a budgeted one that gives up at its first
+// conflict) reports the same verdict fields as the default engine,
 // labels the outcome with the heterogeneous portfolio, and accounts
 // races under the spec labels. WinStats aggregates them.
 func TestHarnessHeterogeneousEngines(t *testing.T) {
 	cfg := tinyConfig()
 	// Timeout 0: verdicts stay pure functions of the seed, so the
-	// comparison cannot be perturbed by the BDD member's per-cell
-	// blow-up cost (kept small via the node budget).
+	// comparison cannot be perturbed by racing overhead.
 	cfg.Timeout = 0
 	cs, err := BuildCase(cfg.Specs[0], HD0, cfg.Seed)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestHarnessHeterogeneousEngines(t *testing.T) {
 	hcfg := cfg
 	hcfg.Engines = []sat.EngineSpec{
 		sat.InternalSpec(sat.Config{}),
-		{Kind: sat.EngineBDD, MaxNodes: 1 << 12},
+		sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1}),
 	}
 	het := RunFALL(ctx, cs, fall.Unateness, hcfg)
 	if het.Solved != base.Solved || het.Equivalent != base.Equivalent ||
@@ -78,10 +78,10 @@ func TestHarnessHeterogeneousEngines(t *testing.T) {
 		het.Failed != base.Failed {
 		t.Errorf("heterogeneous verdict differs from single engine:\n  base %+v\n  het  %+v", base, het)
 	}
-	if !strings.Contains(het.SolverConfig, "bdd") {
+	if !strings.Contains(het.SolverConfig, "budget=1") {
 		t.Errorf("solver label %q does not name the engine mix", het.SolverConfig)
 	}
-	if len(het.PortfolioStats) != 2 || het.PortfolioStats[1].Config != "bdd:max-nodes=4096" {
+	if len(het.PortfolioStats) != 2 || het.PortfolioStats[1].Config != "seed=9,budget=1" {
 		t.Fatalf("portfolio stats: %+v", het.PortfolioStats)
 	}
 	agg := WinStats([]Outcome{base, het}, nil)

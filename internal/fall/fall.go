@@ -472,8 +472,8 @@ func (a *analysisContext) AnalyzeUnateness() (map[int]bool, bool, error) {
 // outputs witness the violating pattern — Unsat means no violation
 // exists, i.e. the function is unate in the requested direction. All
 // of a cell's queries run on one incrementally-reused engine, so
-// learnt clauses carry across inputs and persistent or memoizing
-// backends see a single session for the whole cell. knownViolated
+// learnt clauses carry across inputs and memoizing backends see one
+// frozen prefix for the whole cell. knownViolated
 // short-circuits with the simulation witness.
 func (a *analysisContext) checkUnate(i int, positive, knownViolated bool) (bool, error) {
 	if knownViolated {

@@ -12,13 +12,13 @@ import (
 	"repro/internal/testcirc"
 )
 
-// TestAttackHeterogeneousGridMatchesDefault races all three backend
-// kinds — the internal CDCL engine, the stub DIMACS solver behind the
-// process pipe, and the BDD engine — inside every candidate×polarity
-// cell of a multi-worker FALL grid, and requires the shortlist to be
+// TestAttackHeterogeneousGridMatchesDefault races both backend kinds —
+// the internal CDCL engine and the stub DIMACS solver behind the
+// process pipe — inside every candidate×polarity cell of a
+// multi-worker FALL grid, and requires the shortlist to be
 // byte-identical to the default single-engine run. Under `go test
-// -race` this is the acceptance check that ProcessEngine and
-// bddengine race safely inside the grid.
+// -race` this is the acceptance check that ProcessEngine races safely
+// inside the grid.
 func TestAttackHeterogeneousGridMatchesDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a solver process per grid query")
@@ -38,7 +38,6 @@ func TestAttackHeterogeneousGridMatchesDefault(t *testing.T) {
 	setup := attack.NewSolverSetupEngines([]sat.EngineSpec{
 		sat.InternalSpec(sat.Config{}),
 		{Kind: sat.EngineProcess, Cmd: stub},
-		{Kind: sat.EngineBDD, MaxNodes: 1 << 12},
 	})
 	het, err := Attack(context.Background(), lr.Locked, Options{
 		H: 2, Workers: 4, Solver: setup.Factory(),
@@ -56,8 +55,8 @@ func TestAttackHeterogeneousGridMatchesDefault(t *testing.T) {
 		}
 	}
 	stats := setup.WinStats()
-	if len(stats) != 3 {
-		t.Fatalf("win stats for %d engines, want 3", len(stats))
+	if len(stats) != 2 {
+		t.Fatalf("win stats for %d engines, want 2", len(stats))
 	}
 	var races, wins int64
 	for _, cs := range stats {

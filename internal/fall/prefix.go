@@ -14,9 +14,9 @@ import (
 // equivalence-check instance — into a sat.Stream, frozen, and shared
 // by both polarity cells of the grid: polarity only affects the small
 // per-cell delta (output units or assumptions), never the prefix. For
-// engines implementing sat.FrozenLoader (persistent process sessions,
-// the memo engine, portfolios) priming with the frozen prefix is O(1)
-// and content-hashed, so a whole grid uploads each cone's CNF once.
+// engines implementing sat.FrozenLoader (the memo engine, portfolios)
+// priming with the frozen prefix is O(1), and the memo keys each query
+// by the prefix's content hash.
 
 // candPrefixes caches one candidate's frozen prefixes. The two
 // polarity cells may race on different workers; builders run under
@@ -79,8 +79,7 @@ func (c *candPrefixes) hdFor(a *analysisContext, h int) *hdPrefix {
 // copies share nothing, and eq[i] is the literal asserting the copies
 // agree on input i. A cell's unateness queries select the flipped
 // input and the violating output pattern purely through assumptions,
-// so a single engine (and, behind a process engine, a single solver
-// session) serves all 2m queries of a cell.
+// so a single engine serves all 2m queries of a cell.
 type unatePrefix struct {
 	frozen *sat.Frozen
 	x0, x1 []sat.Lit // the two copies' input literals, indexed like a.inputs

@@ -109,9 +109,9 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 
 	// Each solver's initial encoding is built into a clause stream and
 	// frozen; the engine is primed with the frozen prefix in one shot
-	// (content-hashed and O(1) for persistent or memoizing backends),
-	// and the encoder then retargets the live engine so per-iteration
-	// I/O constraints extend it incrementally, exactly as before.
+	// (content-hashed and O(1) for memoizing backends), and the encoder
+	// then retargets the live engine so per-iteration I/O constraints
+	// extend it incrementally, exactly as before.
 
 	// Solver P: candidate keys satisfying φ and observed I/O patterns.
 	pst := sat.NewStream()

@@ -167,8 +167,6 @@ func TestAnalyzeAndReconcile(t *testing.T) {
 	q3.EndAfter(0)
 	cell.End()
 	phase.EndAfter(20 * time.Millisecond)
-	sess := root.Child("session", "cmd", "stub", "spawns", 2, "broken", 0)
-	sess.EndAfter(0)
 	root.End()
 
 	rep := Analyze([]*TraceFile{{Path: "mem", Spans: sink.spans}}, 5)
@@ -187,9 +185,6 @@ func TestAnalyzeAndReconcile(t *testing.T) {
 	if len(rep.Families) != 1 || rep.Families[0].Name != "fall.cell" || rep.Families[0].Count != 3 {
 		t.Errorf("families: %+v", rep.Families)
 	}
-	if len(rep.Sessions) != 1 || rep.Sessions[0].Spawns != 2 {
-		t.Errorf("sessions: %+v", rep.Sessions)
-	}
 	if len(rep.Slowest) != 3 || rep.Slowest[0].DurNS < rep.Slowest[1].DurNS {
 		t.Errorf("slowest ordering: %+v", rep.Slowest)
 	}
@@ -198,7 +193,7 @@ func TestAnalyzeAndReconcile(t *testing.T) {
 	}
 	var b strings.Builder
 	rep.Render(&b)
-	for _, frag := range []string{"fall.cell", "internal", "memo:", "session"} {
+	for _, frag := range []string{"fall.cell", "internal", "memo:"} {
 		if !strings.Contains(b.String(), frag) {
 			t.Errorf("render missing %q:\n%s", frag, b.String())
 		}

@@ -95,14 +95,6 @@ type QueryStat struct {
 	Attrs   map[string]any
 }
 
-// SessionStat is one persistent solver session (emitted at
-// SolverSetup.Close).
-type SessionStat struct {
-	Cmd    string
-	Spawns int64
-	Broken bool
-}
-
 // Report is the aggregate view over one or many trace files.
 type Report struct {
 	Files     int
@@ -117,7 +109,6 @@ type Report struct {
 	MemoDisk  int64 // on-disk (L2) verdict-cache hits
 	MemoMiss  int64
 	Cancelled int64
-	Sessions  []SessionStat
 }
 
 func attrString(attrs map[string]any, key string) string {
@@ -125,18 +116,6 @@ func attrString(attrs map[string]any, key string) string {
 		return fmt.Sprint(v)
 	}
 	return ""
-}
-
-func attrInt(attrs map[string]any, key string) int64 {
-	switch v := attrs[key].(type) {
-	case float64:
-		return int64(v)
-	case int64:
-		return v
-	case int:
-		return int64(v)
-	}
-	return 0
 }
 
 type bucketAcc struct {
@@ -226,12 +205,6 @@ func Analyze(files []*TraceFile, topN int) *Report {
 					DurNS:   sp.DurNS,
 					Attrs:   sp.Attrs,
 				})
-			case "session":
-				rep.Sessions = append(rep.Sessions, SessionStat{
-					Cmd:    attrString(sp.Attrs, "cmd"),
-					Spawns: attrInt(sp.Attrs, "spawns"),
-					Broken: attrString(sp.Attrs, "broken") == "true",
-				})
 			default:
 				phases.add(sp.Name, sp.DurNS)
 			}
@@ -276,25 +249,6 @@ func (r *Report) Render(w io.Writer) {
 	}
 	if r.Cancelled > 0 {
 		fmt.Fprintf(w, "cancelled queries: %d\n", r.Cancelled)
-	}
-	if len(r.Sessions) > 0 {
-		var spawns int64
-		broken := 0
-		for _, s := range r.Sessions {
-			spawns += s.Spawns
-			if s.Broken {
-				broken++
-			}
-		}
-		fmt.Fprintf(w, "persistent sessions: %d (spawns %d, broken %d)\n",
-			len(r.Sessions), spawns, broken)
-		for _, s := range r.Sessions {
-			state := "ok"
-			if s.Broken {
-				state = "broken"
-			}
-			fmt.Fprintf(w, "  %-40s spawns %3d  %s\n", s.Cmd, s.Spawns, state)
-		}
 	}
 	if len(r.Slowest) > 0 {
 		fmt.Fprintf(w, "slowest queries:\n")

@@ -7,8 +7,9 @@ import "context"
 // the CNF encoder and the attacks use. Implementations: *Solver (one
 // CDCL engine), *Portfolio (N engines racing per query),
 // procengine.ProcessEngine (an external DIMACS solver behind a pipe)
-// and bddengine.Engine (exact ROBDD reasoning for small cones). Engine
-// specs (see EngineSpec) name backends in flags and campaign plans.
+// and *MemoEngine (a verdict cache over another engine). Engine specs
+// (see EngineSpec) name the two backends, internal and process, in
+// flags and campaign plans.
 //
 // Engines are not safe for concurrent use; attacks that parallelize
 // create one engine per worker through an attack.SolverFactory.

@@ -23,12 +23,12 @@ import (
 // *Solver, a Portfolio is not safe for concurrent use: the concurrency
 // lives inside each call, not across calls.
 //
-// Members need not be internal CDCL solvers: any Engine races (an
-// external DIMACS-pipe solver, the BDD engine). Heterogeneous members
-// preserve the agreement property — every backend decides the same
-// formula — so racing still never changes a decided verdict; backends
-// that give up (a BDD blow-up, a killed process) return Unknown and
-// simply lose the race.
+// Members need not be internal CDCL solvers: any Engine races (e.g.
+// an external DIMACS-pipe solver). Heterogeneous members preserve the
+// agreement property — every backend decides the same formula — so
+// racing still never changes a decided verdict; members that give up
+// (an exhausted conflict budget, a killed process, malformed output)
+// return Unknown and simply lose the race.
 type Portfolio struct {
 	engines []Engine
 	slots   []int // engine i accounts into ledger slot slots[i]

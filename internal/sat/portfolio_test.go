@@ -181,6 +181,23 @@ func TestLedgerSharedAcrossPortfolios(t *testing.T) {
 	}
 }
 
+// TestPortfolioFallthrough: a member that gives up — here an internal
+// engine whose one-conflict budget runs out — returns Unknown and
+// loses the race, and the portfolio still decides through the other
+// member.
+func TestPortfolioFallthrough(t *testing.T) {
+	ledger := NewLedgerLabels([]string{"seed=0", "budget=1"})
+	p := NewEnginePortfolio([]Engine{New(), NewWith(Config{ConflictBudget: 1})}, ledger)
+	pigeonholeEngine(p, 5, 4)
+	if got := p.Solve(); got != Unsat {
+		t.Fatalf("portfolio with an exhausted member: %v, want UNSAT", got)
+	}
+	snap := ledger.Snapshot()
+	if snap[0].Wins != 1 || snap[1].Wins != 0 || snap[1].Races != 1 {
+		t.Errorf("ledger: %+v", snap)
+	}
+}
+
 func TestPortfolioConfigsDeterministic(t *testing.T) {
 	a := PortfolioConfigs(Config{Seed: 2}, 6)
 	b := PortfolioConfigs(Config{Seed: 2}, 6)

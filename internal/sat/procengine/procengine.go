@@ -11,38 +11,21 @@
 // "incremental" solving re-dumps from the buffer — assumptions never
 // leak into later calls, and (unlike the internal engine) learnt
 // clauses do not persist. Context cancellation kills the solver
-// process; any malformed or missing output makes the call return
-// Unknown with the underlying error retained in Err, so a portfolio
-// falls through to its other members instead of mis-reporting a
-// verdict.
-//
-// Persistent-session mode (NewPersistent + Host) replaces the per-query
-// dump/respawn with ONE long-lived solver subprocess per Host, spawned
-// with -serve, speaking a line protocol: each engine opens a session
-// over its frozen prefix (sent once per content hash and cached by the
-// server), then streams per-query variable/clause deltas and assumption
-// lists. Any protocol failure — hangup, garbage, a twice-stale session —
-// degrades that call to Unknown with Err set and permanently falls the
-// engine (or, on transport death, the whole host) back to the one-shot
-// dump/respawn path: a persistent engine never reports a wrong verdict,
-// only a slower right one.
+// process; any malformed or missing output — including a SAT answer
+// whose model falsifies a dumped clause or assumption — makes the call
+// return Unknown with the underlying error retained in Err, so a
+// portfolio falls through to its other members instead of reporting a
+// verdict the engine cannot back.
 package procengine
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/dimacs"
 	"repro/internal/sat"
@@ -74,28 +57,15 @@ type ProcessEngine struct {
 	args []string // extra arguments before the CNF file
 
 	nVars   int
-	clauses [][]int // DIMACS literals, buffered incrementally (delta only when frozen != nil)
+	clauses [][]int // DIMACS literals, buffered incrementally
 	ok      bool    // false once an empty clause is added
 	ctx     context.Context
 	model   []bool // 1-based, from the last SAT answer
 	stats   sat.Stats
 	err     error // last spawn/parse failure (sticky until the next call)
-
-	frozen *sat.Frozen // adopted prefix; clauses/nVars extend it
-
-	// Persistent-session state (nil host = one-shot mode).
-	host        *Host
-	sid         string
-	opened      bool
-	sentVars    int // session vars the server has seen
-	sentClauses int // delta clauses the server has seen
-	persistOff  bool
 }
 
-var (
-	_ sat.Engine       = (*ProcessEngine)(nil)
-	_ sat.FrozenLoader = (*ProcessEngine)(nil)
-)
+var _ sat.Engine = (*ProcessEngine)(nil)
 
 // New returns an engine spawning cmd (a binary name to resolve on PATH
 // or an explicit path) with the given extra arguments before the CNF
@@ -106,34 +76,13 @@ func New(cmd string, args ...string) *ProcessEngine {
 	return &ProcessEngine{cmd: cmd, args: args, ok: true}
 }
 
-// NewPersistent returns an engine answering its queries through the
-// host's long-lived -serve subprocess. Every engine of one grid shares
-// one Host, so the grid spawns exactly one solver process per host; on
-// any session failure the engine degrades to the one-shot dump/respawn
-// path (see the package comment).
-func NewPersistent(h *Host) *ProcessEngine {
-	return &ProcessEngine{cmd: h.cmd, args: h.args, ok: true, host: h}
-}
-
-// LoadFrozen adopts a frozen prefix in O(1): the engine records the
-// snapshot instead of copying its clauses, materializing it only when a
-// one-shot dump needs the full CNF — persistent sessions send the
-// prefix to the server once per content hash. The engine must be fresh.
-func (e *ProcessEngine) LoadFrozen(f *sat.Frozen) {
-	if e.nVars != 0 || len(e.clauses) != 0 {
-		panic("procengine: LoadFrozen on a non-fresh engine")
-	}
-	e.frozen = f
-	e.nVars = f.NumVars()
-	e.ok = f.Ok()
-}
-
 // Cmd returns the configured solver command.
 func (e *ProcessEngine) Cmd() string { return e.cmd }
 
 // Err returns the failure of the most recent Solve call that returned
-// Unknown for an abnormal reason (unparseable output, spawn failure),
-// or nil after a clean call. Context cancellation is not an error.
+// Unknown for an abnormal reason (unparseable output, a model that
+// falsifies the dumped formula, spawn failure), or nil after a clean
+// call. Context cancellation is not an error.
 func (e *ProcessEngine) Err() error { return e.err }
 
 // NewVar introduces a fresh variable and returns its index.
@@ -154,15 +103,7 @@ func (e *ProcessEngine) AddClause(lits ...sat.Lit) bool {
 		e.ok = false
 		return false
 	}
-	cl := make([]int, len(lits))
-	for i, l := range lits {
-		v := l.Var() + 1
-		if l.Sign() {
-			v = -v
-		}
-		cl[i] = v
-	}
-	e.clauses = append(e.clauses, cl)
+	e.clauses = append(e.clauses, toDimacs(lits))
 	return e.ok
 }
 
@@ -179,7 +120,8 @@ func (e *ProcessEngine) Stats() sat.Stats { return e.stats }
 func (e *ProcessEngine) Solve() sat.Status { return e.SolveAssuming(nil) }
 
 // SolveAssuming solves under assumption literals, dumped as unit
-// clauses for this call only.
+// clauses for this call only. A SAT answer is adopted only after its
+// model is checked against every dumped clause and assumption.
 func (e *ProcessEngine) SolveAssuming(assumptions []sat.Lit) sat.Status {
 	e.stats.SolveCalls++
 	e.err = nil
@@ -193,33 +135,7 @@ func (e *ProcessEngine) SolveAssuming(assumptions []sat.Lit) sat.Status {
 	if ctx.Err() != nil {
 		return sat.Unknown
 	}
-	units := make([]int, len(assumptions))
-	for i, l := range assumptions {
-		v := l.Var() + 1
-		if l.Sign() {
-			v = -v
-		}
-		units[i] = v
-	}
-	if e.host != nil && !e.persistOff && !e.host.Broken() {
-		res, err := e.host.query(ctx, e, units)
-		if err == nil {
-			if res.Status == sat.Sat {
-				e.model = res.Model
-			}
-			return res.Status
-		}
-		if ctx.Err() != nil {
-			// Cancellation (a lost portfolio race, a deadline): not an
-			// error, and no reason to abandon the session.
-			return sat.Unknown
-		}
-		// Abnormal session failure: report Unknown with the error and
-		// answer every later call on the one-shot path.
-		e.err = err
-		e.persistOff = true
-		return sat.Unknown
-	}
+	units := toDimacs(assumptions)
 	res, err := e.run(ctx, units)
 	if err != nil {
 		if ctx.Err() == nil {
@@ -228,24 +144,45 @@ func (e *ProcessEngine) SolveAssuming(assumptions []sat.Lit) sat.Status {
 		return sat.Unknown
 	}
 	if res.Status == sat.Sat {
+		if err := checkModel(res.Model, e.clauses, units); err != nil {
+			e.err = fmt.Errorf("procengine: %s: %w", e.cmd, err)
+			return sat.Unknown
+		}
 		e.model = res.Model
 	}
 	return res.Status
 }
 
-// allClauses materializes the full clause list — frozen prefix plus
-// buffered delta — for a one-shot dump.
-func (e *ProcessEngine) allClauses() [][]int {
-	if e.frozen == nil {
-		return e.clauses
-	}
-	var out [][]int
-	e.frozen.Ops(func(newVars int, clause []sat.Lit, addClause bool) {
-		if addClause {
-			out = append(out, toDimacs(clause))
+// checkModel verifies a reported model against the dumped clauses and
+// assumption units: an external solver's SAT answer is not taken on
+// trust, because a wrong model winning a portfolio race would reach
+// the attacks' cubes and distinguishing inputs.
+func checkModel(model []bool, clauses [][]int, units []int) error {
+	holds := func(lit int) bool {
+		v := lit
+		if v < 0 {
+			v = -v
 		}
-	})
-	return append(out, e.clauses...)
+		return v < len(model) && model[v] == (lit > 0)
+	}
+	for i, cl := range clauses {
+		ok := false
+		for _, lit := range cl {
+			if holds(lit) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return fmt.Errorf("model falsifies clause %d %v", i, cl)
+		}
+	}
+	for _, u := range units {
+		if !holds(u) {
+			return fmt.Errorf("model falsifies assumption %d", u)
+		}
+	}
+	return nil
 }
 
 func toDimacs(lits []sat.Lit) []int {
@@ -268,7 +205,7 @@ func (e *ProcessEngine) run(ctx context.Context, units []int) (*dimacs.Result, e
 	}
 	inName := in.Name()
 	defer os.Remove(inName)
-	werr := dimacs.WriteWithUnits(in, &dimacs.Formula{NumVars: e.nVars, Clauses: e.allClauses()}, units)
+	werr := dimacs.WriteWithUnits(in, &dimacs.Formula{NumVars: e.nVars, Clauses: e.clauses}, units)
 	if cerr := in.Close(); werr == nil {
 		werr = cerr
 	}
@@ -334,383 +271,4 @@ func (e *ProcessEngine) LitTrue(l sat.Lit) bool {
 		return !val
 	}
 	return val
-}
-
-// cancelGrace is how long a cancelled persistent query waits for the
-// in-flight response before killing the subprocess: long enough that a
-// lost portfolio race normally leaves the host healthy, short enough
-// that a wedged solver cannot stall teardown.
-const cancelGrace = 5 * time.Second
-
-// errStale marks a server-side "session forgotten" reply: the one
-// protocol error worth a single transparent reopen-and-resend.
-var errStale = errors.New("stale session")
-
-// Host owns one persistent solver subprocess (spawned lazily with
-// -serve prepended to the configured arguments) and multiplexes any
-// number of persistent ProcessEngines over it, one session each. A
-// mutex serializes whole query rounds, so concurrent engines — e.g. a
-// FALL grid's parallel cells sharing the host — are safe. Once the
-// transport dies the host is broken for good: every attached engine
-// silently falls back to the one-shot path.
-type Host struct {
-	cmd  string
-	args []string
-
-	mu      sync.Mutex
-	proc    *exec.Cmd
-	stdin   io.WriteCloser
-	out     *bufio.Reader
-	broken  bool
-	nextSID int64
-
-	spawns atomic.Int64
-}
-
-// NewHost returns a host for cmd; args are passed after -serve. The
-// subprocess is spawned on the first query.
-func NewHost(cmd string, args ...string) *Host {
-	return &Host{cmd: cmd, args: args}
-}
-
-// Cmd returns the configured solver command.
-func (h *Host) Cmd() string { return h.cmd }
-
-// Spawns returns how many subprocesses the host has started — exactly 1
-// for a healthy run of any number of sessions and queries.
-func (h *Host) Spawns() int64 { return h.spawns.Load() }
-
-// Broken reports whether the host's transport has failed; attached
-// engines then answer on the one-shot path.
-func (h *Host) Broken() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.broken
-}
-
-// Close terminates the subprocess, if any. The host is unusable
-// afterwards.
-func (h *Host) Close() error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.broken = true
-	return h.kill()
-}
-
-// kill tears the subprocess down (mu held).
-func (h *Host) kill() error {
-	if h.proc == nil {
-		return nil
-	}
-	h.stdin.Close() // EOF makes a well-behaved server exit...
-	if h.proc.Process != nil {
-		h.proc.Process.Kill() // ...and Kill covers the rest
-	}
-	err := h.proc.Wait()
-	h.proc = nil
-	h.stdin = nil
-	h.out = nil
-	return err
-}
-
-// ensure spawns the subprocess when none is running (mu held).
-func (h *Host) ensure() error {
-	if h.proc != nil {
-		return nil
-	}
-	cmd := exec.Command(h.cmd, append([]string{"-serve"}, h.args...)...)
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return err
-	}
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("procengine: spawn %s -serve: %w", h.cmd, err)
-	}
-	h.spawns.Add(1)
-	h.proc = cmd
-	h.stdin = stdin
-	h.out = bufio.NewReader(stdout)
-	return nil
-}
-
-// query runs one solve round for engine e: open the session if needed,
-// send the buffered delta, solve under the given assumption units. A
-// stale-session reply triggers one transparent reopen+resend; any other
-// failure is returned (transport failures additionally break the host).
-func (h *Host) query(ctx context.Context, e *ProcessEngine, units []int) (*dimacs.Result, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.broken {
-		return nil, errors.New("procengine: persistent host is broken")
-	}
-	if err := h.ensure(); err != nil {
-		h.broken = true
-		return nil, err
-	}
-	var res *dimacs.Result
-	err := h.round(ctx, e, units, &res)
-	if errors.Is(err, errStale) {
-		e.opened = false
-		err = h.round(ctx, e, units, &res)
-		if errors.Is(err, errStale) {
-			err = fmt.Errorf("procengine: %s: session stale twice in a row", h.cmd)
-		}
-	}
-	return res, err
-}
-
-// round performs one open?/add?/solve exchange (mu held).
-func (h *Host) round(ctx context.Context, e *ProcessEngine, units []int, res **dimacs.Result) error {
-	if !e.opened {
-		if err := h.open(e); err != nil {
-			return err
-		}
-	}
-	if err := h.sendDelta(e); err != nil {
-		return err
-	}
-	r, err := h.solve(ctx, e, units)
-	if err != nil {
-		return err
-	}
-	*res = r
-	return nil
-}
-
-// transportErr marks the transport dead and tears the process down (mu
-// held).
-func (h *Host) transportErr(err error) error {
-	h.broken = true
-	h.kill()
-	return fmt.Errorf("procengine: %s persistent session: %w", h.cmd, err)
-}
-
-// readReply reads one `ok` acknowledgement (mu held). Protocol-level
-// `e ...` replies leave the transport healthy; anything else kills it.
-func (h *Host) readReply() error {
-	line, err := h.readLine()
-	if err != nil {
-		return h.transportErr(err)
-	}
-	switch {
-	case line == "ok":
-		return nil
-	case strings.HasPrefix(line, "e "):
-		if strings.Contains(line, "stale") {
-			return fmt.Errorf("%w: %s", errStale, line)
-		}
-		return fmt.Errorf("procengine: %s: server error: %s", h.cmd, line[2:])
-	default:
-		return h.transportErr(fmt.Errorf("unexpected reply %q", line))
-	}
-}
-
-func (h *Host) readLine() (string, error) {
-	line, err := h.out.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimSpace(line), nil
-}
-
-func (h *Host) send(format string, args ...any) error {
-	if _, err := fmt.Fprintf(h.stdin, format+"\n", args...); err != nil {
-		return h.transportErr(err)
-	}
-	return nil
-}
-
-// open creates e's server session over its frozen prefix, streaming the
-// prefix body when the server has not cached its hash yet (mu held).
-func (h *Host) open(e *ProcessEngine) error {
-	h.nextSID++
-	e.sid = strconv.FormatInt(h.nextSID, 10)
-	prefixVars := e.frozen.NumVars()
-	if err := h.send("open %s %s %d", e.sid, e.frozen.Hash(), prefixVars); err != nil {
-		return err
-	}
-	line, err := h.readLine()
-	if err != nil {
-		return h.transportErr(err)
-	}
-	switch {
-	case line == "ok":
-	case line == "need":
-		nClauses := 0
-		e.frozen.Ops(func(_ int, _ []sat.Lit, addClause bool) {
-			if addClause {
-				nClauses++
-			}
-		})
-		var werr error
-		write := func(format string, args ...any) {
-			if werr == nil {
-				_, werr = fmt.Fprintf(h.stdin, format, args...)
-			}
-		}
-		write("prefix %s %d\n", e.sid, nClauses)
-		e.frozen.Ops(func(_ int, clause []sat.Lit, addClause bool) {
-			if !addClause {
-				return
-			}
-			for _, v := range toDimacs(clause) {
-				write("%d ", v)
-			}
-			write("0\n")
-		})
-		if werr != nil {
-			return h.transportErr(werr)
-		}
-		if err := h.readReply(); err != nil {
-			return err
-		}
-	case strings.HasPrefix(line, "e "):
-		return fmt.Errorf("procengine: %s: open rejected: %s", h.cmd, line[2:])
-	default:
-		return h.transportErr(fmt.Errorf("unexpected open reply %q", line))
-	}
-	e.opened = true
-	e.sentVars = prefixVars
-	e.sentClauses = 0
-	return nil
-}
-
-// sendDelta ships the variables and clauses buffered since the last
-// round (mu held).
-func (h *Host) sendDelta(e *ProcessEngine) error {
-	if e.nVars == e.sentVars && len(e.clauses) == e.sentClauses {
-		return nil
-	}
-	delta := e.clauses[e.sentClauses:]
-	if err := h.send("add %s %d %d", e.sid, e.nVars, len(delta)); err != nil {
-		return err
-	}
-	var werr error
-	for _, cl := range delta {
-		for _, v := range cl {
-			if werr == nil {
-				_, werr = fmt.Fprintf(h.stdin, "%d ", v)
-			}
-		}
-		if werr == nil {
-			_, werr = fmt.Fprintln(h.stdin, "0")
-		}
-	}
-	if werr != nil {
-		return h.transportErr(werr)
-	}
-	if err := h.readReply(); err != nil {
-		return err
-	}
-	e.sentVars = e.nVars
-	e.sentClauses = len(e.clauses)
-	return nil
-}
-
-// solve sends the assumptions and reads the verdict (and model). The
-// read runs in a goroutine so a cancelled context can abandon the
-// round: within cancelGrace the late response is drained (or even
-// used — the work is done) and the host stays healthy; past it the
-// subprocess is killed (mu held).
-func (h *Host) solve(ctx context.Context, e *ProcessEngine, units []int) (*dimacs.Result, error) {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "solve %s", e.sid)
-	for _, u := range units {
-		fmt.Fprintf(&sb, " %d", u)
-	}
-	if err := h.send("%s", sb.String()); err != nil {
-		return nil, err
-	}
-	type resp struct {
-		res *dimacs.Result
-		err error
-	}
-	ch := make(chan resp, 1)
-	go func() {
-		res, err := h.readSolveResp(e.nVars)
-		ch <- resp{res, err}
-	}()
-	deliver := func(r resp) (*dimacs.Result, error) {
-		if r.err != nil {
-			if strings.Contains(r.err.Error(), "stale") {
-				return nil, fmt.Errorf("%w: %v", errStale, r.err)
-			}
-			return nil, h.transportErr(r.err)
-		}
-		return r.res, nil
-	}
-	select {
-	case r := <-ch:
-		return deliver(r)
-	case <-ctx.Done():
-		grace := time.NewTimer(cancelGrace)
-		defer grace.Stop()
-		select {
-		case r := <-ch:
-			return deliver(r)
-		case <-grace.C:
-			h.transportErr(fmt.Errorf("cancelled mid-solve: %w", ctx.Err()))
-			<-ch // the reader fails once the pipe closes
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// readSolveResp parses one solve response: `r sat` + v-lines ending
-// `v 0`, `r unsat`, `r unknown`, or `e ...`. Anything else is a
-// transport-grade error.
-func (h *Host) readSolveResp(nVars int) (*dimacs.Result, error) {
-	line, err := h.readLine()
-	if err != nil {
-		return nil, err
-	}
-	switch line {
-	case "r sat":
-		model := make([]bool, nVars+1)
-		for {
-			vl, err := h.readLine()
-			if err != nil {
-				return nil, err
-			}
-			fields := strings.Fields(vl)
-			if len(fields) == 0 || fields[0] != "v" {
-				return nil, fmt.Errorf("unexpected model line %q", vl)
-			}
-			done := false
-			for _, f := range fields[1:] {
-				v, err := strconv.Atoi(f)
-				if err != nil {
-					return nil, fmt.Errorf("bad model literal %q", f)
-				}
-				if v == 0 {
-					done = true
-					break
-				}
-				u := v
-				if u < 0 {
-					u = -u
-				}
-				if u < len(model) {
-					model[u] = v > 0
-				}
-			}
-			if done {
-				return &dimacs.Result{Status: sat.Sat, Model: model}, nil
-			}
-		}
-	case "r unsat":
-		return &dimacs.Result{Status: sat.Unsat}, nil
-	case "r unknown":
-		return &dimacs.Result{Status: sat.Unknown}, nil
-	default:
-		if strings.HasPrefix(line, "e ") {
-			return nil, fmt.Errorf("server error: %s", line[2:])
-		}
-		return nil, fmt.Errorf("unexpected solve reply %q", line)
-	}
 }

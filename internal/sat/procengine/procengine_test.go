@@ -168,10 +168,11 @@ func TestCancellationKillsProcess(t *testing.T) {
 }
 
 // TestMalformedOutput: every fault-injection mode of the stub makes the
-// engine return Unknown with a retained error — never a verdict.
+// engine return Unknown with a retained error — never a verdict. That
+// includes a well-formed SAT answer whose model falsifies a clause.
 func TestMalformedOutput(t *testing.T) {
 	stub := testsolver.Build(t)
-	modes := []string{"-mode=truncated", "-mode=nostatus", "-mode=garbage", "-mode=silent"}
+	modes := []string{"-mode=truncated", "-mode=nostatus", "-mode=garbage", "-mode=silent", "-mode=wrongmodel"}
 	for _, mode := range modes {
 		e := New(stub, mode)
 		pigeonhole(e, 4, 4) // SAT instance, so truncated/nostatus emit a model
@@ -219,198 +220,35 @@ func TestMissingBinary(t *testing.T) {
 	}
 }
 
-// TestPersistentSessionsShareOneProcess: any number of persistent
-// engines over one Host answer like the internal engine — verdicts and
-// models — while the host spawns exactly one subprocess.
-func TestPersistentSessionsShareOneProcess(t *testing.T) {
-	stub := testsolver.Build(t)
-	h := NewHost(stub)
-	defer h.Close()
-	for _, inst := range instances() {
-		ref := sat.New()
-		inst.load(ref)
-		want := ref.Solve()
-
-		e := NewPersistent(h)
-		inst.load(e)
-		got := e.Solve()
-		if got != want {
-			t.Fatalf("%s: persistent engine %v, internal %v (err: %v)", inst.name, got, want, e.Err())
-		}
-		if e.Err() != nil {
-			t.Errorf("%s: clean persistent solve left an error: %v", inst.name, e.Err())
-		}
-		if got == sat.Sat {
-			for v := 0; v < ref.NumVars(); v++ {
-				if e.Value(v) != ref.Value(v) {
-					t.Errorf("%s: model differs at x%d", inst.name, v)
-					break
-				}
-			}
-		}
-	}
-	if n := h.Spawns(); n != 1 {
-		t.Errorf("host spawned %d processes across sessions, want 1", n)
-	}
-}
-
-// TestPersistentAssumptionsAndDeltas: one session answers a sequence of
-// assumption queries interleaved with clause deltas; assumptions do not
-// leak, deltas persist, and the whole sequence matches the internal
-// engine query for query.
-func TestPersistentAssumptionsAndDeltas(t *testing.T) {
-	stub := testsolver.Build(t)
-	h := NewHost(stub)
-	defer h.Close()
-
-	e := NewPersistent(h)
-	ref := sat.New()
-	step := func(name string, f func(e sat.Engine) sat.Status) {
-		t.Helper()
-		want := f(ref)
-		got := f(e)
-		if got != want {
-			t.Fatalf("%s: persistent %v, internal %v (err: %v)", name, got, want, e.Err())
-		}
-	}
-	var x, y int
-	for _, eng := range []sat.Engine{ref, e} {
-		x, y = eng.NewVar(), eng.NewVar()
-		eng.AddClause(sat.PosLit(x), sat.PosLit(y))
-	}
-	step("base", func(e sat.Engine) sat.Status { return e.Solve() })
-	step("assume ¬x", func(e sat.Engine) sat.Status { return e.SolveAssuming([]sat.Lit{sat.NegLit(x)}) })
-	if e.Value(x) || !e.Value(y) {
-		t.Errorf("assuming ¬x: model x=%v y=%v, want false/true", e.Value(x), e.Value(y))
-	}
-	// Delta: not both. The previous assumption must be gone.
-	for _, eng := range []sat.Engine{ref, e} {
-		eng.AddClause(sat.NegLit(x), sat.NegLit(y))
-	}
-	step("delta", func(e sat.Engine) sat.Status { return e.Solve() })
-	step("assume x∧y", func(e sat.Engine) sat.Status {
-		return e.SolveAssuming([]sat.Lit{sat.PosLit(x), sat.PosLit(y)})
-	})
-	// Delta growing the variable set.
-	var z int
-	for _, eng := range []sat.Engine{ref, e} {
-		z = eng.NewVar()
-		eng.AddClause(sat.NegLit(x), sat.PosLit(z))
-	}
-	step("new var delta", func(e sat.Engine) sat.Status {
-		return e.SolveAssuming([]sat.Lit{sat.PosLit(x)})
-	})
-	if !e.Value(z) {
-		t.Errorf("assuming x: z=%v, want true", e.Value(z))
-	}
-	if n := h.Spawns(); n != 1 {
-		t.Errorf("host spawned %d processes, want 1", n)
-	}
-}
-
-// TestPersistentFrozenPrefix: engines primed with the same frozen
-// prefix share one server-side prefix upload and one subprocess; each
-// fork's delta stays private, and a broken-session fallback still sees
-// the frozen clauses (the one-shot dump materializes the prefix).
-func TestPersistentFrozenPrefix(t *testing.T) {
+// TestFrozenPrefixDump: engines primed with one frozen prefix dump it
+// with their own delta, so each fork decides prefix plus delta and the
+// forks do not leak into one another.
+func TestFrozenPrefixDump(t *testing.T) {
 	stub := testsolver.Build(t)
 	stream := sat.NewStream()
 	a, b := sat.PosLit(stream.NewVar()), sat.PosLit(stream.NewVar())
 	stream.AddClause(a, b)
 	frozen := stream.Freeze()
 
-	h := NewHost(stub)
-	defer h.Close()
-	pin := []sat.Lit{a.Neg(), a} // fork i pins a to i's parity
-	for i, lit := range pin {
-		e := NewPersistent(h)
+	for i, lit := range []sat.Lit{a.Neg(), a} { // fork i pins a to i's parity
+		e := New(stub)
 		sat.Prime(e, frozen)
 		e.AddClause(lit)
 		if got := e.Solve(); got != sat.Sat {
 			t.Fatalf("fork %d: %v (err: %v)", i, got, e.Err())
 		}
-		if e.LitTrue(lit) != true || e.LitTrue(lit.Neg()) {
+		if !e.LitTrue(lit) {
 			t.Errorf("fork %d: pinned literal false in model", i)
 		}
 	}
-	// Contradictory pins together would be UNSAT; separately each fork is
-	// SAT — forks did not leak into one another.
-	if n := h.Spawns(); n != 1 {
-		t.Errorf("host spawned %d processes, want 1", n)
-	}
-
-	// A one-shot fallback engine (broken host) must still include the
-	// frozen prefix in its dump: pinning both a and b false contradicts
-	// the prefix clause.
-	h2 := NewHost(stub, "-serve-fault=stale")
-	defer h2.Close()
-	e := NewPersistent(h2)
+	// Pinning both a and b false contradicts the prefix clause, so the
+	// dump must carry the prefix.
+	e := New(stub)
 	sat.Prime(e, frozen)
 	e.AddClause(a.Neg())
 	e.AddClause(b.Neg())
-	if got := e.Solve(); got != sat.Unknown || e.Err() == nil {
-		t.Fatalf("twice-stale session: %v (err: %v), want Unknown with error", got, e.Err())
-	}
 	if got := e.Solve(); got != sat.Unsat {
-		t.Errorf("fallback dump missing frozen prefix: %v, want Unsat (err: %v)", got, e.Err())
-	}
-	if e.Err() != nil {
-		t.Errorf("clean fallback solve left an error: %v", e.Err())
-	}
-}
-
-// TestPersistentFaultDegradation: every persistent-protocol fault mode
-// degrades the failing call to Unknown with Err set — never a wrong
-// verdict — and later calls answer correctly on the one-shot path.
-func TestPersistentFaultDegradation(t *testing.T) {
-	stub := testsolver.Build(t)
-	cases := []struct {
-		name string
-		args []string
-	}{
-		{"hangup", []string{"-serve-fault=hangup", "-serve-fault-after=2"}},
-		{"garbage", []string{"-serve-fault=garbage", "-serve-fault-after=2"}},
-		{"stale", []string{"-serve-fault=stale"}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			h := NewHost(stub, c.args...)
-			defer h.Close()
-			e := NewPersistent(h)
-			x, y := e.NewVar(), e.NewVar()
-			e.AddClause(sat.PosLit(x), sat.PosLit(y))
-			e.AddClause(sat.NegLit(x), sat.NegLit(y))
-
-			faulted := false
-			for q, as := range [][]sat.Lit{
-				nil, // healthy for fault-after=2; already stale for stale
-				{sat.PosLit(x), sat.PosLit(y)},
-				{sat.PosLit(x)},
-			} {
-				want := sat.Sat
-				if q == 1 {
-					want = sat.Unsat
-				}
-				got := e.SolveAssuming(as)
-				if got == sat.Unknown && !faulted {
-					// The injected failure: Unknown with a retained error.
-					faulted = true
-					if e.Err() == nil {
-						t.Fatalf("query %d: Unknown with no error", q)
-					}
-					continue
-				}
-				if got != want {
-					t.Fatalf("query %d: verdict %v, want %v (err: %v)", q, got, want, e.Err())
-				}
-				if faulted && e.Err() != nil {
-					t.Errorf("query %d: fallback solve left an error: %v", q, e.Err())
-				}
-			}
-			if !faulted {
-				t.Fatalf("fault %s never fired", c.name)
-			}
-		})
+		t.Errorf("dump missing frozen prefix: %v, want Unsat (err: %v)", got, e.Err())
 	}
 }
 

@@ -3,7 +3,6 @@ package sat
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -14,35 +13,28 @@ import (
 // This file defines the solver-spec grammar shared by every -solver and
 // -portfolio flag and by campaign plan serialization: a small language
 // naming which engine backend answers SAT queries (the internal CDCL
-// solver, an external DIMACS-pipe solver, or the BDD engine) and how it
-// is tuned. The grammar is pure data — parsing never touches the
-// filesystem or PATH — so campaign plans can be created on one machine
-// and executed on another; engine construction lives in internal/attack,
-// which can import the backend packages without a cycle.
+// solver or an external DIMACS-pipe solver) and how it is tuned. The
+// grammar is pure data — parsing never touches the filesystem or PATH
+// — so campaign plans can be created on one machine and executed on
+// another; engine construction lives in internal/attack, which can
+// import the backend packages without a cycle.
 
 // EngineKind selects a solver backend.
 type EngineKind int
 
 // Available backends. EngineInternal is the in-process CDCL solver
 // (*Solver); EngineProcess pipes DIMACS to an external solver binary
-// (kissat, cadical, ...); EngineBDD decides queries exactly on ROBDDs
-// and returns Unknown when its node budget blows up, so portfolios fall
-// through to SAT.
+// (kissat, cadical, ...), one process per query.
 const (
 	EngineInternal EngineKind = iota
 	EngineProcess
-	EngineBDD
 )
 
 func (k EngineKind) String() string {
-	switch k {
-	case EngineProcess:
+	if k == EngineProcess {
 		return "process"
-	case EngineBDD:
-		return "bdd"
-	default:
-		return "internal"
 	}
+	return "internal"
 }
 
 // EngineSpec is the parsed form of one engine spec. Exactly the fields
@@ -51,19 +43,10 @@ func (k EngineKind) String() string {
 //	internal[:<config>]   Config (sat.ParseConfig syntax)
 //	<name> | process:cmd=P  Cmd — the solver binary name (resolved on
 //	                        PATH at run time) or an explicit path
-//	...,persistent=true   Persistent — keep one long-lived solver
-//	                      subprocess per engine speaking the incremental
-//	                      session protocol instead of dump+respawn per
-//	                      query (process engines only; the binary must
-//	                      support -serve)
-//	bdd[:max-nodes=N]     MaxNodes — the ROBDD node budget (0 = the
-//	                      bdd package default of 1<<20)
 type EngineSpec struct {
-	Kind       EngineKind
-	Config     Config
-	Cmd        string
-	MaxNodes   int
-	Persistent bool
+	Kind   EngineKind
+	Config Config
+	Cmd    string
 }
 
 // InternalSpec wraps a solver configuration as an internal-engine spec.
@@ -76,25 +59,13 @@ func InternalSpec(cfg Config) EngineSpec {
 // Config.String() — exactly the pre-heterogeneous ledger labels, so
 // learned-portfolio matching spans runs of either vintage.
 func (s EngineSpec) String() string {
-	switch s.Kind {
-	case EngineProcess:
-		if isBareSolverName(s.Cmd) {
-			if s.Persistent {
-				return s.Cmd + ":persistent=true"
-			}
-			return s.Cmd
-		}
-		if s.Persistent {
-			return "process:cmd=" + s.Cmd + ",persistent=true"
-		}
-		return "process:cmd=" + s.Cmd
-	case EngineBDD:
-		if s.MaxNodes > 0 {
-			return fmt.Sprintf("bdd:max-nodes=%d", s.MaxNodes)
-		}
-		return "bdd"
-	default:
+	switch {
+	case s.Kind != EngineProcess:
 		return s.Config.String()
+	case isBareSolverName(s.Cmd):
+		return s.Cmd
+	default:
+		return "process:cmd=" + s.Cmd
 	}
 }
 
@@ -130,13 +101,11 @@ func isBareSolverName(cmd string) bool {
 //	"internal:seed=7"         internal engine, explicit kind
 //	"kissat"                  external DIMACS solver, found on PATH
 //	"process:cmd=/opt/ks"     external DIMACS solver at a given path
-//	"stub:persistent=true"    external solver in persistent-session mode
-//	                          (one long-lived subprocess, incremental
-//	                          line protocol; the binary must speak it)
-//	"bdd:max-nodes=1<<20"     BDD engine with a node budget
 //
 // Process-engine binaries are looked up when the engine is built, not
-// here: a plan mentioning kissat parses on a machine without it.
+// here: a plan mentioning kissat parses on a machine without it. The
+// removed BDD engine's "bdd" stays a reserved word, so a flag, plan or
+// job spec naming it is rejected rather than run as a solver binary.
 func ParseEngineSpec(spec string) (EngineSpec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -164,26 +133,7 @@ func ParseEngineSpec(spec string) (EngineSpec, error) {
 		}
 		return InternalSpec(cfg), nil
 	case "bdd":
-		s := EngineSpec{Kind: EngineBDD}
-		if hasOpts {
-			for _, kv := range splitOpts(rest) {
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return EngineSpec{}, fmt.Errorf("sat: bdd option %q is not key=value", kv)
-				}
-				switch k {
-				case "max-nodes", "nodes":
-					n, err := parseNodeCount(v)
-					if err != nil {
-						return EngineSpec{}, fmt.Errorf("sat: bdd option %q: %v", kv, err)
-					}
-					s.MaxNodes = n
-				default:
-					return EngineSpec{}, fmt.Errorf("sat: bdd option %q: unknown key", kv)
-				}
-			}
-		}
-		return s, nil
+		return EngineSpec{}, fmt.Errorf("sat: engine spec %q: the bdd engine has been removed; use internal or an external DIMACS solver", spec)
 	case "process", "dimacs":
 		return parseProcessSpec(spec, "", rest)
 	default:
@@ -196,8 +146,8 @@ func ParseEngineSpec(spec string) (EngineSpec, error) {
 }
 
 // parseProcessSpec parses the options of an external-solver spec —
-// cmd (or path) and persistent — for both spellings, "process:<opts>"
-// and "<name>:<opts>", starting from the command cmd. A spec that
+// cmd (or path) — for both spellings, "process:<opts>" and
+// "<name>:<opts>", starting from the command cmd. A spec that
 // leaves the command empty is rejected: its canonical form,
 // "process:cmd=", does not parse.
 func parseProcessSpec(spec, cmd, opts string) (EngineSpec, error) {
@@ -210,12 +160,6 @@ func parseProcessSpec(spec, cmd, opts string) (EngineSpec, error) {
 		switch k {
 		case "cmd", "path":
 			s.Cmd = v
-		case "persistent":
-			b, err := strconv.ParseBool(v)
-			if err != nil {
-				return EngineSpec{}, fmt.Errorf("sat: process option %q: %v", kv, err)
-			}
-			s.Persistent = b
 		default:
 			return EngineSpec{}, fmt.Errorf("sat: process option %q: unknown key", kv)
 		}
@@ -236,30 +180,12 @@ func splitOpts(s string) []string {
 	return out
 }
 
-// parseNodeCount parses a positive integer with optional "1<<20" shift
-// syntax; a shift that overflows int is rejected.
-func parseNodeCount(v string) (int, error) {
-	if base, shift, ok := strings.Cut(v, "<<"); ok {
-		b, err1 := strconv.Atoi(strings.TrimSpace(base))
-		s, err2 := strconv.Atoi(strings.TrimSpace(shift))
-		if err1 != nil || err2 != nil || b < 1 || s < 0 || s > 40 || b > math.MaxInt>>s {
-			return 0, fmt.Errorf("bad shift count %q", v)
-		}
-		return b << s, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad node count %q", v)
-	}
-	return n, nil
-}
-
 // ParseEngineList parses a heterogeneous -portfolio list into engine
 // specs. Entries are comma-separated; a comma-separated token containing
 // '=' continues the previous entry's option list (engine options
 // themselves use commas), so
 //
-//	internal:seed=7,restart=geometric,kissat,bdd:max-nodes=1<<18
+//	internal:seed=7,restart=geometric,kissat,process:cmd=/opt/cadical
 //
 // is three engines. A bare "internal" entry inherits base (the -solver
 // config); "internal:<opts>" stands alone. Duplicate canonical specs are
@@ -275,7 +201,7 @@ func ParseEngineList(list string, base Config) ([]EngineSpec, error) {
 		// A bare key=value token (no kind prefix before the '=') continues
 		// the previous entry's options; anything else — a bare engine name
 		// or a kind:... prefix — starts a new entry. An entry that so far
-		// has no options at all ("internal", "bdd", "kissat") gains its
+		// has no options at all ("internal", "kissat") gains its
 		// first one with the ':' separator the single-spec grammar wants.
 		eq := strings.Index(tok, "=")
 		colon := strings.Index(tok, ":")

@@ -20,12 +20,6 @@ var engineSpecForms = []struct {
 	{"kissat", EngineSpec{Kind: EngineProcess, Cmd: "kissat"}},
 	{"kissat:path=/usr/local/bin/kissat", EngineSpec{Kind: EngineProcess, Cmd: "/usr/local/bin/kissat"}},
 	{"process:cmd=/tmp/solver", EngineSpec{Kind: EngineProcess, Cmd: "/tmp/solver"}},
-	{"kissat:persistent=true", EngineSpec{Kind: EngineProcess, Cmd: "kissat", Persistent: true}},
-	{"kissat:persistent=false", EngineSpec{Kind: EngineProcess, Cmd: "kissat"}},
-	{"process:cmd=/tmp/solver,persistent=true", EngineSpec{Kind: EngineProcess, Cmd: "/tmp/solver", Persistent: true}},
-	{"bdd", EngineSpec{Kind: EngineBDD}},
-	{"bdd:max-nodes=4096", EngineSpec{Kind: EngineBDD, MaxNodes: 4096}},
-	{"bdd:max-nodes=1<<20", EngineSpec{Kind: EngineBDD, MaxNodes: 1 << 20}},
 }
 
 // badEngineSpecs lists specs the grammar must reject.
@@ -33,17 +27,23 @@ var badEngineSpecs = []string{
 	"frobnicate=1",          // unknown internal config key
 	"internal:frobnicate=1", // same, explicit kind
 	"vdecay=NaN",
+	"bdd", // the removed BDD engine: a reserved word, not a binary
+	"bdd:max-nodes=4096",
+	"bdd:max-nodes=1<<20",
 	"bdd:max-nodes=0",
 	"bdd:max-nodes=x",
-	"bdd:max-nodes=8388609<<40", // overflows int
+	"bdd:max-nodes=8388609<<40",
 	"bdd:color=red",
+	"kissat:persistent=true", // removed persistent sessions
+	"kissat:persistent=false",
+	"process:cmd=/tmp/solver,persistent=true",
+	"kissat:persistent=maybe",
+	"process:cmd=/tmp/s,persistent=2",
 	"process",         // no cmd
 	"process:cmd=",    // empty cmd
 	"kissat:cmd=",     // empty cmd, bare-name spelling
 	"process:wrong=1", // unknown key
 	"kissat:verbose=1",
-	"kissat:persistent=maybe", // unparsable bool
-	"process:cmd=/tmp/s,persistent=2",
 	"a b",  // whitespace in a bare name
 	"a\v:", // trailing white space in a bare name
 	"a,b:", // comma in a bare name
@@ -104,21 +104,21 @@ func FuzzParseEngineSpec(f *testing.F) {
 
 func TestParseEngineList(t *testing.T) {
 	base := Config{Seed: 5}
-	specs, err := ParseEngineList("internal:seed=7,restart=geometric,kissat,bdd:max-nodes=1<<18", base)
+	specs, err := ParseEngineList("internal:seed=7,restart=geometric,kissat,process:cmd=/opt/cadical", base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []EngineSpec{
 		InternalSpec(Config{Seed: 7, Restart: RestartGeometric}),
 		{Kind: EngineProcess, Cmd: "kissat"},
-		{Kind: EngineBDD, MaxNodes: 1 << 18},
+		{Kind: EngineProcess, Cmd: "/opt/cadical"},
 	}
 	if !reflect.DeepEqual(specs, want) {
 		t.Errorf("ParseEngineList = %+v, want %+v", specs, want)
 	}
 
 	// A bare "internal" entry inherits the -solver base config.
-	specs, err = ParseEngineList("internal,bdd", base)
+	specs, err = ParseEngineList("internal,kissat", base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,35 +128,27 @@ func TestParseEngineList(t *testing.T) {
 
 	// A leading option token with no kind starts an implicit internal
 	// entry (the legacy -solver grammar embedded in a list).
-	specs, err = ParseEngineList("seed=3,restart=geometric,bdd", Config{})
+	specs, err = ParseEngineList("seed=3,restart=geometric,kissat", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 2 || specs[0] != InternalSpec(Config{Seed: 3, Restart: RestartGeometric}) || specs[1].Kind != EngineBDD {
+	if len(specs) != 2 || specs[0] != InternalSpec(Config{Seed: 3, Restart: RestartGeometric}) || specs[1].Cmd != "kissat" {
 		t.Errorf("implicit internal entry: %+v", specs)
 	}
 
 	// Options may follow a colon-less entry directly: the first
 	// continuation token supplies the ':' the single-spec grammar wants.
-	specs, err = ParseEngineList("internal,seed=3,restart=geometric,bdd,max-nodes=4096", Config{})
+	specs, err = ParseEngineList("internal,seed=3,restart=geometric,kissat,path=/opt/kissat", Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) != 2 || specs[0] != InternalSpec(Config{Seed: 3, Restart: RestartGeometric}) ||
-		specs[1] != (EngineSpec{Kind: EngineBDD, MaxNodes: 4096}) {
+		specs[1] != (EngineSpec{Kind: EngineProcess, Cmd: "/opt/kissat"}) {
 		t.Errorf("colon-less continuation: %+v", specs)
 	}
 
-	// persistent=true continues an external entry like any option token.
-	specs, err = ParseEngineList("internal,stub,persistent=true", Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 2 || specs[1] != (EngineSpec{Kind: EngineProcess, Cmd: "stub", Persistent: true}) {
-		t.Errorf("persistent continuation: %+v", specs)
-	}
-
-	for _, bad := range []string{"", " , ", "internal,internal", "kissat,kissat", "bdd,frobnicate=1"} {
+	for _, bad := range []string{"", " , ", "internal,internal", "kissat,kissat", "internal,bdd",
+		"internal,stub,persistent=true", "kissat,frobnicate=1"} {
 		if specs, err := ParseEngineList(bad, Config{}); err == nil {
 			t.Errorf("ParseEngineList(%q) accepted a bad list: %+v", bad, specs)
 		}
@@ -201,24 +193,26 @@ func TestResolveSolverFlags(t *testing.T) {
 func TestLearnedConfigs(t *testing.T) {
 	specs := []EngineSpec{
 		InternalSpec(Config{}),
-		{Kind: EngineBDD},
+		InternalSpec(Config{Seed: 9, ConflictBudget: 1}),
 		{Kind: EngineProcess, Cmd: "kissat"},
 	}
 	prior := []ConfigStats{
 		{Config: specs[0].String(), Races: 40, Wins: 5},
-		{Config: "bdd", Races: 40, Wins: 0},
+		{Config: "seed=9,budget=1", Races: 40, Wins: 0},
 		{Config: "kissat", Races: 40, Wins: 35},
 	}
 
-	// Reorder only: kissat first (most wins), bdd last, nothing dropped.
+	// Reorder only: kissat first (most wins), the budgeted engine last,
+	// nothing dropped.
 	got := LearnedConfigs(specs, prior, 0)
-	if len(got) != 3 || got[0].Cmd != "kissat" || got[1].Kind != EngineInternal || got[2].Kind != EngineBDD {
+	if len(got) != 3 || got[0].Cmd != "kissat" || got[1] != specs[0] || got[2] != specs[1] {
 		t.Errorf("reorder: %v", EngineLabels(got))
 	}
 
-	// Drop: bdd raced >= 20 times without a win while others won.
+	// Drop: the budgeted engine raced >= 20 times without a win while
+	// others won.
 	got = LearnedConfigs(specs, prior, 20)
-	if len(got) != 2 || got[0].Cmd != "kissat" || got[1].Kind != EngineInternal {
+	if len(got) != 2 || got[0].Cmd != "kissat" || got[1] != specs[0] {
 		t.Errorf("drop: %v", EngineLabels(got))
 	}
 
@@ -238,7 +232,7 @@ func TestLearnedConfigs(t *testing.T) {
 	// All losers: nothing is dropped (there is no winner to keep).
 	losers := []ConfigStats{
 		{Config: specs[0].String(), Races: 40},
-		{Config: "bdd", Races: 40},
+		{Config: "seed=9,budget=1", Races: 40},
 		{Config: "kissat", Races: 40},
 	}
 	if got := LearnedConfigs(specs, losers, 20); len(got) != 3 {
@@ -249,13 +243,13 @@ func TestLearnedConfigs(t *testing.T) {
 func TestMergeStats(t *testing.T) {
 	a := []ConfigStats{{Config: "seed=0", Races: 3, Wins: 2, SatWins: 1, UnsatWins: 1, Conflicts: 10}}
 	b := []ConfigStats{
-		{Config: "bdd", Races: 3, Wins: 1, SatWins: 1, Conflicts: 0},
+		{Config: "kissat", Races: 3, Wins: 1, SatWins: 1, Conflicts: 0},
 		{Config: "seed=0", Races: 4, Wins: 2, UnsatWins: 2, Conflicts: 7},
 	}
 	got := MergeStats(a, b)
 	want := []ConfigStats{
 		{Config: "seed=0", Races: 7, Wins: 4, SatWins: 1, UnsatWins: 3, Conflicts: 17},
-		{Config: "bdd", Races: 3, Wins: 1, SatWins: 1},
+		{Config: "kissat", Races: 3, Wins: 1, SatWins: 1},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("MergeStats = %+v, want %+v", got, want)
@@ -264,7 +258,7 @@ func TestMergeStats(t *testing.T) {
 
 func TestStatsFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "portfolio_stats.json")
-	stats := []ConfigStats{{Config: "seed=0", Races: 2, Wins: 1, SatWins: 1, Conflicts: 5}, {Config: "bdd", Races: 2}}
+	stats := []ConfigStats{{Config: "seed=0", Races: 2, Wins: 1, SatWins: 1, Conflicts: 5}, {Config: "kissat", Races: 2}}
 	if err := WriteStatsFile(path, stats); err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,8 @@ import (
 // into any Engine reproduces exactly the calls direct construction
 // would have made — same variable numbering, same clause order, same
 // interleaving — so a replayed engine is state-identical to one built
-// from scratch. The content hashes are what the higher tiers key on:
-// persistent solver sessions load a frozen prefix once per hash, and
-// the verdict memo cache keys queries by (prefix hash, delta hash,
-// assumptions).
+// from scratch. The content hashes are what the verdict memo keys
+// queries on: (prefix hash, delta hash, assumptions).
 
 // streamOp is one step of the recorded stream: allocate newVars fresh
 // variables, then (when hasClause) add clause. Recording the
@@ -152,9 +150,7 @@ func (f *Frozen) Replay(e Engine) bool {
 }
 
 // FrozenLoader is implemented by engines that can adopt a frozen
-// prefix without per-clause replay: the DIMACS-pipe engine (which
-// defers the dump, and in persistent mode loads the prefix into its
-// server session once per hash), the memo engine (which records the
+// prefix without per-clause replay: the memo engine (which records the
 // reference) and Portfolio (which forwards to every member). Prime is
 // the one entry point; LoadFrozen requires a fresh engine.
 type FrozenLoader interface {

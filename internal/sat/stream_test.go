@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/sat"
-	"repro/internal/sat/bddengine"
 )
 
 // randOps generates a random interleaved variable/clause stream over
@@ -149,11 +148,12 @@ func TestFrozenReplayIdentity(t *testing.T) {
 }
 
 // TestFrozenReplayHeterogeneousPortfolio checks the verdict property
-// through a heterogeneous racing portfolio (internal CDCL + BDD)
-// primed with a frozen prefix: every backend decides the same
-// replayed formula, so verdicts match the direct run. Models are not
-// compared (the winning backend varies); this runs under -race to
-// exercise the priming + racing paths together.
+// through a racing portfolio primed with a frozen prefix whose members
+// take the prefix two ways: the internal solver replays it clause by
+// clause, the memo engine adopts it natively (sat.FrozenLoader). Both
+// decide the same formula, so verdicts match the direct run. Models
+// are not compared (the winning member varies); this runs under -race
+// to exercise the priming + racing paths together.
 func TestFrozenReplayHeterogeneousPortfolio(t *testing.T) {
 	for seed := int64(100); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -170,7 +170,9 @@ func TestFrozenReplayHeterogeneousPortfolio(t *testing.T) {
 		applyOps(stream, ops[:cut])
 		frozen := stream.Freeze()
 
-		p := sat.NewEnginePortfolio([]sat.Engine{sat.New(), bddengine.New(0)}, nil)
+		var ctr sat.MemoCounters
+		memo := sat.NewMemoEngine(sat.NewMemo(0), &ctr, sat.NewWith(sat.Config{Seed: 3, Phase: sat.PhaseFalse}))
+		p := sat.NewEnginePortfolio([]sat.Engine{sat.New(), memo}, nil)
 		sat.Prime(p, frozen)
 		applyOps(p, ops[cut:])
 		if got := p.SolveAssuming(as); got != want {

@@ -15,29 +15,17 @@
 //	-mode=truncated   drop the model's 0 terminator (and its tail)
 //	-mode=garbage     unparseable status line
 //	-mode=silent      no output at all
+//	-mode=wrongmodel  well-formed SAT answer with the first model
+//	                  literal flipped (a model that falsifies a clause)
 //	-sleep=DUR        sleep before answering (cancellation tests)
 //	-exit=N           override the exit code (-1 = competition codes)
-//
-// With -serve the stub instead speaks procengine's persistent-session
-// line protocol on stdin/stdout (see the serve function), so the
-// persistent-session mode is testable without a protocol-speaking real
-// solver. Its fault injection:
-//
-//	-serve-fault=hangup   exit mid-session before the Nth solve reply
-//	-serve-fault=garbage  answer the Nth solve with an unparseable verdict
-//	-serve-fault=stale    forget each session right after opening it, so
-//	                      every add/solve gets an `e stale` error
-//	-serve-fault-after=N  which solve triggers hangup/garbage (default 1)
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/dimacs"
@@ -45,17 +33,10 @@ import (
 )
 
 func main() {
-	mode := flag.String("mode", "ok", "output fault injection: ok | nostatus | truncated | garbage | silent")
+	mode := flag.String("mode", "ok", "output fault injection: ok | nostatus | truncated | garbage | silent | wrongmodel")
 	sleep := flag.Duration("sleep", 0, "sleep before answering")
 	exitCode := flag.Int("exit", -1, "exit code override (-1 = 10 for SAT, 20 for UNSAT, 0 otherwise)")
-	serveMode := flag.Bool("serve", false, "speak the persistent-session protocol on stdin/stdout")
-	serveFault := flag.String("serve-fault", "", "persistent-protocol fault injection: hangup | garbage | stale")
-	serveFaultAfter := flag.Int("serve-fault-after", 1, "which solve request triggers -serve-fault")
 	flag.Parse()
-
-	if *serveMode {
-		os.Exit(serve(*serveFault, *serveFaultAfter, *sleep))
-	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -88,7 +69,7 @@ func main() {
 	case "silent":
 	case "garbage":
 		fmt.Println("s MAYBE")
-	case "ok", "nostatus", "truncated":
+	case "ok", "nostatus", "truncated", "wrongmodel":
 		if *mode != "nostatus" {
 			switch st {
 			case sat.Sat:
@@ -100,7 +81,7 @@ func main() {
 			}
 		}
 		if st == sat.Sat || *mode == "nostatus" {
-			printModel(s, vars, formula.NumVars, *mode == "truncated")
+			printModel(s, vars, formula.NumVars, *mode)
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "stub: unknown mode %q\n", *mode)
@@ -118,9 +99,10 @@ func main() {
 }
 
 // printModel emits v-lines wrapped at ten literals per line (exercising
-// multi-line model parsing); truncated drops the second half of the
-// model and the 0 terminator.
-func printModel(s *sat.Solver, vars []sat.Lit, numVars int, truncated bool) {
+// multi-line model parsing); mode truncated drops the second half of
+// the model and the 0 terminator, mode wrongmodel flips variable 1.
+func printModel(s *sat.Solver, vars []sat.Lit, numVars int, mode string) {
+	truncated := mode == "truncated"
 	limit := numVars
 	if truncated {
 		limit = numVars / 2
@@ -128,8 +110,12 @@ func printModel(s *sat.Solver, vars []sat.Lit, numVars int, truncated bool) {
 	for v := 1; v <= limit; v += 10 {
 		fmt.Print("v")
 		for u := v; u <= limit && u < v+10; u++ {
+			val := s.LitTrue(vars[u])
+			if mode == "wrongmodel" && u == 1 {
+				val = !val
+			}
 			lit := u
-			if !s.LitTrue(vars[u]) {
+			if !val {
 				lit = -u
 			}
 			fmt.Printf(" %d", lit)
@@ -139,270 +125,4 @@ func printModel(s *sat.Solver, vars []sat.Lit, numVars int, truncated bool) {
 	if !truncated {
 		fmt.Println("v 0")
 	}
-}
-
-// serve speaks procengine's persistent-session protocol: a line-based
-// request/response exchange on stdin/stdout. Requests (client → stub):
-//
-//	open <sid> <hash> <nvars>       create session sid over the frozen
-//	                                prefix named by hash; replies `ok`
-//	                                when the prefix is cached, `need`
-//	                                when the client must send it
-//	prefix <sid> <nclauses>         the prefix body (nclauses lines of
-//	                                DIMACS ints, each 0-terminated),
-//	                                sent after `need`; replies `ok`
-//	add <sid> <nvars> <nclauses>    extend the session to nvars total
-//	                                variables plus delta clauses;
-//	                                replies `ok`
-//	solve <sid> [lit...]            solve under assumption literals;
-//	                                replies `r sat` + `v` model lines
-//	                                ending `v 0`, `r unsat`, or
-//	                                `r unknown`
-//
-// Any protocol-level failure replies `e <message>` and keeps serving; a
-// forgotten session id replies `e stale ...` (the client reopens once).
-// Each session runs the repository's default-configured CDCL solver fed
-// the exact stream the client replays, so persistent-session answers —
-// models included — match the internal engine's byte for byte.
-func serve(fault string, faultAfter int, sleep time.Duration) int {
-	in := bufio.NewScanner(os.Stdin)
-	in.Buffer(make([]byte, 1<<16), 1<<24)
-	out := bufio.NewWriter(os.Stdout)
-	reply := func(format string, args ...any) {
-		fmt.Fprintf(out, format+"\n", args...)
-		out.Flush()
-	}
-
-	type session struct {
-		s    *sat.Solver
-		vars []sat.Lit // 1-based
-		ok   bool
-	}
-	type prefix struct {
-		nVars   int
-		clauses [][]int
-	}
-	prefixes := map[string]*prefix{}
-	sessions := map[string]*session{}
-	solves := 0
-
-	readClause := func() ([]int, error) {
-		if !in.Scan() {
-			return nil, io.ErrUnexpectedEOF
-		}
-		fields := strings.Fields(in.Text())
-		if len(fields) == 0 || fields[len(fields)-1] != "0" {
-			return nil, fmt.Errorf("clause line %q not 0-terminated", in.Text())
-		}
-		cl := make([]int, 0, len(fields)-1)
-		for _, f := range fields[:len(fields)-1] {
-			v, err := strconv.Atoi(f)
-			if err != nil || v == 0 {
-				return nil, fmt.Errorf("bad literal %q", f)
-			}
-			cl = append(cl, v)
-		}
-		return cl, nil
-	}
-	grow := func(ses *session, nVars int) {
-		for len(ses.vars)-1 < nVars {
-			ses.vars = append(ses.vars, sat.PosLit(ses.s.NewVar()))
-		}
-	}
-	addClause := func(ses *session, cl []int) bool {
-		lits := make([]sat.Lit, len(cl))
-		for i, v := range cl {
-			u := v
-			if u < 0 {
-				u = -u
-			}
-			if u >= len(ses.vars) {
-				return false
-			}
-			l := ses.vars[u]
-			if v < 0 {
-				l = l.Neg()
-			}
-			lits[i] = l
-		}
-		ses.ok = ses.s.AddClause(lits...) && ses.ok
-		return true
-	}
-
-	for in.Scan() {
-		fields := strings.Fields(in.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "open": // open <sid> <hash> <nvars>
-			if len(fields) != 4 {
-				reply("e malformed open %q", in.Text())
-				continue
-			}
-			sid, hash := fields[1], fields[2]
-			nVars, err := strconv.Atoi(fields[3])
-			if err != nil || nVars < 0 {
-				reply("e bad open nvars %q", fields[3])
-				continue
-			}
-			p, known := prefixes[hash]
-			if !known {
-				reply("need")
-				if !in.Scan() {
-					return 0
-				}
-				pf := strings.Fields(in.Text())
-				if len(pf) != 3 || pf[0] != "prefix" || pf[1] != sid {
-					reply("e expected prefix %s, got %q", sid, in.Text())
-					continue
-				}
-				nClauses, err := strconv.Atoi(pf[2])
-				if err != nil || nClauses < 0 {
-					reply("e bad prefix count %q", pf[2])
-					continue
-				}
-				p = &prefix{nVars: nVars}
-				for i := 0; i < nClauses; i++ {
-					cl, err := readClause()
-					if err != nil {
-						reply("e prefix clause: %v", err)
-						p = nil
-						break
-					}
-					p.clauses = append(p.clauses, cl)
-				}
-				if p == nil {
-					continue
-				}
-				prefixes[hash] = p
-			}
-			ses := &session{s: sat.New(), ok: true, vars: make([]sat.Lit, 1, p.nVars+1)}
-			grow(ses, p.nVars)
-			bad := false
-			for _, cl := range p.clauses {
-				if !addClause(ses, cl) {
-					bad = true
-					break
-				}
-			}
-			if bad {
-				reply("e prefix literal out of range")
-				continue
-			}
-			sessions[sid] = ses
-			reply("ok")
-			if fault == "stale" {
-				// Forget the session immediately: the very next add/solve
-				// sees `e stale`, and so does the client's one retry.
-				delete(sessions, sid)
-			}
-		case "add": // add <sid> <nvars> <nclauses>
-			if len(fields) != 4 {
-				reply("e malformed add %q", in.Text())
-				continue
-			}
-			ses, ok := sessions[fields[1]]
-			if !ok {
-				reply("e stale session %s", fields[1])
-				continue
-			}
-			nVars, err1 := strconv.Atoi(fields[2])
-			nClauses, err2 := strconv.Atoi(fields[3])
-			if err1 != nil || err2 != nil || nVars < 0 || nClauses < 0 {
-				reply("e bad add counts %q", in.Text())
-				continue
-			}
-			grow(ses, nVars)
-			failed := false
-			for i := 0; i < nClauses; i++ {
-				cl, err := readClause()
-				if err != nil {
-					reply("e add clause: %v", err)
-					failed = true
-					break
-				}
-				if !addClause(ses, cl) {
-					reply("e add literal out of range")
-					failed = true
-					break
-				}
-			}
-			if !failed {
-				reply("ok")
-			}
-		case "solve": // solve <sid> [lit...]
-			ses, ok := sessions[fields[1]]
-			if !ok {
-				reply("e stale session %s", fields[1])
-				continue
-			}
-			solves++
-			if sleep > 0 {
-				time.Sleep(sleep)
-			}
-			if fault == "hangup" && solves >= faultAfter {
-				os.Exit(3)
-			}
-			if fault == "garbage" && solves >= faultAfter {
-				reply("r maybe")
-				continue
-			}
-			as := make([]sat.Lit, 0, len(fields)-2)
-			bad := false
-			for _, f := range fields[2:] {
-				v, err := strconv.Atoi(f)
-				if err != nil || v == 0 {
-					reply("e bad assumption %q", f)
-					bad = true
-					break
-				}
-				u := v
-				if u < 0 {
-					u = -u
-				}
-				if u >= len(ses.vars) {
-					reply("e assumption out of range %q", f)
-					bad = true
-					break
-				}
-				l := ses.vars[u]
-				if v < 0 {
-					l = l.Neg()
-				}
-				as = append(as, l)
-			}
-			if bad {
-				continue
-			}
-			st := sat.Unsat
-			if ses.ok {
-				st = ses.s.SolveAssuming(as)
-			}
-			switch st {
-			case sat.Sat:
-				fmt.Fprintln(out, "r sat")
-				for v := 1; v < len(ses.vars); v += 10 {
-					fmt.Fprint(out, "v")
-					for u := v; u < len(ses.vars) && u < v+10; u++ {
-						lit := u
-						if !ses.s.LitTrue(ses.vars[u]) {
-							lit = -u
-						}
-						fmt.Fprintf(out, " %d", lit)
-					}
-					fmt.Fprintln(out)
-				}
-				fmt.Fprintln(out, "v 0")
-				out.Flush()
-			case sat.Unsat:
-				reply("r unsat")
-			default:
-				reply("r unknown")
-			}
-		default:
-			reply("e bad command %q", fields[0])
-		}
-	}
-	return 0
 }

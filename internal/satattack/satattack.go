@@ -84,8 +84,8 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 
 	// Miter solver Q. The two-copy miter is encoded into a clause
 	// stream, frozen, and loaded into the engine in one shot (O(1) and
-	// content-hashed for persistent or memoizing backends); the
-	// per-iteration I/O constraints then extend the live engine.
+	// content-hashed for memoizing backends); the per-iteration I/O
+	// constraints then extend the live engine.
 	qst := sat.NewStream()
 	qe := cnf.NewEncoder(qst)
 	lits1 := qe.EncodeCircuitWith(locked, nil)

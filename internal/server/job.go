@@ -71,7 +71,7 @@ type JobSpec struct {
 	Workers int `json:"workers,omitempty"`
 	// Solver / Portfolio are the -solver/-portfolio engine grammar
 	// (sat.ResolveSolverFlags): a single engine spec, an integer racing
-	// width, or a heterogeneous list like "internal,kissat,bdd".
+	// width, or a heterogeneous list like "internal,kissat".
 	Solver    string `json:"solver,omitempty"`
 	Portfolio string `json:"portfolio,omitempty"`
 	// Candidates are key guesses for confirmation-style attacks (the φ

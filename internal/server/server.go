@@ -405,11 +405,10 @@ func (s *Server) runJob(id string) {
 			s.mu.Unlock()
 		}
 		res, rerr = r.atk.Run(runCtx, r.target)
-		r.setup.Close() // release persistent solver processes, if any
 		if res != nil {
 			root.Set("status", res.Status.String())
 		}
-		root.End() // after Close, so persistent-session spans precede it
+		root.End()
 	}
 	wall := time.Since(start)
 
