@@ -1,14 +1,16 @@
 // Package repro's root benchmark harness: one testing.B benchmark per
 // table/figure of the paper's evaluation (§VI), plus ablation benchmarks
-// for the design choices called out in DESIGN.md. Each benchmark runs the
-// same code path as cmd/fallbench at a reduced scale so `go test -bench=.`
-// finishes in minutes; run cmd/fallbench -scale paper for full-dimension
-// numbers.
+// for FALL's design choices (cardinality encoding, simulation
+// prefilter, key-confirmation variant). Each suite benchmark runs the
+// same code path as cmd/fallbench (exp.SuiteUnits → exp.RunUnits →
+// exp.RenderSuite) at a reduced scale so `go test -bench=.` finishes in
+// minutes; run cmd/fallbench -scale paper for full-dimension numbers.
 package repro
 
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -42,13 +44,38 @@ func benchConfig(nSpecs int) exp.Config {
 	}
 }
 
+// runUnits runs units of one report suite on cases and renders the
+// suite, as cmd/fallbench does, returning the unit results.
+func runUnits(b *testing.B, cases []*exp.Case, suite string, units []exp.Unit, cfg exp.Config) []exp.UnitResult {
+	results, err := exp.RunUnits(context.Background(), cases, units, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := exp.RenderSuite(io.Discard, suite, results); err != nil {
+		b.Fatal(err)
+	}
+	return results
+}
+
+// suiteUnits enumerates one report suite over cfg's specs.
+func suiteUnits(b *testing.B, cfg exp.Config, suite string) []exp.Unit {
+	units, err := exp.SuiteUnits(cfg, suite)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return units
+}
+
 // BenchmarkTable1 regenerates Table I (benchmark + locking statistics).
 func BenchmarkTable1(b *testing.B) {
 	cfg := benchConfig(4)
+	units := suiteUnits(b, cfg, "table1")
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.Table1(cfg); err != nil {
+		cases, err := exp.BuildSuite(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		runUnits(b, cases, "table1", units, cfg)
 	}
 }
 
@@ -58,12 +85,13 @@ func benchFig5Panel(b *testing.B, level exp.HLevel) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	suite := "fig5:" + level.Token()
+	units := suiteUnits(b, cfg, suite)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs := exp.Fig5Panel(context.Background(), cases, level, cfg)
 		solved := 0
-		for _, o := range outs {
-			if o.Solved && o.Attack != "SAT-Attack" {
+		for _, r := range runUnits(b, cases, suite, units, cfg) {
+			if o := r.Outcome; o.Solved && o.Attack != "SAT-Attack" {
 				solved++
 			}
 		}
@@ -99,10 +127,19 @@ func BenchmarkFig6(b *testing.B) {
 		}
 		cases = append(cases, cs)
 	}
+	var units []exp.Unit // the HD0 pairings: one level per circuit
+	for _, u := range suiteUnits(b, cfg, "fig6") {
+		if u.Level == exp.HD0 {
+			units = append(units, u)
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows := exp.Fig6(context.Background(), cases, cfg)
-		for _, r := range rows {
+		var figs []exp.Fig6CaseResult
+		for _, r := range runUnits(b, cases, "fig6", units, cfg) {
+			figs = append(figs, *r.Fig6)
+		}
+		for _, r := range exp.AggregateFig6(figs) {
 			if r.KCConfirmed != r.KCRuns {
 				b.Fatalf("%s: confirmation failed", r.Circuit)
 			}
@@ -111,21 +148,8 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // BenchmarkSummary regenerates the §VI-B summary statistics (defeated /
-// unique-key counts over the suite).
-func BenchmarkSummary(b *testing.B) {
-	cfg := benchConfig(3)
-	cases, err := exp.BuildSuite(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := exp.Summarize(context.Background(), cases, cfg)
-		if s.Defeated == 0 {
-			b.Fatal("nothing defeated")
-		}
-	}
-}
+// unique-key counts over the suite) on the default pool.
+func BenchmarkSummary(b *testing.B) { benchSuiteWorkers(b, 0) }
 
 // --- Serial vs parallel (worker-pool engine) benchmarks ---
 
@@ -133,6 +157,7 @@ func BenchmarkSummary(b *testing.B) {
 // harness loop: one Auto FALL attack per case) at a fixed harness worker
 // count. On a multi-core runner the 4-worker variant should run at least
 // 2x faster than the serial one; the Summary statistics are identical.
+// Workers 0 is the default pool (all cores).
 func benchSuiteWorkers(b *testing.B, workers int) {
 	cfg := benchConfig(3)
 	cfg.Workers = workers
@@ -140,10 +165,14 @@ func benchSuiteWorkers(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	units := suiteUnits(b, cfg, "summary")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := exp.Summarize(context.Background(), cases, cfg)
-		if s.Defeated == 0 {
+		var outs []exp.Outcome
+		for _, r := range runUnits(b, cases, "summary", units, cfg) {
+			outs = append(outs, *r.Outcome)
+		}
+		if exp.AggregateSummary(outs).Defeated == 0 {
 			b.Fatal("nothing defeated")
 		}
 	}
@@ -185,10 +214,10 @@ func benchFig5Workers(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	units := suiteUnits(b, cfg, "fig5:hd0")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outs := exp.Fig5Panel(context.Background(), cases, exp.HD0, cfg)
-		if len(outs) == 0 {
+		if len(runUnits(b, cases, "fig5:hd0", units, cfg)) == 0 {
 			b.Fatal("no outcomes")
 		}
 	}
@@ -200,7 +229,7 @@ func BenchmarkFig5Workers1(b *testing.B) { benchFig5Workers(b, 1) }
 // BenchmarkFig5Workers4 regenerates the HD0 panel on a 4-worker pool.
 func BenchmarkFig5Workers4(b *testing.B) { benchFig5Workers(b, 4) }
 
-// --- Ablation benchmarks (DESIGN.md experiment E9) ---
+// --- Ablation benchmarks: FALL's design choices ---
 
 func ablationCase(b *testing.B, h int) *lock.Result {
 	b.Helper()

@@ -26,15 +26,17 @@
 // first. SIGINT or SIGTERM ends a run cleanly: in-flight cases are
 // abandoned unpersisted, claims are released, and the run exits 130.
 // retry deletes failed artifacts and recomputes exactly those cases.
-// merge renders output byte-identical to a monolithic cmd/fallbench run
-// over the same measurements — regardless of how the fleet split the
-// work — and — when the plan raced solver engines — prints the
-// aggregated per-engine win statistics on stderr and persists them as
-// DIR/portfolio_stats.json, which a later `campaign run -learn-from`
-// uses to seed its portfolio. merge -rescore recomputes each artifact's
-// Solved/Equivalent verdicts from its persisted key shortlist
-// (planted-key membership, then the equivalence miter) and rewrites
-// changed artifacts — no attack re-runs.
+// merge prints each suite through exp.RenderSuite, the renderer
+// cmd/fallbench uses, so its output is byte-identical to a monolithic
+// cmd/fallbench run over the same measurements, however the fleet split
+// the work. When the plan raced solver engines, merge also prints the
+// aggregated per-engine win statistics (exp.WinStats) on stderr and
+// persists them as DIR/portfolio_stats.json, which a later `campaign
+// run -learn-from` uses to seed its portfolio. merge -rescore
+// recomputes each artifact's Solved/Equivalent verdicts from its
+// persisted key shortlist through the harness's scoring rule,
+// exp.ScoreShortlist (planted-key membership, then the equivalence
+// miter), and rewrites changed artifacts — no attack re-runs.
 //
 // Exit codes: 0 success; 1 hard error (stderr explains); 2 completed
 // with failed cases; 3 (status/merge -allow-partial) campaign

@@ -37,19 +37,25 @@
 //	-trace F       write an NDJSON span trace of the whole suite to F
 //	               (stdout unchanged; analyze with cmd/tracestat)
 //
-// Results go to stdout, diagnostics — including the aggregated
-// per-engine portfolio win statistics — to stderr, so racing runs diff
+// Each requested suite runs as exp.SuiteUnits → exp.RunUnits →
+// exp.RenderSuite and prints as soon as it finishes, in the order
+// table1, fig5, fig6, summary. Results go to stdout, diagnostics —
+// per-case encode/solve splits, the aggregated per-engine portfolio win
+// statistics and the memo summary — to stderr, so racing runs diff
 // clean against single-engine runs. The exit code is 0 on success, 1 on
-// a hard error, and 2 when some attack runs failed (their rows are
-// still printed). To split a run across machines, use cmd/campaign with
-// the same flags — a merged campaign renders byte-identical output to
-// this command.
+// a usage or hard error, and 2 when some attack runs failed (their rows
+// are still printed). To split a run across machines, use cmd/campaign
+// with the same flags: campaign merge prints through the same
+// exp.RenderSuite, so a merged campaign is byte-identical to this
+// command's output.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -61,45 +67,89 @@ import (
 	"repro/internal/sat"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes the command line args, writing to stdout and stderr, and
+// returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fallbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table1     = flag.Bool("table1", false, "regenerate Table I")
-		fig5       = flag.String("fig5", "", "regenerate a Fig. 5 panel: hd0 | h8 | h4 | h3")
-		fig6       = flag.Bool("fig6", false, "regenerate Fig. 6")
-		summary    = flag.Bool("summary", false, "regenerate the §VI-B summary statistics")
-		scale      = flag.String("scale", "small", "experiment scale: paper | medium | small | tiny")
-		timeout    = flag.Duration("timeout", 5*time.Second, "per-attack time budget")
-		iterCap    = flag.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
-		seed       = flag.Int64("seed", 2019, "base seed")
-		enc        = flag.String("enc", "adder", "cardinality encoding: adder | seq")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "suite cases run concurrently (1 = serial; output is identical either way)")
-		learnFrom  = flag.String("learn-from", "", "portfolio-stats JSON from a prior run; reorders/prunes the engine list before racing")
-		adaptAfter = flag.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
-		statsOut   = flag.String("stats-out", "", "write the aggregated per-engine win statistics to this JSON file")
-		sf         = attack.RegisterFlags(flag.CommandLine)
+		table1     = fs.Bool("table1", false, "regenerate Table I")
+		fig5       = fs.String("fig5", "", "regenerate a Fig. 5 panel: hd0 | h8 | h4 | h3")
+		fig6       = fs.Bool("fig6", false, "regenerate Fig. 6")
+		summary    = fs.Bool("summary", false, "regenerate the §VI-B summary statistics")
+		scale      = fs.String("scale", "small", "experiment scale: paper | medium | small | tiny")
+		timeout    = fs.Duration("timeout", 5*time.Second, "per-attack time budget")
+		iterCap    = fs.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
+		seed       = fs.Int64("seed", 2019, "base seed")
+		enc        = fs.String("enc", "adder", "cardinality encoding: adder | seq")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "suite cases run concurrently (1 = serial; output is identical either way)")
+		learnFrom  = fs.String("learn-from", "", "portfolio-stats JSON from a prior run; reorders/prunes the engine list before racing")
+		adaptAfter = fs.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
+		statsOut   = fs.String("stats-out", "", "write the aggregated per-engine win statistics to this JSON file")
+		sf         = attack.RegisterFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "fallbench: "+format+"\n", a...)
+		return 1
+	}
 
 	cfg := exp.Config{Seed: *seed, Timeout: *timeout, SATIterCap: *iterCap, Workers: *workers}
 	var err error
 	if cfg.Specs, err = genbench.ParseScale(*scale); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	if cfg.Enc, err = cnf.ParseCardEncoding(*enc); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
+	var suites []string
+	if *table1 {
+		suites = append(suites, "table1")
+	}
+	if *fig5 != "" {
+		if _, err := exp.ParseHLevel(*fig5); err != nil {
+			return fail("unknown fig5 panel %q", *fig5)
+		}
+		suites = append(suites, "fig5:"+*fig5)
+	}
+	if *fig6 {
+		suites = append(suites, "fig6")
+	}
+	if *summary {
+		suites = append(suites, "summary")
+	}
+	if len(suites) == 0 {
+		fs.Usage()
+		return 1
+	}
+	units := make([][]exp.Unit, len(suites))
+	for i, suite := range suites {
+		if units[i], err = exp.SuiteUnits(cfg, suite); err != nil {
+			return fail("%v", err)
+		}
+	}
+
+	// Start opens the trace; from here on every return path closes it.
 	if err := sf.Start("fallbench", "scale", *scale, "seed", *seed); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
+	defer sf.EndTrace(stderr)
 	cfg.Engines, cfg.Memo, cfg.Trace, cfg.AdaptAfter = sf.Specs, sf.Memo, sf.Root, *adaptAfter
 	if *adaptAfter > 0 || *learnFrom != "" {
 		if len(cfg.Engines) < 2 {
-			fatalf("-adapt-after/-learn-from need a -portfolio of at least two engines")
+			return fail("-adapt-after/-learn-from need a -portfolio of at least two engines")
 		}
 		if *learnFrom != "" {
 			prior, err := sat.ReadStatsFile(*learnFrom)
 			if err != nil {
-				fatalf("learn-from: %v", err)
+				return fail("learn-from: %v", err)
 			}
 			cfg.Engines = sat.LearnedConfigs(cfg.Engines, prior, *adaptAfter)
 		}
@@ -108,65 +158,23 @@ func main() {
 		}
 	}
 
-	var level exp.HLevel
-	if *fig5 != "" {
-		if level, err = exp.ParseHLevel(*fig5); err != nil {
-			fatalf("unknown fig5 panel %q", *fig5)
-		}
-	}
-	if !*table1 && *fig5 == "" && !*fig6 && !*summary {
-		flag.Usage()
-		os.Exit(1)
-	}
-
 	// Build the locked suite once; every requested report shares it.
-	ctx := context.Background()
 	cases, err := exp.BuildSuite(cfg)
 	if err != nil {
-		fatalf("suite: %v", err)
+		return fail("suite: %v", err)
+	}
+	var all []exp.UnitResult
+	for i, suite := range suites {
+		results, err := exp.RunUnits(context.Background(), cases, units[i], cfg)
+		if err != nil {
+			return fail("%s: %v", suite, err)
+		}
+		if err := exp.RenderSuite(stdout, suite, results); err != nil {
+			return fail("%s: %v", suite, err)
+		}
+		all = append(all, results...)
 	}
 
-	failed := 0
-	var allOuts []exp.Outcome
-	var allFigs []exp.Fig6CaseResult
-	if *table1 {
-		rows, err := exp.Table1FromCases(cases, cfg)
-		if err != nil {
-			fatalf("table1: %v", err)
-		}
-		fmt.Println("=== Table I (regenerated) ===")
-		fmt.Print(exp.FormatTable1(rows))
-	}
-	if *fig5 != "" {
-		fmt.Printf("=== Fig. 5 panel %s (%s) ===\n", *fig5, level.Label())
-		outs := exp.Fig5Panel(ctx, cases, level, cfg)
-		for _, o := range outs {
-			if o.Failed {
-				failed++
-			}
-		}
-		allOuts = append(allOuts, outs...)
-		fmt.Print(exp.FormatCactus(outs, exp.Fig5AttackNames(level)))
-	}
-	if *fig6 {
-		fmt.Println("=== Fig. 6: key confirmation vs SAT attack ===")
-		results := exp.Fig6Results(ctx, cases, cfg)
-		for _, r := range results {
-			if r.Failed() {
-				failed++
-			}
-		}
-		allFigs = append(allFigs, results...)
-		fmt.Print(exp.FormatFig6(exp.AggregateFig6(results)))
-	}
-	if *summary {
-		fmt.Println("=== §VI-B summary ===")
-		outs := exp.SummaryOutcomes(ctx, cases, cfg)
-		s := exp.AggregateSummary(outs)
-		failed += s.Failed
-		allOuts = append(allOuts, outs...)
-		fmt.Print(exp.FormatSummary(s))
-	}
 	// Per-case encode/solve wall-time split (recorded whenever a solver
 	// setup exists): solve is the time spent inside the SAT engines, the
 	// remainder is encoding and attack bookkeeping. Stderr like every
@@ -175,43 +183,43 @@ func main() {
 		if solveNS <= 0 {
 			return
 		}
-		encode := total - time.Duration(solveNS)
-		if encode < 0 {
-			encode = 0
-		}
-		fmt.Fprintf(os.Stderr, "case %-32s encode=%-12v solve=%v\n",
+		encode := max(total-time.Duration(solveNS), 0)
+		fmt.Fprintf(stderr, "case %-32s encode=%-12v solve=%v\n",
 			label, encode.Round(time.Microsecond), time.Duration(solveNS).Round(time.Microsecond))
 	}
-	for _, o := range allOuts {
-		printSplit(fmt.Sprintf("%s/%s/%s", o.Circuit, o.Level.Token(), o.Attack), o.Time, o.SolveNS)
-	}
-	for i := range allFigs {
-		r := &allFigs[i]
-		printSplit(fmt.Sprintf("%s/%s/keyconfirm", r.Circuit, r.Level.Token()), r.KCElapsed, r.KCSolveNS)
-		printSplit(fmt.Sprintf("%s/%s/%s", r.SA.Circuit, r.SA.Level.Token(), r.SA.Attack), r.SA.Time, r.SA.SolveNS)
+	failed := 0
+	for _, r := range all {
+		if r.Failed() {
+			failed++
+		}
+		if o := r.Outcome; o != nil {
+			printSplit(fmt.Sprintf("%s/%s/%s", o.Circuit, o.Level.Token(), o.Attack), o.Time, o.SolveNS)
+		}
+		if f := r.Fig6; f != nil {
+			printSplit(fmt.Sprintf("%s/%s/keyconfirm", f.Circuit, f.Level.Token()), f.KCElapsed, f.KCSolveNS)
+			printSplit(fmt.Sprintf("%s/%s/%s", f.SA.Circuit, f.SA.Level.Token(), f.SA.Attack), f.SA.Time, f.SA.SolveNS)
+		}
 	}
 	// Racing statistics go to stderr: stdout must stay verdict-only so
 	// portfolio runs diff byte-identical against single-engine runs.
-	if stats := exp.WinStats(allOuts, allFigs); len(stats) > 0 {
-		attack.FprintStats(os.Stderr, stats)
+	if stats := exp.WinStats(all); len(stats) > 0 {
+		attack.FprintStats(stderr, stats)
 		if *statsOut != "" {
 			if err := sat.WriteStatsFile(*statsOut, stats); err != nil {
-				fatalf("stats-out: %v", err)
+				return fail("stats-out: %v", err)
 			}
 		}
 	}
 	if cfg.Memo != nil {
-		attack.FprintMemoSummary(os.Stderr, cfg.Memo, cfg.Memo.Stats(), cfg.Memo.Len())
+		st := exp.MemoStats(all)
+		if st == nil { // no unit queried a solver (-table1 alone)
+			st = &sat.MemoStats{}
+		}
+		attack.FprintMemoSummary(stderr, cfg.Memo, *st, cfg.Memo.Len())
 	}
-	// Closed before the failure exit path (os.Exit skips defers).
-	sf.EndTrace(os.Stderr)
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "fallbench: %d attack run(s) failed\n", failed)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fallbench: %d attack run(s) failed\n", failed)
+		return 2
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fallbench: "+format+"\n", args...)
-	os.Exit(1)
+	return 0
 }

@@ -1,13 +1,12 @@
 // Package bdd implements reduced ordered binary decision diagrams
 // (ROBDDs) with a unique table and memoized ITE, plus the circuit-analysis
 // operations the FALL attack needs: unateness checking, cofactors,
-// on-set counting and equivalence. It serves as an alternative exact
-// engine to the SAT-based analyses (DESIGN.md experiment E9): BDDs excel
-// on the small, structured cube-stripper cones the attack isolates, while
-// SAT scales to cones whose BDDs blow up. The bypass/BDD trade-off
-// analysis of Xu et al. [28] motivates having both. Sharing no code
-// with the SAT engines, it is also the independent oracle of the
-// solver differential test (internal/sat).
+// on-set counting and equivalence. It is the independent test oracle
+// of the SAT-based analyses: sharing no code with the SAT engines, it
+// recomputes the unateness cube of FALL's cube-stripper cones in the
+// root integration test and decides the random CNFs of the solver
+// differential test (internal/sat). No attack or solver setup runs on
+// it.
 package bdd
 
 import (

@@ -32,19 +32,8 @@ type Artifact struct {
 }
 
 // Failed reports whether the case ran but produced no usable
-// measurement: a harness error, a hard attack failure, or a Fig. 6
-// pairing whose key confirmation never ran.
-func (a *Artifact) Failed() bool {
-	switch {
-	case a.Error != "":
-		return true
-	case a.Outcome != nil && a.Outcome.Failed:
-		return true
-	case a.Fig6 != nil && a.Fig6.Failed():
-		return true
-	}
-	return false
-}
+// measurement (exp.UnitResult.Failed).
+func (a *Artifact) Failed() bool { return a.result().Failed() }
 
 // newArtifact captures a unit result for the given planned case.
 func newArtifact(planHash string, pc Case, r exp.UnitResult) *Artifact {

@@ -14,8 +14,8 @@
 //	       artifact already exists, so a killed run resumes where it
 //	       stopped (Run)
 //	merge  read artifacts back, reassemble results in plan order, and
-//	       render the Table I / Fig. 5 / Fig. 6 / summary reports with
-//	       the exact monolithic formatting (Merge)
+//	       render the Table I / Fig. 5 / Fig. 6 / summary reports
+//	       through exp.RenderSuite, cmd/fallbench's renderer (Merge)
 //
 // Run has one scheduler: workers claim cases one at a time via O_EXCL
 // claim files next to the artifact paths (steal.go), heartbeat them

@@ -128,6 +128,19 @@ func TestPlanHashAndValidation(t *testing.T) {
 // in-process — the reference output every sharded merge must match.
 func monolithicReport(t *testing.T, cfg Config) string {
 	t.Helper()
+	expCfg, cases := buildSuite(t, cfg)
+	var b strings.Builder
+	for _, suite := range cfg.Suites {
+		if err := exp.RenderSuite(&b, suite, runSuite(t, cases, suite, expCfg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
+}
+
+// buildSuite builds every locked instance cfg's specs span.
+func buildSuite(t *testing.T, cfg Config) (exp.Config, []*exp.Case) {
+	t.Helper()
 	expCfg, err := cfg.ExpConfig()
 	if err != nil {
 		t.Fatal(err)
@@ -136,36 +149,21 @@ func monolithicReport(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	var b strings.Builder
-	for _, suite := range cfg.Suites {
-		switch {
-		case suite == "table1":
-			rows, err := exp.Table1FromCases(cases, expCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString("=== Table I (regenerated) ===\n")
-			b.WriteString(exp.FormatTable1(rows))
-		case strings.HasPrefix(suite, "fig5:"):
-			level, err := exp.ParseHLevel(strings.TrimPrefix(suite, "fig5:"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			outs := exp.Fig5Panel(ctx, cases, level, expCfg)
-			b.WriteString("=== Fig. 5 panel " + level.Token() + " (" + level.Label() + ") ===\n")
-			b.WriteString(exp.FormatCactus(outs, exp.Fig5AttackNames(level)))
-		case suite == "fig6":
-			b.WriteString("=== Fig. 6: key confirmation vs SAT attack ===\n")
-			b.WriteString(exp.FormatFig6(exp.Fig6(ctx, cases, expCfg)))
-		case suite == "summary":
-			b.WriteString("=== §VI-B summary ===\n")
-			b.WriteString(exp.FormatSummary(exp.Summarize(ctx, cases, expCfg)))
-		default:
-			t.Fatalf("unknown suite %s", suite)
-		}
+	return expCfg, cases
+}
+
+// runSuite runs one report suite in-process, in SuiteUnits order.
+func runSuite(t *testing.T, cases []*exp.Case, suite string, cfg exp.Config) []exp.UnitResult {
+	t.Helper()
+	units, err := exp.SuiteUnits(cfg, suite)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b.String()
+	results, err := exp.RunUnits(context.Background(), cases, units, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
 }
 
 // runCampaign plans, runs every shard, and merges, returning the
@@ -270,15 +268,12 @@ func solvedCounts(section string) []string {
 func TestCampaignFig6(t *testing.T) {
 	cfg := tinyCampaignConfig("fig6")
 	cfg.Specs = cfg.Specs[:1]
-	expCfg, err := cfg.ExpConfig()
-	if err != nil {
-		t.Fatal(err)
+	expCfg, cases := buildSuite(t, cfg)
+	var figs []exp.Fig6CaseResult
+	for _, r := range runSuite(t, cases, "fig6", expCfg) {
+		figs = append(figs, *r.Fig6)
 	}
-	cases, err := exp.BuildSuite(expCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exp.Fig6(context.Background(), cases, expCfg)
+	want := exp.AggregateFig6(figs)
 
 	_, m := runCampaign(t, cfg, 2)
 	var results []exp.Fig6CaseResult
@@ -519,15 +514,8 @@ func TestStatusReport(t *testing.T) {
 func TestOneShardOutcomeShapes(t *testing.T) {
 	cfg := tinyCampaignConfig("summary")
 	cfg.Specs = cfg.Specs[:1]
-	expCfg, err := cfg.ExpConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases, err := exp.BuildSuite(expCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exp.SummaryOutcomes(context.Background(), cases, expCfg)
+	expCfg, cases := buildSuite(t, cfg)
+	want := runSuite(t, cases, "summary", expCfg)
 
 	_, m := runCampaign(t, cfg, 1)
 	for i, pc := range m.Plan.Cases {
@@ -535,7 +523,7 @@ func TestOneShardOutcomeShapes(t *testing.T) {
 		if a == nil || a.Outcome == nil {
 			t.Fatalf("case %s: no outcome artifact", pc.ID)
 		}
-		got, w := *a.Outcome, want[i]
+		got, w := *a.Outcome, *want[i].Outcome
 		if got.Circuit != w.Circuit || got.Level != w.Level || got.Solved != w.Solved ||
 			got.PlantedKeyMatch != w.PlantedKeyMatch || got.Equivalent != w.Equivalent ||
 			got.Unique != w.Unique || got.NumKeys != w.NumKeys || got.Failed != w.Failed {

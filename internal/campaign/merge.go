@@ -53,119 +53,44 @@ func Merge(plan *Plan, dirs []string) (*MergeResult, error) {
 // Complete reports whether every planned case has an artifact.
 func (m *MergeResult) Complete() bool { return len(m.Missing) == 0 }
 
+// results returns the merged artifacts' unit results in plan order.
+func (m *MergeResult) results() []exp.UnitResult {
+	var rs []exp.UnitResult
+	for _, pc := range m.Plan.Cases {
+		if a, ok := m.Artifacts[pc.ID]; ok {
+			rs = append(rs, a.result())
+		}
+	}
+	return rs
+}
+
 // WinStats aggregates the per-engine racing statistics recorded across
-// every artifact (attack outcomes, Fig. 6 key-confirmation pipelines
-// and their SAT-attack halves), keyed by engine label in plan order —
+// every artifact (exp.WinStats), keyed by engine label in plan order —
 // the campaign-level ledger snapshot that cmd/campaign merge prints and
 // persists for -learn-from. Nil when the campaign did not race.
-func (m *MergeResult) WinStats() []sat.ConfigStats {
-	var groups [][]sat.ConfigStats
-	for _, pc := range m.Plan.Cases {
-		a, ok := m.Artifacts[pc.ID]
-		if !ok {
-			continue
-		}
-		if a.Outcome != nil {
-			groups = append(groups, a.Outcome.PortfolioStats)
-		}
-		if a.Fig6 != nil {
-			groups = append(groups, a.Fig6.KCPortfolio, a.Fig6.SA.PortfolioStats)
-		}
-	}
-	return sat.MergeStats(groups...)
-}
+func (m *MergeResult) WinStats() []sat.ConfigStats { return exp.WinStats(m.results()) }
 
-// MemoStats aggregates the verdict-cache hit/miss counters recorded
-// across every artifact (attack outcomes, Fig. 6 key-confirmation
-// pipelines and their SAT-attack halves). Nil when no shard ran with
+// MemoStats sums the verdict-cache hit/miss counters recorded across
+// every artifact (exp.MemoStats). Nil when no shard ran with
 // memoization enabled.
-func (m *MergeResult) MemoStats() *sat.MemoStats {
-	var total sat.MemoStats
-	found := false
-	add := func(st *sat.MemoStats) {
-		if st != nil {
-			total = total.Add(*st)
-			found = true
-		}
-	}
-	for _, pc := range m.Plan.Cases {
-		a, ok := m.Artifacts[pc.ID]
-		if !ok {
-			continue
-		}
-		if a.Outcome != nil {
-			add(a.Outcome.MemoStats)
-		}
-		if a.Fig6 != nil {
-			add(a.Fig6.KCMemoStats)
-			add(a.Fig6.SA.MemoStats)
-		}
-	}
-	if !found {
-		return nil
-	}
-	return &total
-}
+func (m *MergeResult) MemoStats() *sat.MemoStats { return exp.MemoStats(m.results()) }
 
-// Render writes the plan's report suites in order, reassembled from the
-// artifacts, using the exact formatting of the monolithic
-// exp/fallbench output — a merge over any sharding is byte-identical to
-// a 1-shard run with the same measurements. Cases without artifacts are
-// skipped (their runs simply do not appear), so partial campaigns still
-// render.
+// Render writes the plan's report suites in order through
+// exp.RenderSuite, the renderer cmd/fallbench prints with, from the
+// artifacts in plan order — a merge over any sharding is byte-identical
+// to a 1-shard run with the same measurements. Cases without artifacts
+// are skipped (their runs simply do not appear), so partial campaigns
+// still render.
 func (m *MergeResult) Render(w io.Writer) error {
-	expCfg, err := m.Plan.Config.ExpConfig()
-	if err != nil {
-		return err
-	}
 	for _, suite := range m.Plan.Config.Suites {
-		units, err := exp.SuiteUnits(expCfg, suite)
-		if err != nil {
-			return err
+		var results []exp.UnitResult
+		for _, pc := range m.Plan.Cases {
+			if a := m.Artifacts[pc.ID]; a != nil && pc.Suite() == suite {
+				results = append(results, a.result())
+			}
 		}
-		switch {
-		case suite == "table1":
-			var rows []exp.Table1Row
-			for _, u := range units {
-				if a := m.Artifacts[u.ID()]; a != nil && a.Table1 != nil {
-					rows = append(rows, *a.Table1)
-				}
-			}
-			fmt.Fprintln(w, "=== Table I (regenerated) ===")
-			fmt.Fprint(w, exp.FormatTable1(rows))
-		case strings.HasPrefix(suite, "fig5:"):
-			level, err := exp.ParseHLevel(strings.TrimPrefix(suite, "fig5:"))
-			if err != nil {
-				return err
-			}
-			var outs []exp.Outcome
-			for _, u := range units {
-				if a := m.Artifacts[u.ID()]; a != nil && a.Outcome != nil {
-					outs = append(outs, *a.Outcome)
-				}
-			}
-			fmt.Fprintf(w, "=== Fig. 5 panel %s (%s) ===\n", level.Token(), level.Label())
-			fmt.Fprint(w, exp.FormatCactus(outs, exp.Fig5AttackNames(level)))
-		case suite == "fig6":
-			var results []exp.Fig6CaseResult
-			for _, u := range units {
-				if a := m.Artifacts[u.ID()]; a != nil && a.Fig6 != nil {
-					results = append(results, *a.Fig6)
-				}
-			}
-			fmt.Fprintln(w, "=== Fig. 6: key confirmation vs SAT attack ===")
-			fmt.Fprint(w, exp.FormatFig6(exp.AggregateFig6(results)))
-		case suite == "summary":
-			var outs []exp.Outcome
-			for _, u := range units {
-				if a := m.Artifacts[u.ID()]; a != nil && a.Outcome != nil {
-					outs = append(outs, *a.Outcome)
-				}
-			}
-			fmt.Fprintln(w, "=== §VI-B summary ===")
-			fmt.Fprint(w, exp.FormatSummary(exp.AggregateSummary(outs)))
-		default:
-			return fmt.Errorf("campaign: unknown suite %q in plan", suite)
+		if err := exp.RenderSuite(w, suite, results); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -4,19 +4,19 @@ package campaign
 // shortlist precisely so its verdict can be recomputed after the fact.
 // When scoring rules change (e.g. the Hu et al. 2024 move from
 // planted-key membership to I/O-equivalence), Rescore replays the
-// scoring — planted-key membership first, the attack.KeyEquivalent
-// miter only for shortlists that miss the planted key — against
-// deterministically rebuilt locked instances, and rewrites changed
-// artifacts in place. No attack re-runs, no solver engine touches a
-// locked-circuit attack query; the only SAT work is the sanctioned
-// scoring miter, and none at all when the planted key is shortlisted.
+// harness's own scoring rule, exp.ScoreShortlist — planted-key
+// membership first, the equivalence miter only for shortlists that
+// miss the planted key — against deterministically rebuilt locked
+// instances, and rewrites changed artifacts in place. No attack
+// re-runs, no solver engine touches a locked-circuit attack query; the
+// only SAT work is the sanctioned scoring miter, and none at all when
+// the planted key is shortlisted.
 
 import (
 	"context"
 	"fmt"
 	"path/filepath"
 
-	"repro/internal/attack"
 	"repro/internal/exp"
 )
 
@@ -122,38 +122,18 @@ func (r *rescorer) outcome(ctx context.Context, out *exp.Outcome, pc Case, level
 	if err != nil {
 		return false, fmt.Errorf("campaign: rescore: %w", err)
 	}
-	planted := false
-	for _, key := range out.Keys {
-		if attack.KeysEqual(key, cs.Lock.Key) {
-			planted = true
-			break
-		}
-	}
-	eq := planted
-	if !eq {
-		sctx := ctx
-		cancel := context.CancelFunc(func() {})
-		if r.plan.Config.Timeout > 0 {
-			sctx, cancel = context.WithTimeout(ctx, r.plan.Config.Timeout)
-		}
-		for _, key := range out.Keys {
-			r.report.Miters++
-			if ok, merr := attack.KeyEquivalent(sctx, cs.Lock.Locked, cs.Orig, key); merr == nil && ok {
-				eq = true
-				break
-			}
-		}
-		cancel()
-	}
-	solved := eq
+	// The runtime scoring rule under the plan's budget; a nil setup
+	// runs the miter on the default engine.
+	var scored exp.Outcome
+	r.report.Miters += exp.ScoreShortlist(ctx, cs, out.Keys, exp.Config{Timeout: r.plan.Config.Timeout}, nil, &scored)
 	unique := out.Unique
-	if out.Solved != solved {
+	if out.Solved != scored.Solved {
 		// Uniqueness is defined on solved shortlists; it moves exactly
 		// when the solve verdict does.
-		unique = solved && out.NumKeys == 1
+		unique = scored.Solved && out.NumKeys == 1
 	}
-	changed := out.PlantedKeyMatch != planted || out.Equivalent != eq ||
-		out.Solved != solved || out.Unique != unique
-	out.PlantedKeyMatch, out.Equivalent, out.Solved, out.Unique = planted, eq, solved, unique
+	changed := out.PlantedKeyMatch != scored.PlantedKeyMatch || out.Equivalent != scored.Equivalent ||
+		out.Solved != scored.Solved || out.Unique != unique
+	out.PlantedKeyMatch, out.Equivalent, out.Solved, out.Unique = scored.PlantedKeyMatch, scored.Equivalent, scored.Solved, unique
 	return changed, nil
 }

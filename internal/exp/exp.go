@@ -6,8 +6,7 @@
 //
 // Every experiment is deterministic given Config.Seed. The harness runs at
 // any scale: the paper's full Table I dimensions or reduced ("scaled")
-// dimensions for quick regression runs; EXPERIMENTS.md records the
-// mapping from paper numbers to measured numbers.
+// dimensions for quick regression runs (genbench.ParseScale).
 package exp
 
 import (
@@ -290,39 +289,6 @@ type Table1Row struct {
 	GatesMax int `json:"gates_max"`
 }
 
-// Table1 regenerates Table I: per circuit, the original gate count and the
-// min/max locked gate counts over the four SFLL configurations. The suite
-// builds concurrently on cfg.Workers goroutines and rows return in spec
-// order; it is the 1-shard special case of a campaign table1 suite.
-func Table1(cfg Config) ([]Table1Row, error) {
-	cases, err := BuildSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return Table1FromCases(cases, cfg)
-}
-
-// Table1FromCases aggregates Table I rows from an already-built suite
-// (every spec must appear at every level).
-func Table1FromCases(cases []*Case, cfg Config) ([]Table1Row, error) {
-	units := make([]Unit, len(cfg.Specs))
-	for i, spec := range cfg.Specs {
-		units[i] = Unit{Kind: UnitTable1, Circuit: spec.Name}
-	}
-	results, err := RunUnits(context.Background(), cases, units, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Table1Row, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		rows[i] = *r.Table1
-	}
-	return rows, nil
-}
-
 // FormatTable1 renders rows in the layout of the paper's Table I.
 func FormatTable1(rows []Table1Row) string {
 	var b strings.Builder
@@ -385,22 +351,7 @@ type Outcome struct {
 	MemoStats *sat.MemoStats `json:"memo_stats,omitempty"`
 }
 
-// WinStats aggregates the per-engine racing statistics recorded across
-// outcomes and Fig. 6 results (label-keyed, first-appearance order) —
-// the summary fallbench prints on stderr and campaign merge persists
-// for learned portfolios. Nil when nothing raced.
-func WinStats(outs []Outcome, figs []Fig6CaseResult) []sat.ConfigStats {
-	var groups [][]sat.ConfigStats
-	for i := range outs {
-		groups = append(groups, outs[i].PortfolioStats)
-	}
-	for i := range figs {
-		groups = append(groups, figs[i].KCPortfolio, figs[i].SA.PortfolioStats)
-	}
-	return sat.MergeStats(groups...)
-}
-
-// scoreShortlist scores a recovered shortlist against the case:
+// ScoreShortlist scores a recovered shortlist against the case:
 // PlantedKeyMatch by planted-key membership, Equivalent by SAT-miter
 // I/O-equivalence. The planted key is correct by construction, so the
 // miter only runs on shortlists that miss it. Solved follows Equivalent.
@@ -409,8 +360,11 @@ func WinStats(outs []Outcome, figs []Fig6CaseResult) []sat.ConfigStats {
 // size — a pathological miter must not hang a harness worker (or a
 // campaign shard) forever. An undecided miter counts as not equivalent;
 // with Timeout == 0 scoring is unbounded and verdicts stay pure
-// functions of the seed (what the determinism tests rely on).
-func scoreShortlist(ctx context.Context, cs *Case, keys []attack.Key, cfg Config, setup *attack.SolverSetup, out *Outcome) {
+// functions of the seed (what the determinism tests rely on). It
+// returns how many keys went through the miter. The harness scores
+// every attack run through it, and campaign merge -rescore replays it
+// on persisted shortlists (a nil setup is the default engine).
+func ScoreShortlist(ctx context.Context, cs *Case, keys []attack.Key, cfg Config, setup *attack.SolverSetup, out *Outcome) (miters int) {
 	for _, key := range keys {
 		if attack.KeysEqual(key, cs.Lock.Key) {
 			out.PlantedKeyMatch = true
@@ -422,6 +376,7 @@ func scoreShortlist(ctx context.Context, cs *Case, keys []attack.Key, cfg Config
 		sctx, cancel := attackCtx(ctx, cfg)
 		defer cancel()
 		for _, key := range keys {
+			miters++
 			// The miter runs through the same solver setup as the attack:
 			// its UNSAT proof is exactly the query class portfolio racing
 			// targets, and its races land in the same win accounting.
@@ -432,6 +387,7 @@ func scoreShortlist(ctx context.Context, cs *Case, keys []attack.Key, cfg Config
 		}
 	}
 	out.Solved = out.Equivalent
+	return miters
 }
 
 // finishSolver records the setup's timing and memoization diagnostics
@@ -481,7 +437,7 @@ func RunFALL(ctx context.Context, cs *Case, analysis fall.Analysis, cfg Config) 
 	// near-exhausted) deadline: scoring is harness work with its own
 	// budget, and verdicts must not depend on how close the attack ran
 	// to its deadline.
-	scoreShortlist(ctx, cs, res.Keys, cfg, setup, &out)
+	ScoreShortlist(ctx, cs, res.Keys, cfg, setup, &out)
 	out.Unique = out.Solved && res.UniqueKey()
 	finishSolver(setup, &out)
 	return out
@@ -525,7 +481,7 @@ func RunSAT(ctx context.Context, cs *Case, cfg Config) Outcome {
 		// sampling luck. Only converged (proven-unique) runs are scored:
 		// an unconverged candidate that happens to unlock the circuit
 		// would credit the SAT attack with a solve it never proved.
-		scoreShortlist(ctx, cs, res.Keys, cfg, setup, &out)
+		ScoreShortlist(ctx, cs, res.Keys, cfg, setup, &out)
 	}
 	if !out.Solved && out.Time < cfg.Timeout {
 		// Censor unsolved runs at the timeout, as the paper's Fig. 6 bars
@@ -535,30 +491,6 @@ func RunSAT(ctx context.Context, cs *Case, cfg Config) Outcome {
 	}
 	finishSolver(setup, &out)
 	return out
-}
-
-// Fig5Panel runs the attacks of one Fig. 5 panel over the suite cases at
-// the given level: the SAT attack plus AnalyzeUnateness for HD0,
-// SlidingWindow and Distance2H for h=m/8 and m/4, SlidingWindow only for
-// h=m/3 (Distance2H requires 4h <= m). Individual attack runs execute
-// concurrently on cfg.Workers goroutines in adaptive
-// longest-expected-first dispatch order; the outcome slice keeps the
-// serial case × attack order. It is the 1-shard special case of a
-// campaign fig5 suite.
-func Fig5Panel(ctx context.Context, cases []*Case, level HLevel, cfg Config) []Outcome {
-	var units []Unit
-	for _, cs := range cases {
-		if cs.Level != level {
-			continue
-		}
-		units = append(units, fig5CaseUnits(cs.Spec.Name, level)...)
-	}
-	results := mustRunUnits(ctx, cases, units, cfg)
-	outs := make([]Outcome, len(results))
-	for i, r := range results {
-		outs[i] = *r.Outcome
-	}
-	return outs
 }
 
 // Cactus extracts the sorted solve times for one attack from a panel's
@@ -620,12 +552,6 @@ type Fig6CaseResult struct {
 	SA          Outcome        `json:"sat"`
 }
 
-// Failed reports that the pairing produced no usable measurement: the
-// SAT attack failed hard or key confirmation never ran. It is the one
-// definition of Fig. 6 case failure, shared by fallbench's exit code
-// and campaign's artifact accounting — the two must always agree.
-func (r *Fig6CaseResult) Failed() bool { return r.SA.Failed || !r.KCRan }
-
 // RunFig6Case measures one case of the key confirmation experiment
 // (§VI-C): FALL supplies the candidate shortlist (falling back to
 // {planted key, complement} when it is empty, mirroring the paper's use
@@ -676,22 +602,6 @@ func RunFig6Case(ctx context.Context, cs *Case, cfg Config) Fig6CaseResult {
 	return r
 }
 
-// Fig6Results runs the Fig. 6 measurement for every case, concurrently
-// on cfg.Workers goroutines with adaptive dispatch; results keep case
-// order.
-func Fig6Results(ctx context.Context, cases []*Case, cfg Config) []Fig6CaseResult {
-	units := make([]Unit, len(cases))
-	for i, cs := range cases {
-		units[i] = Unit{Kind: UnitFig6, Circuit: cs.Spec.Name, Level: cs.Level}
-	}
-	results := mustRunUnits(ctx, cases, units, cfg)
-	out := make([]Fig6CaseResult, len(results))
-	for i, r := range results {
-		out[i] = *r.Fig6
-	}
-	return out
-}
-
 // AggregateFig6 folds per-case measurements into the per-circuit rows of
 // Fig. 6, in first-appearance circuit order. It is a pure function of
 // the results, so merged campaign artifacts aggregate exactly like a
@@ -730,14 +640,6 @@ func AggregateFig6(results []Fig6CaseResult) []Fig6Row {
 		rows = append(rows, *row)
 	}
 	return rows
-}
-
-// Fig6 reproduces the key confirmation experiment (§VI-C) end to end:
-// per-case measurements (Fig6Results) folded into per-circuit rows
-// (AggregateFig6). It is the 1-shard special case of a campaign fig6
-// suite.
-func Fig6(ctx context.Context, cases []*Case, cfg Config) []Fig6Row {
-	return AggregateFig6(Fig6Results(ctx, cases, cfg))
 }
 
 func meanStd(ts []time.Duration) (mean, std time.Duration) {
@@ -790,22 +692,6 @@ type Summary struct {
 	Failed int
 }
 
-// SummaryOutcomes runs the combined (Auto) FALL attack over every case,
-// concurrently on cfg.Workers goroutines with adaptive dispatch;
-// outcomes keep case order.
-func SummaryOutcomes(ctx context.Context, cases []*Case, cfg Config) []Outcome {
-	units := make([]Unit, len(cases))
-	for i, cs := range cases {
-		units[i] = Unit{Kind: UnitSummary, Circuit: cs.Spec.Name, Level: cs.Level, Attack: fall.Auto.String()}
-	}
-	results := mustRunUnits(ctx, cases, units, cfg)
-	outs := make([]Outcome, len(results))
-	for i, r := range results {
-		outs[i] = *r.Outcome
-	}
-	return outs
-}
-
 // AggregateSummary folds per-case FALL outcomes into the §VI-B defeat
 // statistics, in outcome order. Pure aggregation: merged campaign
 // artifacts summarize exactly like a monolithic run.
@@ -826,15 +712,6 @@ func AggregateSummary(outs []Outcome) Summary {
 		}
 	}
 	return s
-}
-
-// Summarize runs the combined (Auto) FALL attack over every case and
-// aggregates the defeat statistics of §VI-B. The statistics (including
-// MultiKey order) aggregate in case order and are identical for every
-// worker count; it is the 1-shard special case of a campaign summary
-// suite.
-func Summarize(ctx context.Context, cases []*Case, cfg Config) Summary {
-	return AggregateSummary(SummaryOutcomes(ctx, cases, cfg))
 }
 
 // FormatSummary renders the summary in the style of the paper's abstract

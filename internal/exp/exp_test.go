@@ -57,11 +57,53 @@ func TestBuildSuiteDimensions(t *testing.T) {
 	}
 }
 
-func TestTable1(t *testing.T) {
-	cfg := tinyConfig()
-	rows, err := Table1(cfg)
+// runSuite runs one report suite over cases and returns its unit
+// results in SuiteUnits order.
+func runSuite(t *testing.T, cases []*Case, suite string, cfg Config) []UnitResult {
+	t.Helper()
+	units, err := SuiteUnits(cfg, suite)
 	if err != nil {
 		t.Fatal(err)
+	}
+	results, err := RunUnits(context.Background(), cases, units, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
+// outcomes returns the attack outcomes of Fig. 5 or summary results.
+func outcomes(results []UnitResult) []Outcome {
+	outs := make([]Outcome, len(results))
+	for i, r := range results {
+		outs[i] = *r.Outcome
+	}
+	return outs
+}
+
+// render returns RenderSuite's output for one suite.
+func render(t *testing.T, suite string, results []UnitResult) string {
+	t.Helper()
+	var b strings.Builder
+	if err := RenderSuite(&b, suite, results); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+func TestTable1(t *testing.T) {
+	cfg := tinyConfig()
+	cases, err := BuildSuite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := runSuite(t, cases, "table1", cfg)
+	rows := make([]Table1Row, len(results))
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		rows[i] = *r.Table1
 	}
 	if len(rows) != len(cfg.Specs) {
 		t.Fatalf("%d rows, want %d", len(rows), len(cfg.Specs))
@@ -77,7 +119,7 @@ func TestTable1(t *testing.T) {
 			t.Logf("%s: locked min %d vs orig %d (AND/NOT form)", r.Name, r.GatesMin, r.GatesOrig)
 		}
 	}
-	text := FormatTable1(rows)
+	text := render(t, "table1", results)
 	if !strings.Contains(text, rows[0].Name) {
 		t.Error("formatted table missing circuit name")
 	}
@@ -90,7 +132,8 @@ func TestFig5PanelHD0(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := Fig5Panel(context.Background(), cases, HD0, cfg)
+	results := runSuite(t, cases, "fig5:hd0", cfg)
+	outs := outcomes(results)
 	// 2 circuits × 2 attacks.
 	if len(outs) != 4 {
 		t.Fatalf("%d outcomes, want 4", len(outs))
@@ -104,7 +147,7 @@ func TestFig5PanelHD0(t *testing.T) {
 	if sat := Cactus(outs, "SAT-Attack"); len(sat) != 0 {
 		t.Errorf("SAT attack solved %d instances of SFLL-HD0 at 10+ key bits", len(sat))
 	}
-	text := FormatCactus(outs, []string{"SAT-Attack", fall.Unateness.String()})
+	text := render(t, "fig5:hd0", results)
 	if !strings.Contains(text, "solved") {
 		t.Error("cactus format empty")
 	}
@@ -117,7 +160,7 @@ func TestFig5PanelHM8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := Fig5Panel(context.Background(), cases, HM8, cfg)
+	outs := outcomes(runSuite(t, cases, "fig5:h8", cfg))
 	if len(outs) != 6 { // SAT + SlidingWindow + Distance2H per circuit
 		t.Fatalf("%d outcomes, want 6", len(outs))
 	}
@@ -136,7 +179,7 @@ func TestFig5PanelHM3SlidingOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs := Fig5Panel(context.Background(), cases, HM3, cfg)
+	outs := outcomes(runSuite(t, cases, "fig5:h3", cfg))
 	for _, o := range outs {
 		if o.Attack == fall.Distance2H.String() {
 			t.Error("Distance2H run on h=m/3 panel (4h > m)")
@@ -156,7 +199,25 @@ func TestFig6(t *testing.T) {
 		}
 		cases = append(cases, cs)
 	}
-	rows := Fig6(context.Background(), cases, cfg)
+	all, err := SuiteUnits(cfg, "fig6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var units []Unit
+	for _, u := range all {
+		if u.Level == HD0 {
+			units = append(units, u)
+		}
+	}
+	results, err := RunUnits(context.Background(), cases, units, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var figs []Fig6CaseResult
+	for _, r := range results {
+		figs = append(figs, *r.Fig6)
+	}
+	rows := AggregateFig6(figs)
 	if len(rows) != 2 {
 		t.Fatalf("%d rows, want 2", len(rows))
 	}
@@ -173,7 +234,7 @@ func TestFig6(t *testing.T) {
 			t.Errorf("%s: keyconfirm mean %v >= satattack mean %v", r.Circuit, r.KCMean, r.SAMean)
 		}
 	}
-	text := FormatFig6(rows)
+	text := render(t, "fig6", results)
 	if !strings.Contains(text, rows[0].Circuit) {
 		t.Error("fig6 format missing circuit")
 	}
@@ -186,7 +247,8 @@ func TestSummarize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Summarize(context.Background(), cases, cfg)
+	results := runSuite(t, cases, "summary", cfg)
+	s := AggregateSummary(outcomes(results))
 	if s.TotalCases != 8 {
 		t.Fatalf("total = %d, want 8", s.TotalCases)
 	}
@@ -198,7 +260,7 @@ func TestSummarize(t *testing.T) {
 	if s.UniqueKey > s.Defeated {
 		t.Error("unique > defeated")
 	}
-	text := FormatSummary(s)
+	text := render(t, "summary", results)
 	if !strings.Contains(text, "defeated") {
 		t.Error("summary format wrong")
 	}
@@ -251,8 +313,8 @@ func TestHarnessDeterministicAcrossWorkers(t *testing.T) {
 			ids[i] = fmt.Sprintf("%s/%s/h=%d/seed=%d/gates=%d",
 				cs.Spec.Name, cs.Level.Label(), cs.H, cs.Seed, cs.Lock.Locked.NumGates())
 		}
-		panel := shapes(Fig5Panel(context.Background(), cases, HD0, cfg))
-		summary := Summarize(context.Background(), cases, cfg)
+		panel := shapes(outcomes(runSuite(t, cases, "fig5:hd0", cfg)))
+		summary := AggregateSummary(outcomes(runSuite(t, cases, "summary", cfg)))
 		if wantCases == nil {
 			wantCases, wantPanel, wantSummary = ids, panel, &summary
 			continue
@@ -282,9 +344,9 @@ func TestScoreShortlist(t *testing.T) {
 	ctx := context.Background()
 
 	var planted Outcome
-	scoreShortlist(ctx, cs, []map[string]bool{cs.Lock.Key}, cfg, cfg.solverSetup(), &planted)
-	if !planted.PlantedKeyMatch || !planted.Equivalent || !planted.Solved {
-		t.Errorf("planted key scored %+v, want match+equivalent+solved", planted)
+	miters := ScoreShortlist(ctx, cs, []map[string]bool{cs.Lock.Key}, cfg, cfg.solverSetup(), &planted)
+	if !planted.PlantedKeyMatch || !planted.Equivalent || !planted.Solved || miters != 0 {
+		t.Errorf("planted key scored %+v with %d miters, want match+equivalent+solved and none", planted, miters)
 	}
 
 	// A flipped key bit breaks a TTLock instance on the protected cube:
@@ -298,14 +360,14 @@ func TestScoreShortlist(t *testing.T) {
 		break
 	}
 	var flipped Outcome
-	scoreShortlist(ctx, cs, []map[string]bool{wrong}, cfg, cfg.solverSetup(), &flipped)
-	if flipped.PlantedKeyMatch || flipped.Equivalent || flipped.Solved {
-		t.Errorf("flipped key scored %+v, want nothing", flipped)
+	miters = ScoreShortlist(ctx, cs, []map[string]bool{wrong}, cfg, cfg.solverSetup(), &flipped)
+	if flipped.PlantedKeyMatch || flipped.Equivalent || flipped.Solved || miters != 1 {
+		t.Errorf("flipped key scored %+v with %d miters, want nothing and one", flipped, miters)
 	}
 
 	// A shortlist holding both must be Solved via the planted member.
 	var both Outcome
-	scoreShortlist(ctx, cs, []map[string]bool{wrong, cs.Lock.Key}, cfg, cfg.solverSetup(), &both)
+	ScoreShortlist(ctx, cs, []map[string]bool{wrong, cs.Lock.Key}, cfg, cfg.solverSetup(), &both)
 	if !both.Solved || !both.PlantedKeyMatch {
 		t.Errorf("mixed shortlist scored %+v, want solved", both)
 	}

@@ -84,7 +84,7 @@ func TestHarnessHeterogeneousEngines(t *testing.T) {
 	if len(het.PortfolioStats) != 2 || het.PortfolioStats[1].Config != "seed=9,budget=1" {
 		t.Fatalf("portfolio stats: %+v", het.PortfolioStats)
 	}
-	agg := WinStats([]Outcome{base, het}, nil)
+	agg := WinStats([]UnitResult{{Outcome: &base}, {Outcome: &het}})
 	if len(agg) != 2 || agg[0].Races != het.PortfolioStats[0].Races {
 		t.Errorf("WinStats aggregation: %+v", agg)
 	}

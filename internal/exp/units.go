@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"time"
@@ -10,16 +11,17 @@ import (
 	"repro/internal/fall"
 	"repro/internal/genbench"
 	"repro/internal/obs"
+	"repro/internal/sat"
 )
 
-// This file defines the unit layer underneath the suite entry points: a
-// Unit is the smallest independently-executable piece of an experiment
-// run (one attack on one locked instance, one Fig. 6 pairing, one
-// Table I row). The in-process entry points (Table1, Fig5Panel, Fig6,
-// Summarize) enumerate units and execute them all locally — the 1-shard
-// special case — while internal/campaign enumerates the same units into
-// a serialized plan, executes arbitrary shards of them, and aggregates
-// persisted unit results with the same Aggregate* functions.
+// This file defines the unit layer underneath every report: a Unit is
+// the smallest independently-executable piece of an experiment run (one
+// attack on one locked instance, one Fig. 6 pairing, one Table I row).
+// A report suite is SuiteUnits → RunUnits → RenderSuite. cmd/fallbench
+// runs all of a suite's units in one process, the 1-shard special case;
+// internal/campaign enumerates the same units into a serialized plan,
+// executes arbitrary shards of them, and renders the persisted unit
+// results through the same RenderSuite.
 
 // SATAttackName is the Outcome.Attack label of the baseline SAT attack.
 const SATAttackName = "SAT-Attack"
@@ -129,9 +131,8 @@ func fig5CaseUnits(circuit string, level HLevel) []Unit {
 
 // SuiteUnits enumerates the units of one report suite — "table1",
 // "fig5:<hd0|h8|h4|h3>", "fig6" or "summary" — over cfg.Specs, without
-// building any circuits. The order matches the in-process entry points
-// run over a full BuildSuite, so a campaign merge reproduces their
-// output exactly.
+// building any circuits. This is the order RenderSuite reports in, and
+// the order of a campaign plan's cases.
 func SuiteUnits(cfg Config, suite string) ([]Unit, error) {
 	var units []Unit
 	switch {
@@ -172,6 +173,108 @@ type UnitResult struct {
 	Fig6    *Fig6CaseResult // UnitFig6
 	Table1  *Table1Row      // UnitTable1
 	Err     error
+}
+
+// Failed reports whether the unit ran but produced no usable
+// measurement: a harness error, a hard attack failure, or a Fig. 6
+// pairing whose SAT attack failed hard or whose key confirmation never
+// ran. It is the one definition of failure behind fallbench's exit code
+// and campaign's artifact accounting.
+func (r UnitResult) Failed() bool {
+	switch {
+	case r.Err != nil:
+		return true
+	case r.Outcome != nil && r.Outcome.Failed:
+		return true
+	case r.Fig6 != nil && (r.Fig6.SA.Failed || !r.Fig6.KCRan):
+		return true
+	}
+	return false
+}
+
+// WinStats aggregates the per-engine racing statistics recorded across
+// results (attack outcomes, Fig. 6 key-confirmation pipelines and their
+// SAT-attack halves), label-keyed in first-appearance order: the
+// summary fallbench and campaign merge print on stderr and persist for
+// -learn-from. Nil when nothing raced.
+func WinStats(results []UnitResult) []sat.ConfigStats {
+	var groups [][]sat.ConfigStats
+	for _, r := range results {
+		if r.Outcome != nil {
+			groups = append(groups, r.Outcome.PortfolioStats)
+		}
+		if r.Fig6 != nil {
+			groups = append(groups, r.Fig6.KCPortfolio, r.Fig6.SA.PortfolioStats)
+		}
+	}
+	return sat.MergeStats(groups...)
+}
+
+// MemoStats sums the verdict-cache hit/miss counters recorded across
+// results (attack outcomes, Fig. 6 key-confirmation pipelines and their
+// SAT-attack halves). Nil when no result ran with memoization enabled.
+func MemoStats(results []UnitResult) *sat.MemoStats {
+	var total sat.MemoStats
+	found := false
+	add := func(st *sat.MemoStats) {
+		if st != nil {
+			total = total.Add(*st)
+			found = true
+		}
+	}
+	for _, r := range results {
+		if r.Outcome != nil {
+			add(r.Outcome.MemoStats)
+		}
+		if r.Fig6 != nil {
+			add(r.Fig6.KCMemoStats)
+			add(r.Fig6.SA.MemoStats)
+		}
+	}
+	if !found {
+		return nil
+	}
+	return &total
+}
+
+// RenderSuite writes one report suite (a SuiteUnits name) to w: its
+// header line, then its table, aggregated from results in SuiteUnits
+// order. Results without a payload (harness errors, cases a partial
+// campaign has not run yet) are skipped. Both cmd/fallbench and
+// campaign merge print through it, so a merged campaign is
+// byte-identical to a monolithic run with the same measurements.
+func RenderSuite(w io.Writer, suite string, results []UnitResult) error {
+	var outs []Outcome
+	var figs []Fig6CaseResult
+	var rows []Table1Row
+	for _, r := range results {
+		switch {
+		case r.Outcome != nil:
+			outs = append(outs, *r.Outcome)
+		case r.Fig6 != nil:
+			figs = append(figs, *r.Fig6)
+		case r.Table1 != nil:
+			rows = append(rows, *r.Table1)
+		}
+	}
+	var err error
+	switch {
+	case suite == "table1":
+		_, err = fmt.Fprintf(w, "=== Table I (regenerated) ===\n%s", FormatTable1(rows))
+	case strings.HasPrefix(suite, "fig5:"):
+		level, perr := ParseHLevel(strings.TrimPrefix(suite, "fig5:"))
+		if perr != nil {
+			return perr
+		}
+		_, err = fmt.Fprintf(w, "=== Fig. 5 panel %s (%s) ===\n%s", level.Token(), level.Label(), FormatCactus(outs, Fig5AttackNames(level)))
+	case suite == "fig6":
+		_, err = fmt.Fprintf(w, "=== Fig. 6: key confirmation vs SAT attack ===\n%s", FormatFig6(AggregateFig6(figs)))
+	case suite == "summary":
+		_, err = fmt.Fprintf(w, "=== §VI-B summary ===\n%s", FormatSummary(AggregateSummary(outs)))
+	default:
+		return fmt.Errorf("exp: unknown suite %q (want table1, fig5:<level>, fig6 or summary)", suite)
+	}
+	return err
 }
 
 // unitCost estimates a unit's relative runtime for the adaptive
@@ -295,16 +398,6 @@ func RunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config) ([]U
 		results[i] = runUnit(ctx, units[i], byKey, cfg)
 	})
 	return results, nil
-}
-
-// mustRunUnits is RunUnits for entry points whose units are derived
-// from the case list itself, where a missing case is impossible.
-func mustRunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config) []UnitResult {
-	results, err := RunUnits(ctx, cases, units, cfg)
-	if err != nil {
-		panic(err) // unreachable: units enumerate the provided cases
-	}
-	return results
 }
 
 // cancelledUnit synthesizes the result of a unit whose attacks never

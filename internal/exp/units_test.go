@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"errors"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,7 +40,7 @@ func TestParseUnitKindRoundTrip(t *testing.T) {
 }
 
 // Suite enumeration must cover every report with globally unique case
-// IDs, in the dimensions the entry points run.
+// IDs, in the dimensions fallbench and campaign run.
 func TestSuiteUnits(t *testing.T) {
 	cfg := tinyConfig()
 	suites := []string{"table1", "fig5:hd0", "fig5:h8", "fig5:h4", "fig5:h3", "fig6", "summary"}
@@ -228,5 +231,55 @@ func TestUnitIDs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("unit IDs changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// RenderSuite pins the report layout: each suite's literal header, then
+// its table over the results that carry a payload. Once fallbench and
+// campaign merge both print through it, their byte-identity diffs can
+// no longer catch a header or table regression; this test does.
+func TestRenderSuite(t *testing.T) {
+	boom := UnitResult{Err: errors.New("boom")}
+	sa := Outcome{Circuit: "c432", Level: HM8, Attack: SATAttackName, TimedOut: true, Time: time.Second}
+	sw := Outcome{Circuit: "c432", Level: HM8, Attack: "SlidingWindow", Solved: true, Equivalent: true, Unique: true, NumKeys: 1, Time: 12 * time.Millisecond}
+	auto := Outcome{Circuit: "c432", Level: HD0, Attack: "Auto", Solved: true, Equivalent: true, Unique: true, NumKeys: 1}
+	fig6 := Fig6CaseResult{Circuit: "c432", Level: HD0, KCRan: true, KCConfirmed: true, KCElapsed: 3 * time.Millisecond,
+		SA: Outcome{Circuit: "c432", Level: HD0, Attack: SATAttackName, Time: time.Second}}
+	for _, tc := range []struct {
+		suite   string
+		results []UnitResult
+		want    string
+	}{
+		{"table1", []UnitResult{{Table1: &Table1Row{Name: "c432", In: 36, Out: 7, Keys: 12, GatesOrig: 60, GatesMin: 412, GatesMax: 896}}, boom},
+			"=== Table I (regenerated) ===\n" +
+				"ckt        #in  #out  #keys      orig   SFLLmin   SFLLmax\n" +
+				"c432        36     7     12        60       412       896\n"},
+		{"fig5:h8", []UnitResult{{Outcome: &sa}, {Outcome: &sw}, boom},
+			"=== Fig. 5 panel h8 (h=m/8) ===\n" +
+				"SAT-Attack: 0 solved\n" +
+				"SlidingWindow: 1 solved\n" +
+				"   1 solved within 12ms\n" +
+				"Distance2H: 0 solved\n"},
+		{"fig6", []UnitResult{boom, {Fig6: &fig6}},
+			"=== Fig. 6: key confirmation vs SAT attack ===\n" +
+				"ckt        keyconf-mean    keyconf-std    satatk-mean     satatk-std confirmed\n" +
+				"c432                3ms             0s             1s             0s 1/1\n"},
+		{"summary", []UnitResult{{Outcome: &auto}, boom},
+			"=== §VI-B summary ===\n" +
+				"defeated 1 / 1 locked circuits (100%)\n" +
+				"unique key (oracle-less) for 1 / 1 successes (100%)\n"},
+	} {
+		var b strings.Builder
+		if err := RenderSuite(&b, tc.suite, tc.results); err != nil {
+			t.Fatalf("%s: %v", tc.suite, err)
+		}
+		if b.String() != tc.want {
+			t.Errorf("%s rendered\n%s\nwant\n%s", tc.suite, b.String(), tc.want)
+		}
+	}
+	for _, suite := range []string{"fig7", "fig5:h5"} {
+		if err := RenderSuite(io.Discard, suite, nil); err == nil {
+			t.Errorf("RenderSuite accepted suite %q", suite)
+		}
 	}
 }

@@ -5,8 +5,7 @@
 // dimensions (#inputs, #outputs, #keys) and approximately the same gate
 // counts. Every FALL analysis targets the inserted locking logic, so the
 // host circuit's exact function is immaterial to the attack shape; the
-// synthetic hosts provide the same optimization noise and SAT load (see
-// DESIGN.md, substitution 1).
+// synthetic hosts provide the same optimization noise and SAT load.
 package genbench
 
 import (

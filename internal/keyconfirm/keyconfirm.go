@@ -13,7 +13,7 @@
 // candidate is confirmed). With φ = true the procedure devolves into the
 // standard SAT attack, as the paper observes.
 //
-// Implementation refinement (documented in DESIGN.md): before the final
+// Implementation refinement beyond Algorithm 4: before the final
 // single-copy convergence check, an accelerated phase requires each
 // distinguishing input to separate the candidate from two distinct other
 // keys simultaneously (the Double-DIP strengthening [18]). On point-
