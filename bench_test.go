@@ -329,7 +329,7 @@ func benchSolverEngine(b *testing.B, n int) {
 			for j, cfg := range sat.PortfolioConfigs(sat.Config{}, n) {
 				engines[j] = sat.NewWith(cfg)
 			}
-			e = sat.NewEnginePortfolio(engines)
+			e = sat.NewEnginePortfolio(engines, nil)
 		}
 		const p, holes = 8, 7
 		vars := make([][]int, p)

@@ -26,8 +26,8 @@
 // -trace-spans spans; analyze with cmd/tracestat), and net/http/pprof
 // on a separate listener behind -pprof-addr.
 //
-// Exit codes: 0 clean shutdown after drain; 1 hard error (stderr
-// explains).
+// Exit codes: 0 clean shutdown after drain (or -h); 1 usage or hard
+// error (stderr explains).
 package main
 
 import (
@@ -50,6 +50,8 @@ import (
 )
 
 func main() {
+	// A bad flag exits 1 like any other hard error; -h exits 0.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	var (
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
 		dir         = flag.String("dir", "attackd-jobs", "job store directory (jobs survive restarts)")
@@ -68,7 +70,12 @@ func main() {
 		traceSpans  = flag.Int("trace-spans", 2048, "per-job span-trace ring capacity served at GET /jobs/{id}/trace (0 = disable per-job tracing)")
 		claimLease  = flag.Duration("claim-lease", 0, "coordinate several daemons sharing one -dir via per-job claim files with this staleness lease: peers skip claimed jobs and adopt each other's finished results; a dead daemon's claims expire and its jobs are taken over (0 = single-daemon mode)")
 	)
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
 
 	cfg := server.Config{
 		Dir:               *dir,

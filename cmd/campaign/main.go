@@ -21,32 +21,31 @@
 // directory. Artifacts are written atomically, and re-running skips
 // every case whose artifact already exists. -budget stops a worker from
 // claiming new cases once its wall clock is spent (in-flight cases
-// finish; exit 4 signals CI to resume later), and -times-from reuses a
-// prior run's measured per-case wall times as the claim order, longest
-// first. SIGINT or SIGTERM ends a run cleanly: in-flight cases are
-// abandoned unpersisted, claims are released, and the run exits 130.
-// retry deletes failed artifacts and recomputes exactly those cases.
-// merge prints each suite through exp.RenderSuite, the renderer
-// cmd/fallbench uses, so its output is byte-identical to a monolithic
-// cmd/fallbench run over the same measurements, however the fleet split
-// the work. When the plan raced solver engines, merge also prints the
-// aggregated per-engine win statistics (exp.WinStats) on stderr and
-// persists them as DIR/portfolio_stats.json, which a later `campaign
-// run -learn-from` uses to seed its portfolio. merge -rescore
-// recomputes each artifact's Solved/Equivalent verdicts from its
-// persisted key shortlist through the harness's scoring rule,
-// exp.ScoreShortlist (planted-key membership, then the equivalence
-// miter), and rewrites changed artifacts — no attack re-runs.
+// finish; exit 4 signals CI to resume later). Cases are claimed
+// longest-expected-first by the harness cost model. SIGINT or SIGTERM
+// ends a run cleanly: in-flight cases are abandoned unpersisted, claims
+// are released, and the run exits 130. retry deletes failed artifacts
+// and recomputes exactly those cases. merge prints each suite through
+// exp.RenderSuite, the renderer cmd/fallbench uses, so its output is
+// byte-identical to a monolithic cmd/fallbench run over the same
+// measurements, however the fleet split the work. When the plan raced
+// solver engines, merge also prints the aggregated per-engine win
+// statistics (exp.WinStats) on stderr. merge -rescore recomputes each
+// artifact's Solved/Equivalent verdicts from its persisted key
+// shortlist through the harness's scoring rule, exp.ScoreShortlist
+// (planted-key membership, then the equivalence miter), and rewrites
+// changed artifacts — no attack re-runs.
 //
-// Exit codes: 0 success; 1 hard error (stderr explains); 2 completed
-// with failed cases; 3 (status/merge -allow-partial) campaign
-// incomplete; 4 (run -budget) budget exhausted with cases remaining —
-// re-run to resume; 130 (run, retry, watch) interrupted by SIGINT or
-// SIGTERM.
+// Exit codes: 0 success (or -h); 1 usage or hard error (stderr
+// explains); 2 completed with failed cases; 3 (status/merge
+// -allow-partial) campaign incomplete; 4 (run -budget) budget
+// exhausted with cases remaining — re-run to resume; 130 (run, retry,
+// watch) interrupted by SIGINT or SIGTERM.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -62,7 +61,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/genbench"
 	"repro/internal/obs"
-	"repro/internal/sat"
 	"repro/internal/server"
 )
 
@@ -111,6 +109,18 @@ run 'campaign <subcommand> -h' for flags.
 `)
 }
 
+// parseFlags parses a subcommand's flags: -h exits 0 after the usage,
+// a bad flag exits 1 after the error, never 2, which means "completed
+// with failed cases".
+func parseFlags(fs *flag.FlagSet, args []string) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
 	os.Exit(1)
@@ -142,7 +152,7 @@ func loadPlan(dir string) *campaign.Plan {
 }
 
 func cmdPlan(args []string) {
-	fs := flag.NewFlagSet("campaign plan", flag.ExitOnError)
+	fs := flag.NewFlagSet("campaign plan", flag.ContinueOnError)
 	dir := fs.String("dir", "", "campaign directory to create the plan in")
 	scale := fs.String("scale", "small", "experiment scale: paper | medium | small | tiny")
 	seed := fs.Int64("seed", 2019, "base seed")
@@ -151,11 +161,10 @@ func cmdPlan(args []string) {
 	enc := fs.String("enc", "adder", "cardinality encoding: adder | seq")
 	solver := fs.String("solver", "", "solver engine spec for every attack and scoring miter (empty = baseline CDCL)")
 	portfolio := fs.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat")
-	adaptAfter := fs.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
 	memoDir := fs.String("memo-dir", "", "record a persistent verdict-store directory in the plan: every shard run attaches the on-disk memo there (verdicts unchanged)")
 	suites := fs.String("suites", strings.Join(campaign.DefaultSuites(), ","), "report suites, comma-separated")
 	force := fs.Bool("force", false, "overwrite an existing, different plan")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	if *dir == "" {
 		fatalf("need -dir DIR")
 	}
@@ -166,7 +175,6 @@ func cmdPlan(args []string) {
 		SATIterCap: *iterCap,
 		Enc:        *enc,
 		Solver:     *solver,
-		AdaptAfter: *adaptAfter,
 		MemoDir:    *memoDir,
 		Suites:     strings.Split(*suites, ","),
 	}
@@ -214,8 +222,7 @@ func cmdPlan(args []string) {
 type shardFlags struct {
 	shardIndex, shardCount, workers *int
 	quiet                           *bool
-	learnFrom, trace, owner         *string
-	timesFrom, solverOver           *string
+	trace, owner, solverOver        *string
 	memo                            *attack.MemoFlags
 	lease, budget                   *time.Duration
 }
@@ -230,19 +237,17 @@ func runFlags(fs *flag.FlagSet) shardFlags {
 		owner:      fs.String("owner", "", "worker identity for claim files and budget markers (default host-pid)"),
 		lease:      fs.Duration("lease", 0, "claim staleness horizon: an unheartbeated claim older than this is re-stolen (0 = 2m)"),
 		budget:     fs.Duration("budget", 0, "wall-clock budget: stop claiming new cases after this long, finish in-flight ones, exit 4 if cases remain (0 = none)"),
-		timesFrom:  fs.String("times-from", "", "artifact directories of prior runs, comma-separated; their measured per-case wall times set the claim order, longest first"),
 		solverOver: fs.String("solver-override", "", "replace the plan's solver engine spec for this worker only (heterogeneous fleets; must be verdict-equivalent to the plan's engine)"),
 		memo:       attack.RegisterMemoFlags(fs),
-		learnFrom:  fs.String("learn-from", "", "portfolio-stats JSON (e.g. a prior merge's portfolio_stats.json); reorders/prunes the racing engines"),
 		trace:      fs.String("trace", "", "write an NDJSON span trace of the run to FILE (merge per-run traces with `campaign merge -traces` or tracestat)"),
 	}
 }
 
 func runShard(name string, args []string, retry bool) {
-	fs := flag.NewFlagSet("campaign "+name, flag.ExitOnError)
+	fs := flag.NewFlagSet("campaign "+name, flag.ContinueOnError)
 	dir, artifacts := dirFlags(fs)
 	f := runFlags(fs)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	if *f.shardCount == 0 {
 		*f.shardCount = 1 // as campaign.Run reads it
 	}
@@ -268,7 +273,6 @@ func runShard(name string, args []string, retry bool) {
 		ShardIndex:     *f.shardIndex,
 		ShardCount:     *f.shardCount,
 		Workers:        *f.workers,
-		LearnFrom:      *f.learnFrom,
 		Memo:           f.memo.Enabled,
 		MemoDir:        f.memo.Dir,
 		MemoMaxBytes:   f.memo.MaxBytes,
@@ -277,9 +281,6 @@ func runShard(name string, args []string, retry bool) {
 		Lease:          *f.lease,
 		Budget:         *f.budget,
 		SolverOverride: *f.solverOver,
-	}
-	if *f.timesFrom != "" {
-		opts.TimesFrom = strings.Split(*f.timesFrom, ",")
 	}
 	if !*f.quiet {
 		opts.Log = os.Stderr
@@ -315,13 +316,12 @@ func cmdRun(args []string) { runShard("run", args, false) }
 func cmdRetry(args []string) { runShard("retry", args, true) }
 
 func cmdMerge(args []string) {
-	fs := flag.NewFlagSet("campaign merge", flag.ExitOnError)
+	fs := flag.NewFlagSet("campaign merge", flag.ContinueOnError)
 	dir, artifacts := dirFlags(fs)
 	allowPartial := fs.Bool("allow-partial", false, "render even if some cases have no artifact yet")
 	rescore := fs.Bool("rescore", false, "recompute Solved/Equivalent verdicts from each artifact's persisted key shortlist (planted-key membership, then the equivalence miter) and rewrite changed artifacts before rendering — no attack re-runs")
-	statsOut := fs.String("stats-out", "", "portfolio-stats JSON path (default DIR/portfolio_stats.json; \"-\" disables)")
 	traces := fs.String("traces", "", "per-shard trace files (comma-separated paths or globs); prints one merged tracestat view on stderr")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	p := loadPlan(*dir)
 	m, err := campaign.Merge(p, artifactDirs(*dir, *artifacts))
 	if err != nil {
@@ -343,19 +343,8 @@ func cmdMerge(args []string) {
 		fatalf("%v", err)
 	}
 	// Racing statistics stay off stdout so merges diff byte-identical
-	// against monolithic fallbench runs; the JSON snapshot feeds
-	// `campaign run -learn-from` on the next campaign.
-	if stats := m.WinStats(); len(stats) > 0 && *statsOut != "-" {
-		attack.FprintStats(os.Stderr, stats)
-		path := *statsOut
-		if path == "" {
-			path = filepath.Join(*dir, "portfolio_stats.json")
-		}
-		if err := sat.WriteStatsFile(path, stats); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Fprintf(os.Stderr, "campaign: per-engine win statistics written to %s\n", path)
-	}
+	// against monolithic fallbench runs.
+	attack.FprintStats(os.Stderr, m.WinStats())
 	if st := m.MemoStats(); st != nil {
 		attack.FprintMemoSummary(os.Stderr, nil, *st, -1)
 	}
@@ -400,11 +389,11 @@ func cmdMerge(args []string) {
 // over /jobs/{id}/events. It blocks until the campaign is complete
 // (exit 0, or 2 when cases failed) or interrupted (exit 130).
 func cmdWatch(args []string) {
-	fs := flag.NewFlagSet("campaign watch", flag.ExitOnError)
+	fs := flag.NewFlagSet("campaign watch", flag.ContinueOnError)
 	dir, artifacts := dirFlags(fs)
 	interval := fs.Duration("interval", time.Second, "poll interval")
 	ndjson := fs.Bool("ndjson", false, "emit raw NDJSON events (the daemon stream encoding) instead of human-readable lines")
-	fs.Parse(args)
+	parseFlags(fs, args)
 	p := loadPlan(*dir)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -434,9 +423,9 @@ func cmdWatch(args []string) {
 }
 
 func cmdStatus(args []string) {
-	fs := flag.NewFlagSet("campaign status", flag.ExitOnError)
+	fs := flag.NewFlagSet("campaign status", flag.ContinueOnError)
 	dir, artifacts := dirFlags(fs)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	p := loadPlan(*dir)
 	s, err := campaign.Status(p, artifactDirs(*dir, *artifacts))
 	if err != nil {

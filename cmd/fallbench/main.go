@@ -20,12 +20,6 @@
 //	               shorthand for N internal variants of -solver, a list
 //	               (internal,kissat) races heterogeneous backends;
 //	               decided verdicts are identical for every mix
-//	-learn-from F  reorder/prune the raced engines (two or more) from a
-//	               prior run's portfolio-stats file before racing
-//	-adapt-after N retire a raced engine mid-run once it has lost N
-//	               races without a win
-//	-stats-out F   persist the aggregated per-engine win statistics as
-//	               JSON (feeds -learn-from of a later run)
 //	-memo          share a cross-query verdict cache across every attack
 //	               and scoring miter (verdicts unchanged; hit statistics
 //	               and per-case encode/solve splits land on stderr)
@@ -75,20 +69,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fallbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		table1     = fs.Bool("table1", false, "regenerate Table I")
-		fig5       = fs.String("fig5", "", "regenerate a Fig. 5 panel: hd0 | h8 | h4 | h3")
-		fig6       = fs.Bool("fig6", false, "regenerate Fig. 6")
-		summary    = fs.Bool("summary", false, "regenerate the §VI-B summary statistics")
-		scale      = fs.String("scale", "small", "experiment scale: paper | medium | small | tiny")
-		timeout    = fs.Duration("timeout", 5*time.Second, "per-attack time budget")
-		iterCap    = fs.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
-		seed       = fs.Int64("seed", 2019, "base seed")
-		enc        = fs.String("enc", "adder", "cardinality encoding: adder | seq")
-		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "suite cases run concurrently (1 = serial; output is identical either way)")
-		learnFrom  = fs.String("learn-from", "", "portfolio-stats JSON from a prior run; reorders/prunes the engine list before racing")
-		adaptAfter = fs.Int64("adapt-after", 0, "retire an engine mid-run after it loses this many races without a win (0 = never)")
-		statsOut   = fs.String("stats-out", "", "write the aggregated per-engine win statistics to this JSON file")
-		sf         = attack.RegisterFlags(fs)
+		table1  = fs.Bool("table1", false, "regenerate Table I")
+		fig5    = fs.String("fig5", "", "regenerate a Fig. 5 panel: hd0 | h8 | h4 | h3")
+		fig6    = fs.Bool("fig6", false, "regenerate Fig. 6")
+		summary = fs.Bool("summary", false, "regenerate the §VI-B summary statistics")
+		scale   = fs.String("scale", "small", "experiment scale: paper | medium | small | tiny")
+		timeout = fs.Duration("timeout", 5*time.Second, "per-attack time budget")
+		iterCap = fs.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
+		seed    = fs.Int64("seed", 2019, "base seed")
+		enc     = fs.String("enc", "adder", "cardinality encoding: adder | seq")
+		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "suite cases run concurrently (1 = serial; output is identical either way)")
+		sf      = attack.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -141,22 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	defer sf.EndTrace(stderr)
-	cfg.Engines, cfg.Memo, cfg.Trace, cfg.AdaptAfter = sf.Specs, sf.Memo, sf.Root, *adaptAfter
-	if *adaptAfter > 0 || *learnFrom != "" {
-		if len(cfg.Engines) < 2 {
-			return fail("-adapt-after/-learn-from need a -portfolio of at least two engines")
-		}
-		if *learnFrom != "" {
-			prior, err := sat.ReadStatsFile(*learnFrom)
-			if err != nil {
-				return fail("learn-from: %v", err)
-			}
-			cfg.Engines = sat.LearnedConfigs(cfg.Engines, prior, *adaptAfter)
-		}
-		if *adaptAfter > 0 {
-			cfg.Adapt = sat.NewLedgerLabels(sat.EngineLabels(cfg.Engines))
-		}
-	}
+	cfg.Engines, cfg.Memo, cfg.Trace = sf.Specs, sf.Memo, sf.Root
 
 	// Build the locked suite once; every requested report shares it.
 	cases, err := exp.BuildSuite(cfg)
@@ -202,14 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Racing statistics go to stderr: stdout must stay verdict-only so
 	// portfolio runs diff byte-identical against single-engine runs.
-	if stats := exp.WinStats(all); len(stats) > 0 {
-		attack.FprintStats(stderr, stats)
-		if *statsOut != "" {
-			if err := sat.WriteStatsFile(*statsOut, stats); err != nil {
-				return fail("stats-out: %v", err)
-			}
-		}
-	}
+	attack.FprintStats(stderr, exp.WinStats(all))
 	if cfg.Memo != nil {
 		st := exp.MemoStats(all)
 		if st == nil { // no unit queried a solver (-table1 alone)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,21 +15,27 @@ func cli(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// A run that stops on a usage error must not leave a half-written
-// trace behind: suite flags are checked before the trace opens, and a
-// check after it closes the trace on the way out.
+// failingWriter rejects every write, standing in for a closed stdout.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("stdout closed") }
+
+// A run that stops on an error must not leave a half-written trace
+// behind: suite flags are checked before the trace opens, and an error
+// after it (here a failing stdout) closes the trace on the way out.
 func TestUsageErrorsLeaveNoTraceTemp(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-scale", "tiny", "-trace", filepath.Join(dir, "t.ndjson")},
 		{"-scale", "tiny", "-fig5", "bogus", "-trace", filepath.Join(dir, "t2.ndjson")},
-		{"-scale", "tiny", "-portfolio", "1", "-adapt-after", "3", "-trace", filepath.Join(dir, "t3.ndjson")},
-		// With a suite, the -adapt-after check runs after the trace opened.
-		{"-table1", "-scale", "tiny", "-portfolio", "1", "-adapt-after", "3", "-trace", filepath.Join(dir, "t4.ndjson")},
 	} {
 		if code, _, stderr := cli(args...); code != 1 {
 			t.Errorf("%v: exit %d, want 1 (stderr %q)", args, code, stderr)
 		}
+	}
+	var errOut strings.Builder
+	if code := run([]string{"-table1", "-scale", "tiny", "-trace", filepath.Join(dir, "t3.ndjson")}, failingWriter{}, &errOut); code != 1 {
+		t.Errorf("failing stdout: exit %d, want 1 (stderr %q)", code, errOut.String())
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -41,8 +48,8 @@ func TestUsageErrorsLeaveNoTraceTemp(t *testing.T) {
 	}
 	// The trace the last run opened was closed (renamed into place), not
 	// abandoned.
-	if _, err := os.Stat(filepath.Join(dir, "t4.ndjson")); err != nil {
-		t.Errorf("trace opened before a usage error was not closed: %v", err)
+	if _, err := os.Stat(filepath.Join(dir, "t3.ndjson")); err != nil {
+		t.Errorf("trace opened before the error was not closed: %v", err)
 	}
 }
 

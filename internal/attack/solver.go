@@ -17,9 +17,8 @@ import (
 // This file is the construction point of the heterogeneous solver
 // system: sat holds the spec grammar (pure data), the backend packages
 // hold the engines, and SolverSetup — the only place that imports all
-// of them — turns parsed specs into SolverFactory closures, shares win
-// ledgers across every engine a run builds, and applies the adaptive
-// drop rule that retires chronically losing engines mid-campaign.
+// of them — turns parsed specs into SolverFactory closures and shares
+// one win ledger across every engine a run builds.
 
 // SolverSetup bundles a solver configuration into a SolverFactory, and
 // — when racing — accumulates per-engine win statistics across every
@@ -31,17 +30,6 @@ type SolverSetup struct {
 	// default internal engine, for setups that exist only to carry a
 	// memo or a trace.
 	Specs []sat.EngineSpec
-	// AdaptAfter retires an engine spec from subsequently built
-	// portfolios once it has raced this many times without a single win
-	// while some other spec has won (0 = never retire). Dropping only
-	// redistributes racing effort — every surviving engine decides the
-	// same formulas — so verdicts are unaffected.
-	AdaptAfter int64
-	// Global, when non-nil, is a cross-run ledger (slots matching Specs)
-	// that also accumulates every race and, when set, drives the
-	// AdaptAfter decision — so losses observed in earlier cases of a
-	// campaign shard retire an engine for later ones.
-	Global *sat.Ledger
 	// Memo, when non-nil, wraps every engine the factory builds in a
 	// verdict-memoizing layer (sat.MemoEngine) sharing this cache, so
 	// identical (prefix, delta, assumptions) queries — across cells,
@@ -116,33 +104,6 @@ func buildEngine(ctx context.Context, spec sat.EngineSpec) sat.Engine {
 	return e
 }
 
-// activeSlots returns the Specs indices still worth racing under the
-// AdaptAfter rule, always at least one.
-func (s *SolverSetup) activeSlots() []int {
-	all := make([]int, len(s.Specs))
-	for i := range all {
-		all[i] = i
-	}
-	led := s.Global
-	if led == nil {
-		led = s.ledger
-	}
-	if s.AdaptAfter <= 0 || led == nil {
-		return all
-	}
-	act := led.Active(s.AdaptAfter)
-	keep := all[:0]
-	for i, a := range act {
-		if i < len(s.Specs) && a {
-			keep = append(keep, i)
-		}
-	}
-	if len(keep) == 0 {
-		return all
-	}
-	return keep
-}
-
 // Factory returns the SolverFactory realizing the setup; a nil setup
 // yields a nil factory (the default engine). The factory is safe for
 // concurrent use: portfolios built by different workers share the
@@ -159,13 +120,11 @@ func (s *SolverSetup) Factory() SolverFactory {
 			}
 			return s.wrap(buildEngine(ctx, spec), ctx)
 		}
-		active := s.activeSlots()
-		engines := make([]sat.Engine, len(active))
-		for i, slot := range active {
-			engines[i] = buildEngine(ctx, s.Specs[slot])
+		engines := make([]sat.Engine, len(s.Specs))
+		for i, spec := range s.Specs {
+			engines[i] = buildEngine(ctx, spec)
 		}
-		p := sat.NewEnginePortfolio(engines, s.ledger, s.Global)
-		p.SetLedgerSlots(active)
+		p := sat.NewEnginePortfolio(engines, s.ledger)
 		p.SetContext(ctx)
 		return s.wrap(p, ctx)
 	}
@@ -297,22 +256,6 @@ func (t *timedEngine) Stats() sat.Stats               { return t.inner.Stats() }
 func (t *timedEngine) LoadFrozen(f *sat.Frozen)       { sat.Prime(t.inner, f) }
 
 var _ sat.FrozenLoader = (*timedEngine)(nil)
-
-// unwrapEngine peels the setup's middleware layers off an engine built
-// by Factory, exposing the underlying solver (e.g. for portfolio
-// introspection in tests).
-func unwrapEngine(e sat.Engine) sat.Engine {
-	for {
-		switch w := e.(type) {
-		case *timedEngine:
-			e = w.inner
-		case *sat.MemoEngine:
-			e = w.Inner()
-		default:
-			return e
-		}
-	}
-}
 
 // SolverSetupFromFlags resolves the -solver/-portfolio flag pair
 // (sat.ResolveSolverFlags) into a setup. Both flags unset (or a width

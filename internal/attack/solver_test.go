@@ -12,14 +12,13 @@ import (
 // TestSolverSetupFromFlags pins the single resolution path: every flag
 // pair becomes an engine-spec list (nil = the default engine), the
 // default internal engine has one label however it is spelled, and an
-// integer width records exactly the PortfolioConfigs labels that
-// portfolio_stats.json files carry.
+// integer width records exactly the PortfolioConfigs labels.
 func TestSolverSetupFromFlags(t *testing.T) {
 	internal := sat.InternalSpec(sat.Config{})
 	budgeted := sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1})
 	// An integer width is N internal specs labelled exactly like the
-	// PortfolioConfigs strings, so stats files written by earlier width
-	// runs still match under -learn-from.
+	// PortfolioConfigs strings, so ledgers of width runs keep their
+	// labels.
 	width := func(base sat.Config, n int) []sat.EngineSpec {
 		var specs []sat.EngineSpec
 		for _, cfg := range sat.PortfolioConfigs(base, n) {
@@ -166,80 +165,5 @@ func TestHeterogeneousFactoryVerdicts(t *testing.T) {
 	}
 	if stats[0].Races+stats[1].Races == 0 || stats[0].Wins+stats[1].Wins != 1 {
 		t.Errorf("accounting: %+v", stats)
-	}
-}
-
-// TestAdaptiveDrop: an engine that keeps losing is retired from newly
-// built portfolios after AdaptAfter races, and its ledger slot stays in
-// the stats (frozen), so the drop is visible in artifacts.
-func TestAdaptiveDrop(t *testing.T) {
-	setup := NewSolverSetupEngines([]sat.EngineSpec{
-		sat.InternalSpec(sat.Config{}),
-		sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1}), // gives up at once: never wins
-	})
-	setup.AdaptAfter = 2
-	f := setup.Factory()
-	for i := 0; i < 3; i++ {
-		e := f(context.Background())
-		p, ok := unwrapEngine(e).(*sat.Portfolio)
-		if !ok {
-			t.Fatalf("round %d: factory built %T, want *sat.Portfolio", i, unwrapEngine(e))
-		}
-		if i < 2 && p.Size() != 2 {
-			t.Fatalf("round %d: portfolio size %d, want 2", i, p.Size())
-		}
-		if i == 2 && p.Size() != 1 {
-			t.Fatalf("after %d losses the budgeted engine must be dropped; size %d", i, p.Size())
-		}
-		loadPigeonhole(e, 5, 4)
-		if got := e.Solve(); got != sat.Unsat {
-			t.Fatalf("round %d: verdict %v", i, got)
-		}
-	}
-	stats := setup.WinStats()
-	if stats[1].Races != 2 || stats[1].Wins != 0 {
-		t.Errorf("dropped engine's slot: %+v", stats[1])
-	}
-	if stats[0].Races != 3 || stats[0].Wins != 3 {
-		t.Errorf("surviving engine's slot: %+v", stats[0])
-	}
-}
-
-// TestGlobalLedgerDrivesDrop: with a Global ledger attached, losses
-// recorded by one setup retire the engine in a different setup sharing
-// the ledger — the cross-case campaign mechanism.
-func TestGlobalLedgerDrivesDrop(t *testing.T) {
-	specs := []sat.EngineSpec{
-		sat.InternalSpec(sat.Config{}),
-		sat.InternalSpec(sat.Config{Seed: 9, ConflictBudget: 1}),
-	}
-	global := sat.NewLedgerLabels(sat.EngineLabels(specs))
-
-	first := NewSolverSetupEngines(specs)
-	first.AdaptAfter, first.Global = 2, global
-	f := first.Factory()
-	for i := 0; i < 2; i++ {
-		e := f(context.Background())
-		loadPigeonhole(e, 5, 4)
-		if got := e.Solve(); got != sat.Unsat {
-			t.Fatalf("warm-up %d: %v", i, got)
-		}
-	}
-
-	second := NewSolverSetupEngines(specs)
-	second.AdaptAfter, second.Global = 2, global
-	e := second.Factory()(context.Background())
-	p, ok := unwrapEngine(e).(*sat.Portfolio)
-	if !ok {
-		t.Fatalf("fresh setup built %T, want *sat.Portfolio", unwrapEngine(e))
-	}
-	if p.Size() != 1 {
-		t.Fatalf("fresh setup still races the chronic loser: size %d", p.Size())
-	}
-	// The fresh setup's own per-run stats start clean.
-	for _, cs := range second.WinStats() {
-		if cs.Races != 0 {
-			t.Errorf("fresh per-run ledger pre-seeded: %+v", cs)
-		}
 	}
 }

@@ -253,3 +253,24 @@ func TestSortedSignalNames(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse: no input makes Parse panic, and an accepted netlist
+// written back by Write parses again and writes the same bytes — the
+// form every netlist `attack` and the daemon's POST /jobs receive is
+// normalized to. Plain go test replays the corpus under testdata/fuzz.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseString(src, "fuzz")
+		if err != nil {
+			return
+		}
+		out := WriteString(c)
+		back, err := ParseString(out, "fuzz")
+		if err != nil {
+			t.Fatalf("ParseString(%q) writes %q, which does not parse: %v", src, out, err)
+		}
+		if again := WriteString(back); again != out {
+			t.Fatalf("ParseString(%q) writes %q, which parses and writes %q", src, out, again)
+		}
+	})
+}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"repro/internal/exp"
 )
@@ -120,21 +119,6 @@ func ReadArtifact(path string) (*Artifact, error) {
 	}
 	a.path = path
 	return &a, nil
-}
-
-// WallTime returns the attack wall time the artifact records — the
-// currency of the dispatch cost model (ObservedTimes feeds it back as
-// measured claim order). Table-only and failed artifacts report zero.
-func (a *Artifact) WallTime() time.Duration {
-	switch {
-	case a.Error != "":
-		return 0
-	case a.Outcome != nil:
-		return a.Outcome.Time
-	case a.Fig6 != nil:
-		return a.Fig6.KCElapsed + a.Fig6.SA.Time
-	}
-	return 0
 }
 
 // ReadArtifacts scans every *.json artifact in dirs and returns them

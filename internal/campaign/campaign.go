@@ -36,6 +36,7 @@
 package campaign
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -100,12 +101,6 @@ type Config struct {
 	// base config. omitempty keeps pre-heterogeneous plan hashes
 	// unchanged.
 	PortfolioEngines string `json:"portfolio_engines,omitempty"`
-	// AdaptAfter retires a racing engine (of a width or an engine list)
-	// mid-run once it has raced this many times without a win (0 =
-	// never); it needs at least two engines. Dropping only
-	// redistributes racing effort, never verdicts, but it is part of
-	// the plan because it changes the recorded portfolio_stats.
-	AdaptAfter int64 `json:"adapt_after,omitempty"`
 	// MemoDir, when non-empty, is the plan's default persistent
 	// verdict-store directory: every shard run attaches the on-disk memo
 	// tier there unless overridden at run time. The memo only changes
@@ -130,7 +125,6 @@ func (c Config) ExpConfig() (exp.Config, error) {
 		Timeout:    c.Timeout,
 		Enc:        enc,
 		SATIterCap: c.SATIterCap,
-		AdaptAfter: c.AdaptAfter,
 	}
 	portfolio := c.PortfolioEngines
 	if c.Portfolio != 0 {
@@ -141,9 +135,6 @@ func (c Config) ExpConfig() (exp.Config, error) {
 	}
 	if cfg.Engines, err = sat.ResolveSolverFlags(c.Solver, portfolio); err != nil {
 		return exp.Config{}, err
-	}
-	if c.AdaptAfter > 0 && len(cfg.Engines) < 2 {
-		return exp.Config{}, fmt.Errorf("campaign: adapt_after needs a portfolio of at least two engines")
 	}
 	return cfg, nil
 }
@@ -313,14 +304,18 @@ func WritePlan(path string, p *Plan) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// ReadPlan loads and validates a plan.
+// ReadPlan loads and validates a plan. A field this binary does not
+// know is a parse error that names it, not a hash mismatch blamed on a
+// hand edit.
 func ReadPlan(path string) (*Plan, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("campaign: parse %s: %w", path, err)
 	}
 	if err := p.Validate(); err != nil {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/genbench"
 	"repro/internal/obs"
-	"repro/internal/sat"
 )
 
 // caseNeed identifies one locked instance a case attacks: spec index
@@ -89,13 +88,6 @@ type RunOptions struct {
 	// Log, when non-nil, receives one progress line per case and the
 	// memo summary.
 	Log io.Writer
-	// LearnFrom is a portfolio-stats JSON file (written by campaign
-	// merge or fallbench -stats-out) whose recorded win statistics
-	// reorder — and, with the plan's AdaptAfter, prune — the engine
-	// list before racing (sat.LearnedConfigs). Learning redistributes
-	// racing effort only; verdicts and artifacts' verdict fields are
-	// unaffected.
-	LearnFrom string
 	// Memo shares one cross-query verdict cache across the run's cases
 	// (sat.NewMemo). Verdicts are unchanged — memoized artifacts
 	// additionally carry solve-time and hit/miss diagnostics, which a
@@ -128,13 +120,6 @@ type RunOptions struct {
 	// unstarted, and a resumed run completes them. cmd/campaign maps
 	// BudgetStopped to exit code 4 so CI can requeue a continuation.
 	Budget time.Duration
-	// TimesFrom lists artifact directories of prior runs whose
-	// recorded per-case wall times (ObservedTimes) refine the dispatch
-	// cost model: observed cases are claimed by measurement, longest
-	// first, and unmeasured ones by the calibrated model
-	// (exp.DispatchOrderObserved). Scheduling only — verdicts are
-	// unaffected.
-	TimesFrom []string
 	// SolverOverride replaces the plan's solver engine spec for this
 	// worker only — runtime configuration, not part of the plan hash.
 	// It is how a heterogeneous fleet maps workers to their hardware
@@ -216,23 +201,10 @@ func Run(ctx context.Context, plan *Plan, artifactDir string, opts RunOptions) (
 		return nil, err
 	}
 	expCfg.Workers = opts.Workers
-	if len(expCfg.Engines) > 0 {
-		if opts.LearnFrom != "" {
-			prior, err := sat.ReadStatsFile(opts.LearnFrom)
-			if err != nil {
-				return nil, fmt.Errorf("campaign: learn-from: %w", err)
-			}
-			expCfg.Engines = sat.LearnedConfigs(expCfg.Engines, prior, plan.Config.AdaptAfter)
-		}
-		// Fail fast on missing solver binaries (instead of a run full of
-		// Unknown verdicts), and share one ledger across the run's cases
-		// so chronic losers retire mid-run.
-		if err := attack.NewSolverSetupEngines(expCfg.Engines).Check(); err != nil {
-			return nil, err
-		}
-		if plan.Config.AdaptAfter > 0 {
-			expCfg.Adapt = sat.NewLedgerLabels(sat.EngineLabels(expCfg.Engines))
-		}
+	// Fail fast on missing solver binaries instead of a run full of
+	// Unknown verdicts.
+	if err := attack.NewSolverSetupEngines(expCfg.Engines).Check(); err != nil {
+		return nil, err
 	}
 	memoDir := opts.MemoDir
 	if memoDir == "" {
@@ -255,9 +227,6 @@ func Run(ctx context.Context, plan *Plan, artifactDir string, opts RunOptions) (
 				fmt.Fprintf(opts.Log, "campaign: trace: %v\n", err)
 			}
 		}()
-	}
-	if len(opts.TimesFrom) > 0 {
-		expCfg.Observed = ObservedTimes(opts.TimesFrom)
 	}
 
 	s := &scheduler{
@@ -296,10 +265,10 @@ func Run(ctx context.Context, plan *Plan, artifactDir string, opts RunOptions) (
 			todo = append(todo, i)
 		}
 	}
-	// Claim order is the harness dispatch order — longest first, by
-	// observation where available — so the fleet fronts the heavy cases
-	// while there are still many hands free.
-	for _, j := range exp.DispatchOrderObserved(shardUnits, specs, expCfg.Observed) {
+	// Claim order is the harness dispatch order — longest first by the
+	// cost model — so the fleet fronts the heavy cases while there are
+	// still many hands free.
+	for _, j := range exp.DispatchOrder(shardUnits, specs) {
 		s.order = append(s.order, idxs[j])
 	}
 	// Build the instances of the cases still open in one batch before

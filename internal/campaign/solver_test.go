@@ -3,8 +3,8 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -62,50 +62,6 @@ func TestPlanSolverConfig(t *testing.T) {
 	}
 }
 
-// TestPlanWidthAdapts: an integer width is an engine list, so a plan
-// racing -portfolio 3 takes adapt_after, and a learned re-run drops the
-// engine a prior stats file records as a chronic loser.
-func TestPlanWidthAdapts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a tiny campaign")
-	}
-	cfg := tinyCampaignConfig("summary")
-	cfg.Specs = cfg.Specs[:1]
-	cfg.Portfolio, cfg.AdaptAfter = 3, 2
-	plan, err := NewPlan(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ec, err := plan.Config.ExpConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	labels := sat.EngineLabels(ec.Engines)
-	if len(labels) != 3 {
-		t.Fatalf("width 3 resolved to %q", labels)
-	}
-	prior := []sat.ConfigStats{{Config: labels[1], Races: 4, Wins: 4}, {Config: labels[2], Races: 4}}
-	statsPath := filepath.Join(t.TempDir(), "portfolio_stats.json")
-	if err := sat.WriteStatsFile(statsPath, prior); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "artifacts")
-	if _, err := Run(context.Background(), plan, dir, RunOptions{Workers: 2, LearnFrom: statsPath}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Merge(plan, []string{dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raced []string
-	for _, cs := range m.WinStats() {
-		raced = append(raced, cs.Config)
-	}
-	if want := []string{labels[1], labels[0]}; !reflect.DeepEqual(raced, want) {
-		t.Errorf("learned width run raced %q, want %q (winner first, loser dropped)", raced, want)
-	}
-}
-
 // TestPlanHeterogeneousEngines: engine lists serialize through plans,
 // resolve into exp.Config.Engines, and bad combinations are rejected
 // at plan time.
@@ -119,7 +75,6 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 	het := base
 	het.Solver = "seed=5"
 	het.PortfolioEngines = "internal,internal:seed=9,budget=1"
-	het.AdaptAfter = 10
 	p, err := NewPlan(het)
 	if err != nil {
 		t.Fatal(err)
@@ -130,9 +85,6 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 	}
 	if len(ec.Engines) != 2 || ec.Engines[0].Config.Seed != 5 || ec.Engines[1].Config.ConflictBudget != 1 {
 		t.Errorf("engines lost in resolution: %+v", ec.Engines)
-	}
-	if ec.AdaptAfter != 10 {
-		t.Errorf("adapt_after lost: %d", ec.AdaptAfter)
 	}
 
 	// A single non-internal -solver also lands in Engines.
@@ -151,14 +103,12 @@ func TestPlanHeterogeneousEngines(t *testing.T) {
 		"widthAndList":  {Portfolio: 3, PortfolioEngines: "internal,kissat"},
 		"externalBase":  {Solver: "kissat", PortfolioEngines: "internal,cadical"},
 		"widthExternal": {Solver: "kissat", Portfolio: 3},
-		"adaptNoList":   {Solver: "seed=1", AdaptAfter: 5},
 		"bddSolver":     {Solver: "bdd"},
 		"bddInList":     {PortfolioEngines: "internal,bdd"},
 		"persistent":    {Solver: "kissat:persistent=true"},
 	} {
 		cfg := base
-		cfg.Solver, cfg.Portfolio, cfg.PortfolioEngines, cfg.AdaptAfter =
-			bad.Solver, bad.Portfolio, bad.PortfolioEngines, bad.AdaptAfter
+		cfg.Solver, cfg.Portfolio, cfg.PortfolioEngines = bad.Solver, bad.Portfolio, bad.PortfolioEngines
 		if _, err := NewPlan(cfg); err == nil {
 			t.Errorf("%s: accepted at plan time", name)
 		}
@@ -176,19 +126,46 @@ func TestPlanHashBackwardCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"portfolio_engines", "adapt_after"} {
-		if strings.Contains(string(data), key) {
-			t.Errorf("legacy config serializes new key %q: %s", key, data)
-		}
+	if strings.Contains(string(data), "portfolio_engines") {
+		t.Errorf("legacy config serializes new key portfolio_engines: %s", data)
+	}
+}
+
+// TestReadPlanRejectsUnknownFields: a plan carrying a field this binary
+// does not know — adapt_after, written by binaries that still retired
+// racing engines mid-run — fails to load with the field's name instead
+// of a hash mismatch that blames a hand edit.
+func TestReadPlanRejectsUnknownFields(t *testing.T) {
+	plan, err := NewPlan(tinyCampaignConfig("summary"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw map[string]any
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	raw["config"].(map[string]any)["adapt_after"] = 40
+	if data, err = json.Marshal(raw); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), PlanFileName)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadPlan(path); err == nil || !strings.Contains(err.Error(), `unknown field "adapt_after"`) {
+		t.Errorf("plan with adapt_after: error %v, want unknown field", err)
 	}
 }
 
 // TestCampaignHeterogeneousMatchesDefault: a campaign racing the
 // default internal engine against a budgeted one that gives up at its
-// first conflict (with mid-run adaptation) renders the same
-// verdict report as the default single-engine campaign, records
-// portfolio stats under spec labels, aggregates them in WinStats, and
-// its stats file feeds a learned re-run.
+// first conflict renders the same verdict report as the default
+// single-engine campaign, records portfolio stats under spec labels,
+// and aggregates them in WinStats.
 func TestCampaignHeterogeneousMatchesDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two tiny campaigns")
@@ -223,7 +200,6 @@ func TestCampaignHeterogeneousMatchesDefault(t *testing.T) {
 
 	hetCfg := tinyCampaignConfig("summary")
 	hetCfg.PortfolioEngines = "internal,internal:seed=9,budget=1"
-	hetCfg.AdaptAfter = 50
 	hetReport, hetMerge := run(hetCfg, RunOptions{Workers: 2})
 	if hetReport != defReport {
 		t.Errorf("heterogeneous campaign report differs from default:\n--- default\n%s\n--- heterogeneous\n%s", defReport, hetReport)
@@ -236,14 +212,4 @@ func TestCampaignHeterogeneousMatchesDefault(t *testing.T) {
 		t.Error("no races recorded")
 	}
 
-	// Learned re-run: persist the snapshot, re-run from scratch with
-	// -learn-from, and get the same report again.
-	statsPath := filepath.Join(t.TempDir(), "portfolio_stats.json")
-	if err := sat.WriteStatsFile(statsPath, stats); err != nil {
-		t.Fatal(err)
-	}
-	learnedReport, _ := run(hetCfg, RunOptions{Workers: 2, LearnFrom: statsPath})
-	if learnedReport != defReport {
-		t.Error("learned campaign report differs from default")
-	}
 }

@@ -245,37 +245,3 @@ func clearBudgetMarkers(dir string) {
 		}
 	}
 }
-
-// ObservedTimes harvests per-case attack wall times from artifact
-// directories of prior runs, keyed by case ID — the measured feed for
-// the longest-observed-first claim order (RunOptions.TimesFrom,
-// exp.DispatchOrderObserved). It is deliberately lenient: unreadable or
-// foreign-plan artifacts contribute nothing and raise no error, because
-// observed times steer only scheduling, never verdicts. When a case
-// appears in several directories the longest observation wins (the
-// conservative estimate for tail-latency purposes).
-func ObservedTimes(dirs []string) map[string]time.Duration {
-	times := map[string]time.Duration{}
-	for _, dir := range dirs {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			continue
-		}
-		for _, ent := range entries {
-			name := ent.Name()
-			if ent.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			a, err := ReadArtifact(filepath.Join(dir, name))
-			if err != nil {
-				continue
-			}
-			if d := a.WallTime(); d > 0 {
-				if prev, ok := times[a.CaseID]; !ok || d > prev {
-					times[a.CaseID] = d
-				}
-			}
-		}
-	}
-	return times
-}

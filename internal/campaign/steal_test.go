@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/exp"
 )
 
 // Claim acquisition must be mutually exclusive for any worker count:
@@ -510,45 +508,4 @@ func TestBudgetModuloResume(t *testing.T) {
 	if len(s.BudgetStopped) != 0 {
 		t.Errorf("budget marker survived completion: %+v", s.BudgetStopped)
 	}
-}
-
-// ObservedTimes harvests per-case wall times leniently and keyed by
-// case ID; Run feeds them to the dispatcher as the steal order.
-func TestObservedTimes(t *testing.T) {
-	dir := t.TempDir()
-	write := func(a *Artifact) {
-		t.Helper()
-		if err := WriteArtifact(dir, a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(&Artifact{PlanHash: "h", CaseID: "fig5/c432/hd0/FALL", Outcome: newOutcome(3 * time.Second)})
-	write(&Artifact{PlanHash: "h", CaseID: "summary/c499/hd1", Outcome: newOutcome(time.Second)})
-	write(&Artifact{PlanHash: "h", CaseID: "table1/c432"}) // no timing payload
-	// Unreadable artifacts contribute nothing, not an error.
-	if err := os.WriteFile(filepath.Join(dir, "junk.json"), []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	times := ObservedTimes([]string{dir, filepath.Join(dir, "nonexistent")})
-	if len(times) != 2 {
-		t.Fatalf("harvested %d times, want 2: %v", len(times), times)
-	}
-	if times["fig5/c432/hd0/FALL"] != 3*time.Second || times["summary/c499/hd1"] != time.Second {
-		t.Errorf("times %v", times)
-	}
-
-	// A longer observation of the same case (another directory) wins.
-	dir2 := t.TempDir()
-	if err := WriteArtifact(dir2, &Artifact{PlanHash: "h", CaseID: "summary/c499/hd1", Outcome: newOutcome(5 * time.Second)}); err != nil {
-		t.Fatal(err)
-	}
-	times = ObservedTimes([]string{dir, dir2})
-	if times["summary/c499/hd1"] != 5*time.Second {
-		t.Errorf("longest observation did not win: %v", times)
-	}
-}
-
-func newOutcome(d time.Duration) *exp.Outcome {
-	return &exp.Outcome{Time: d}
 }

@@ -144,24 +144,14 @@ type Config struct {
 	// engine. Two or more engines race per query, first verdict wins:
 	// racing never changes verdicts — every engine decides the same
 	// formula — only the runtime distribution, and per-engine win
-	// statistics land in each Outcome. Entry points that learn from
-	// prior runs apply sat.LearnedConfigs to this list first.
+	// statistics land in each Outcome.
 	Engines []sat.EngineSpec
-	// AdaptAfter retires an Engines entry from later-built portfolios
-	// once it has raced this many times without a win (0 = never); see
-	// attack.SolverSetup.AdaptAfter.
-	AdaptAfter int64
-	// Adapt is the runtime-only cross-case ledger (slots matching
-	// Engines) that accumulates every race of the run and drives the
-	// AdaptAfter decision across cases; nil confines adaptation to each
-	// single attack run. Like Workers it is never serialized.
-	Adapt *sat.Ledger
 	// Memo is the runtime-only cross-query verdict cache shared by every
 	// solver the run builds (sat.NewMemo); nil disables memoization.
 	// Attaching a memo forces a solver setup even for otherwise-default
 	// configs, so memoized outcomes carry solve-time and hit/miss fields
 	// (verdicts and keys are unchanged — the memo replays query history
-	// on misses). Like Workers and Adapt it is never serialized.
+	// on misses). Like Workers it is never serialized.
 	Memo *sat.Memo
 	// Trace is the runtime-only parent span of the run: each unit gets
 	// a child span carried through its context into the grid cells,
@@ -170,12 +160,6 @@ type Config struct {
 	// otherwise-default configs (verdicts unchanged; traces go to
 	// their own sink, never stdout). Never serialized.
 	Trace *obs.Span
-	// Observed carries measured wall times from prior runs keyed by
-	// Unit.ID() (campaign artifacts record them); RunUnits dispatches
-	// longest-observed-first instead of purely model-predicted
-	// (DispatchOrderObserved). Scheduling only — results and their order
-	// never depend on it. Never serialized.
-	Observed map[string]time.Duration
 }
 
 // solverSetup derives the per-run solver setup. Each attack run gets a
@@ -190,7 +174,7 @@ func (cfg Config) solverSetup() *attack.SolverSetup {
 		return nil
 	}
 	s := attack.NewSolverSetupEngines(cfg.Engines)
-	s.AdaptAfter, s.Global, s.Memo = cfg.AdaptAfter, cfg.Adapt, cfg.Memo
+	s.Memo = cfg.Memo
 	return s
 }
 

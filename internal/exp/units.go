@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/fall"
 	"repro/internal/genbench"
@@ -195,8 +194,8 @@ func (r UnitResult) Failed() bool {
 // WinStats aggregates the per-engine racing statistics recorded across
 // results (attack outcomes, Fig. 6 key-confirmation pipelines and their
 // SAT-attack halves), label-keyed in first-appearance order: the
-// summary fallbench and campaign merge print on stderr and persist for
-// -learn-from. Nil when nothing raced.
+// summary fallbench and campaign merge print on stderr. Nil when
+// nothing raced.
 func WinStats(results []UnitResult) []sat.ConfigStats {
 	var groups [][]sat.ConfigStats
 	for _, r := range results {
@@ -312,48 +311,17 @@ func unitCost(u Unit, spec genbench.Spec) int64 {
 	}
 }
 
-// DispatchOrderObserved returns the indices of units sorted
-// longest-expected-first (ties broken by unit index, so the order is
-// deterministic). Handing the pool the expensive units first cuts tail
-// latency: a long SAT attack started last would otherwise run alone
-// after every cheap analysis has drained. Measured wall times from
-// prior runs (keyed by Unit.ID(), as campaign artifacts record them)
-// override the model's prediction: units that have actually been timed
-// sort by their observed duration, and units never seen fall back to
-// the model cost rescaled into observed time by the median
-// observed/predicted ratio — so a single calibration run turns the
-// whole order from model-predicted into longest-observed-first without
-// leaving unmeasured units stranded at either end. An empty or nil map
-// orders by the model alone.
-func DispatchOrderObserved(units []Unit, specs map[string]genbench.Spec, observed map[string]time.Duration) []int {
+// DispatchOrder returns the indices of units sorted
+// longest-expected-first by the cost model (ties broken by unit index,
+// so the order is deterministic). Handing the pool the expensive units
+// first cuts tail latency: a long SAT attack started last would
+// otherwise run alone after every cheap analysis has drained.
+func DispatchOrder(units []Unit, specs map[string]genbench.Spec) []int {
 	order := make([]int, len(units))
 	cost := make([]int64, len(units))
 	for i, u := range units {
 		order[i] = i
 		cost[i] = unitCost(u, specs[u.Circuit])
-	}
-	if len(observed) > 0 {
-		// Calibrate model cost into nanoseconds: the median ratio over
-		// units with both a prediction and a measurement is robust to a
-		// few pathological outliers (a timed-out case, a cache-warm one).
-		var ratios []float64
-		for i, u := range units {
-			if d, ok := observed[u.ID()]; ok && cost[i] > 0 && d > 0 {
-				ratios = append(ratios, float64(d)/float64(cost[i]))
-			}
-		}
-		scale := 1.0
-		if len(ratios) > 0 {
-			sort.Float64s(ratios)
-			scale = ratios[len(ratios)/2]
-		}
-		for i, u := range units {
-			if d, ok := observed[u.ID()]; ok && d > 0 {
-				cost[i] = int64(d)
-			} else {
-				cost[i] = int64(float64(cost[i]) * scale)
-			}
-		}
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if cost[order[a]] != cost[order[b]] {
@@ -391,7 +359,7 @@ func RunUnits(ctx context.Context, cases []*Case, units []Unit, cfg Config) ([]U
 			return nil, fmt.Errorf("exp: unit %s: no case for %s/%s", u.ID(), u.Circuit, u.Level.Token())
 		}
 	}
-	order := DispatchOrderObserved(units, specs, cfg.Observed)
+	order := DispatchOrder(units, specs)
 	results := make([]UnitResult, len(units))
 	forEachIndexed(cfg.workers(), len(units), func(j int) {
 		i := order[j]

@@ -94,7 +94,7 @@ func TestDispatchOrder(t *testing.T) {
 	for _, s := range cfg.Specs {
 		specs[s.Name] = s
 	}
-	order := DispatchOrderObserved(units, specs, nil)
+	order := DispatchOrder(units, specs)
 	if len(order) != len(units) {
 		t.Fatalf("order has %d entries, want %d", len(order), len(units))
 	}
@@ -105,7 +105,7 @@ func TestDispatchOrder(t *testing.T) {
 		}
 		seen[i] = true
 	}
-	if !reflect.DeepEqual(order, DispatchOrderObserved(units, specs, nil)) {
+	if !reflect.DeepEqual(order, DispatchOrder(units, specs)) {
 		t.Error("dispatch order not deterministic")
 	}
 	// Costs must be non-increasing along the order.
@@ -129,74 +129,6 @@ func TestDispatchOrder(t *testing.T) {
 	if unitCost(fig6, spec) <= unitCost(sum, spec) {
 		t.Error("fig6 pairing not costed above summary run")
 	}
-}
-
-// Observed wall times must reorder dispatch: measured units sort by
-// their measurement (longest first), and unmeasured units slot in via
-// the median observed/predicted calibration instead of being stranded.
-func TestDispatchOrderObserved(t *testing.T) {
-	cfg := Config{Specs: genbench.Scaled(genbench.TableI, 8, 16), Seed: 1}
-	units, err := SuiteUnits(cfg, "summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := map[string]genbench.Spec{}
-	for _, s := range cfg.Specs {
-		specs[s.Name] = s
-	}
-	base := DispatchOrderObserved(units, specs, nil)
-
-	// Invert reality: the unit the model ranks cheapest was observed to
-	// be by far the slowest, and the model's most expensive unit was
-	// quick. Every other unit gets a measurement consistent with the
-	// model (1ns per cost unit) so the calibration ratio is 1.
-	cheapest, priciest := base[len(base)-1], base[0]
-	observed := map[string]time.Duration{}
-	for i, u := range units {
-		observed[u.ID()] = time.Duration(unitCost(u, specs[u.Circuit]))
-		switch i {
-		case cheapest:
-			observed[u.ID()] = time.Hour
-		case priciest:
-			observed[u.ID()] = time.Nanosecond
-		}
-	}
-	order := DispatchOrderObserved(units, specs, observed)
-	if order[0] != cheapest {
-		t.Errorf("slowest-observed unit %s dispatched at %d, want first",
-			units[cheapest].ID(), indexOf(order, cheapest))
-	}
-	if order[len(order)-1] != priciest {
-		t.Errorf("fastest-observed unit %s dispatched at %d, want last",
-			units[priciest].ID(), indexOf(order, priciest))
-	}
-
-	// An unmeasured unit must not be stranded. A single observation can
-	// only calibrate, never reorder: the lone measured unit anchors the
-	// scale, every unmeasured cost is rescaled by that same ratio (a
-	// monotone transform), so the order must equal the model's exactly —
-	// no unit jumps the queue on calibration alone.
-	solo := map[string]time.Duration{units[cheapest].ID(): time.Hour}
-	if !reflect.DeepEqual(DispatchOrderObserved(units, specs, solo), base) {
-		t.Error("a lone calibration measurement reordered the dispatch")
-	}
-
-	// Nil and empty maps are exactly the model order.
-	if !reflect.DeepEqual(DispatchOrderObserved(units, specs, nil), base) {
-		t.Error("nil observations changed the order")
-	}
-	if !reflect.DeepEqual(DispatchOrderObserved(units, specs, map[string]time.Duration{}), base) {
-		t.Error("empty observations changed the order")
-	}
-}
-
-func indexOf(order []int, v int) int {
-	for j, i := range order {
-		if i == v {
-			return j
-		}
-	}
-	return -1
 }
 
 // RunUnits must fail loudly when a unit has no matching case instead of

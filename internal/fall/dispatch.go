@@ -21,7 +21,7 @@ import (
 // cells read those verdicts, and the first cell that passes the filter
 // extracts the cone the candidate's cells share. Cells are handed to the
 // worker pool in longest-expected-first order (the grid-level analogue
-// of exp.DispatchOrderObserved), so one late heavy cell cannot run
+// of exp.DispatchOrder), so one late heavy cell cannot run
 // alone after every cheap cell has drained. Dispatch order changes
 // scheduling only: outcomes are written at the cell's original index
 // and merged in candidate order, so the shortlist stays byte-identical

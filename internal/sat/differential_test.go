@@ -13,15 +13,27 @@ import (
 // TestDifferentialVerdicts decides random 3-CNFs near the
 // satisfiability threshold, each under 0–3 random assumption literals,
 // on every solving path the attacks can take — the internal CDCL engine
-// under each portfolio configuration, the verdict memo (a second engine
-// over the same memo must answer from it), and the stub solver through
-// the DIMACS pipe — and checks each verdict against an ROBDD of the
-// formula, built independently of every SAT code path. Every SAT model
-// must satisfy every clause and assumption.
+// under each portfolio configuration, a portfolio race, the verdict
+// memo (a second engine over the same memo must answer from it), the
+// disk memo tier (a fresh memo over the reopened store must answer from
+// disk), and the stub solver through the DIMACS pipe — and checks each
+// verdict against an ROBDD of the formula, built independently of every
+// SAT code path. Every SAT model must satisfy every clause and
+// assumption.
 func TestDifferentialVerdicts(t *testing.T) {
 	stub := testsolver.Build(t)
 	configs := sat.PortfolioConfigs(sat.Config{}, 4)
 	memo := sat.NewMemo(0)
+	diskDir := t.TempDir()
+	disk, err := sat.OpenDiskMemo(diskDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diskMemo := sat.NewMemo(0)
+	diskMemo.AttachDisk(disk)
+	raceLedger := sat.NewLedgerLabels([]string{configs[0].String(), configs[2].String()})
+	stubLedger := sat.NewLedgerLabels([]string{configs[0].String(), "stub"})
+	var races, stubRaces int64
 	rng := rand.New(rand.NewSource(2019))
 	verdicts := map[sat.Status]int{}
 	for i := 0; i < 200; i++ {
@@ -71,6 +83,45 @@ func TestDifferentialVerdicts(t *testing.T) {
 		}
 		if i%10 == 0 {
 			check("stub", procengine.New(stub))
+			check("race with the stub", sat.NewEnginePortfolio([]sat.Engine{sat.NewWith(configs[0]), procengine.New(stub)}, stubLedger))
+			stubRaces++
+		} else {
+			check("race", sat.NewEnginePortfolio([]sat.Engine{sat.NewWith(configs[0]), sat.NewWith(configs[2])}, raceLedger))
+			races++
+		}
+
+		// The disk tier: a write-through memo persists the verdict, and a
+		// fresh memo over the store reopened as a new process would open
+		// it answers from the decoded record.
+		check("disk memo", sat.NewMemoEngine(diskMemo, nil, sat.New()))
+		reopened, err := sat.OpenDiskMemo(diskDir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := sat.NewMemo(0)
+		fresh.AttachDisk(reopened)
+		fromDisk := sat.NewMemoEngine(fresh, nil, sat.New())
+		check("disk memo (reopened)", fromDisk)
+		if fromDisk.LastTier() != sat.TierDisk {
+			t.Fatalf("formula %d: reopened disk memo answered from %v, want the disk", i, fromDisk.LastTier())
+		}
+	}
+	// Every race was decided, so each engine raced every time and the
+	// wins add up to the races.
+	for _, l := range []struct {
+		name   string
+		ledger *sat.Ledger
+		races  int64
+	}{{"race", raceLedger, races}, {"race with the stub", stubLedger, stubRaces}} {
+		var wins int64
+		for _, cs := range l.ledger.Snapshot() {
+			if cs.Races != l.races {
+				t.Errorf("%s ledger: %s raced %d times, want %d", l.name, cs.Config, cs.Races, l.races)
+			}
+			wins += cs.Wins
+		}
+		if wins != l.races {
+			t.Errorf("%s ledger: %d wins over %d races", l.name, wins, l.races)
 		}
 	}
 	t.Logf("verdicts: %d SAT, %d UNSAT", verdicts[sat.Sat], verdicts[sat.Unsat])

@@ -31,42 +31,21 @@ import (
 // return Unknown and simply lose the race.
 type Portfolio struct {
 	engines []Engine
-	slots   []int // engine i accounts into ledger slot slots[i]
-	ledgers []*Ledger
+	ledger  *Ledger
 	ctx     context.Context
 	winner  int // engine backing Value/LitTrue (last Sat winner)
 }
 
 // NewEnginePortfolio builds a portfolio over pre-constructed engines of
 // any backend mix. Every engine must be fresh (the portfolio replays
-// one clause stream into all of them). Each non-nil ledger accumulates
-// the same per-slot statistics; by default engine i accounts into
-// ledger slot i (see SetLedgerSlots).
-func NewEnginePortfolio(engines []Engine, ledgers ...*Ledger) *Portfolio {
+// one clause stream into all of them). A non-nil ledger accumulates
+// per-engine statistics, engine i into ledger slot i; nil means no
+// accounting.
+func NewEnginePortfolio(engines []Engine, ledger *Ledger) *Portfolio {
 	if len(engines) == 0 {
 		panic("sat: NewEnginePortfolio with no engines")
 	}
-	p := &Portfolio{engines: engines, slots: make([]int, len(engines))}
-	for i := range p.slots {
-		p.slots[i] = i
-	}
-	for _, l := range ledgers {
-		if l != nil {
-			p.ledgers = append(p.ledgers, l)
-		}
-	}
-	return p
-}
-
-// SetLedgerSlots maps engine positions to ledger slots — used when a
-// portfolio races a subset of a spec list (adaptive dropping) but must
-// keep accounting into the full list's ledger. len(slots) must equal
-// the engine count.
-func (p *Portfolio) SetLedgerSlots(slots []int) {
-	if len(slots) != len(p.engines) {
-		panic("sat: SetLedgerSlots length mismatch")
-	}
-	p.slots = slots
+	return &Portfolio{engines: engines, ledger: ledger}
 }
 
 // Size returns the number of racing engines.
@@ -180,12 +159,8 @@ func (p *Portfolio) SolveAssuming(assumptions []Lit) Status {
 }
 
 func (p *Portfolio) record(st Status, winner int, deltas []Stats) {
-	winnerSlot := -1
-	if winner >= 0 && winner < len(p.slots) {
-		winnerSlot = p.slots[winner]
-	}
-	for _, l := range p.ledgers {
-		l.record(st, winnerSlot, p.slots, deltas)
+	if p.ledger != nil {
+		p.ledger.record(st, winner, deltas)
 	}
 }
 
@@ -223,14 +198,6 @@ type ConfigStats struct {
 	Conflicts int64 `json:"conflicts"`
 }
 
-// ChronicLoser is the one retirement predicate behind both mid-run
-// dropping (Ledger.Active) and cross-run learning (LearnedConfigs): the
-// engine has raced at least dropAfter times without a single win while
-// some engine did win (anyWins). With dropAfter <= 0 nothing retires.
-func (cs ConfigStats) ChronicLoser(dropAfter int64, anyWins bool) bool {
-	return anyWins && dropAfter > 0 && cs.Races >= dropAfter && cs.Wins == 0
-}
-
 // Ledger accumulates per-config win statistics across every race of one
 // or many portfolios built over the same config list. It is safe for
 // concurrent use (portfolios in different worker goroutines may share
@@ -250,51 +217,27 @@ func NewLedgerLabels(labels []string) *Ledger {
 	return l
 }
 
-// record accounts one race: deltas[i] is engine i's spent work, slots[i]
-// the ledger slot it accounts into (nil slots = identity), winnerSlot
-// the deciding engine's slot (-1 when the race returned Unknown).
-func (l *Ledger) record(st Status, winnerSlot int, slots []int, deltas []Stats) {
+// record accounts one race: deltas[i] is engine i's spent work and
+// winner the deciding engine (-1 when the race returned Unknown).
+func (l *Ledger) record(st Status, winner int, deltas []Stats) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i, d := range deltas {
-		slot := i
-		if slots != nil {
-			slot = slots[i]
-		}
-		if slot < 0 || slot >= len(l.stats) {
-			continue
-		}
-		l.stats[slot].Races++
-		l.stats[slot].Conflicts += d.Conflicts
-	}
-	if st != Unknown && winnerSlot >= 0 && winnerSlot < len(l.stats) {
-		l.stats[winnerSlot].Wins++
-		switch st {
-		case Sat:
-			l.stats[winnerSlot].SatWins++
-		case Unsat:
-			l.stats[winnerSlot].UnsatWins++
-		}
-	}
-}
-
-// Active reports which slots remain worth racing under the
-// ChronicLoser drop rule; with dropAfter <= 0 every slot stays active.
-func (l *Ledger) Active(dropAfter int64) []bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]bool, len(l.stats))
-	anyWins := false
-	for _, cs := range l.stats {
-		if cs.Wins > 0 {
-			anyWins = true
+		if i >= len(l.stats) {
 			break
 		}
+		l.stats[i].Races++
+		l.stats[i].Conflicts += d.Conflicts
 	}
-	for i, cs := range l.stats {
-		out[i] = !cs.ChronicLoser(dropAfter, anyWins)
+	if st != Unknown && winner >= 0 && winner < len(l.stats) {
+		l.stats[winner].Wins++
+		switch st {
+		case Sat:
+			l.stats[winner].SatWins++
+		case Unsat:
+			l.stats[winner].UnsatWins++
+		}
 	}
-	return out
 }
 
 // Snapshot returns a copy of the accumulated per-config statistics.

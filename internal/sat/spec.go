@@ -1,10 +1,7 @@
 package sat
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode"
@@ -57,7 +54,7 @@ func InternalSpec(cfg Config) EngineSpec {
 // String renders the canonical spec, which doubles as the engine's key
 // in portfolio win statistics. Internal engines render as their bare
 // Config.String() — exactly the pre-heterogeneous ledger labels, so
-// learned-portfolio matching spans runs of either vintage.
+// win statistics of runs of either vintage merge by label.
 func (s EngineSpec) String() string {
 	switch {
 	case s.Kind != EngineProcess:
@@ -244,9 +241,7 @@ func ParseEngineList(list string, base Config) ([]EngineSpec, error) {
 // daemon, and campaign plans, so a flag pair means the same thing
 // everywhere. solver is one engine spec. portfolio is either an integer
 // width N >= 2 — N internal variants of the -solver config
-// (PortfolioConfigs), whose labels are the ledger labels
-// portfolio_stats.json files record — or an engine list
-// (ParseEngineList). Both flags unset, or a width below 2 with an empty
+// (PortfolioConfigs) — or an engine list (ParseEngineList). Both flags unset, or a width below 2 with an empty
 // solver, resolve to nil: the attacks' built-in default engine.
 func ResolveSolverFlags(solver, portfolio string) ([]EngineSpec, error) {
 	spec, err := ParseEngineSpec(solver)
@@ -284,44 +279,6 @@ func ResolveSolverFlags(solver, portfolio string) ([]EngineSpec, error) {
 	return []EngineSpec{spec}, nil
 }
 
-// LearnedConfigs reorders — and, with dropAfter > 0, prunes — an
-// engine-spec list from a prior run's recorded portfolio statistics:
-// specs are stably sorted by recorded wins (descending), and a spec that
-// raced at least dropAfter times in the prior run without winning once
-// is dropped, provided at least one recorded winner survives. Specs with
-// no recorded statistics are never dropped (nothing is known about
-// them). Learning only redistributes racing effort; it never changes a
-// decided verdict, because every surviving engine decides the same
-// formulas.
-func LearnedConfigs(specs []EngineSpec, prior []ConfigStats, dropAfter int64) []EngineSpec {
-	byLabel := make(map[string]ConfigStats, len(prior))
-	for _, cs := range prior {
-		byLabel[cs.Config] = cs
-	}
-	anyWins := false
-	for _, cs := range prior {
-		if cs.Wins > 0 {
-			anyWins = true
-			break
-		}
-	}
-	kept := make([]EngineSpec, 0, len(specs))
-	for _, s := range specs {
-		cs, known := byLabel[s.String()]
-		if known && cs.ChronicLoser(dropAfter, anyWins) {
-			continue
-		}
-		kept = append(kept, s)
-	}
-	if len(kept) == 0 {
-		kept = append(kept[:0], specs...)
-	}
-	sort.SliceStable(kept, func(a, b int) bool {
-		return byLabel[kept[a].String()].Wins > byLabel[kept[b].String()].Wins
-	})
-	return kept
-}
-
 // MergeStats sums per-config statistics by config label across any
 // number of snapshot groups, preserving first-appearance order — the
 // aggregation behind fallbench's and campaign merge's per-engine win
@@ -345,28 +302,4 @@ func MergeStats(groups ...[]ConfigStats) []ConfigStats {
 		}
 	}
 	return out
-}
-
-// WriteStatsFile persists a ledger snapshot as JSON — the
-// portfolio_stats.json file campaign merge writes and -learn-from
-// consumes.
-func WriteStatsFile(path string, stats []ConfigStats) error {
-	data, err := json.MarshalIndent(stats, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadStatsFile loads a snapshot written by WriteStatsFile.
-func ReadStatsFile(path string) ([]ConfigStats, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var stats []ConfigStats
-	if err := json.Unmarshal(data, &stats); err != nil {
-		return nil, fmt.Errorf("sat: parse stats file %s: %w", path, err)
-	}
-	return stats, nil
 }

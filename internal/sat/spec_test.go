@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -190,56 +189,6 @@ func TestResolveSolverFlags(t *testing.T) {
 	}
 }
 
-func TestLearnedConfigs(t *testing.T) {
-	specs := []EngineSpec{
-		InternalSpec(Config{}),
-		InternalSpec(Config{Seed: 9, ConflictBudget: 1}),
-		{Kind: EngineProcess, Cmd: "kissat"},
-	}
-	prior := []ConfigStats{
-		{Config: specs[0].String(), Races: 40, Wins: 5},
-		{Config: "seed=9,budget=1", Races: 40, Wins: 0},
-		{Config: "kissat", Races: 40, Wins: 35},
-	}
-
-	// Reorder only: kissat first (most wins), the budgeted engine last,
-	// nothing dropped.
-	got := LearnedConfigs(specs, prior, 0)
-	if len(got) != 3 || got[0].Cmd != "kissat" || got[1] != specs[0] || got[2] != specs[1] {
-		t.Errorf("reorder: %v", EngineLabels(got))
-	}
-
-	// Drop: the budgeted engine raced >= 20 times without a win while
-	// others won.
-	got = LearnedConfigs(specs, prior, 20)
-	if len(got) != 2 || got[0].Cmd != "kissat" || got[1] != specs[0] {
-		t.Errorf("drop: %v", EngineLabels(got))
-	}
-
-	// A spec with no recorded stats is never dropped.
-	unknown := append(specs, EngineSpec{Kind: EngineProcess, Cmd: "cadical"})
-	got = LearnedConfigs(unknown, prior, 20)
-	found := false
-	for _, s := range got {
-		if s.Cmd == "cadical" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("unknown spec dropped: %v", EngineLabels(got))
-	}
-
-	// All losers: nothing is dropped (there is no winner to keep).
-	losers := []ConfigStats{
-		{Config: specs[0].String(), Races: 40},
-		{Config: "seed=9,budget=1", Races: 40},
-		{Config: "kissat", Races: 40},
-	}
-	if got := LearnedConfigs(specs, losers, 20); len(got) != 3 {
-		t.Errorf("all-loser prior dropped specs: %v", EngineLabels(got))
-	}
-}
-
 func TestMergeStats(t *testing.T) {
 	a := []ConfigStats{{Config: "seed=0", Races: 3, Wins: 2, SatWins: 1, UnsatWins: 1, Conflicts: 10}}
 	b := []ConfigStats{
@@ -253,52 +202,6 @@ func TestMergeStats(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("MergeStats = %+v, want %+v", got, want)
-	}
-}
-
-func TestStatsFileRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "portfolio_stats.json")
-	stats := []ConfigStats{{Config: "seed=0", Races: 2, Wins: 1, SatWins: 1, Conflicts: 5}, {Config: "kissat", Races: 2}}
-	if err := WriteStatsFile(path, stats); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadStatsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, stats) {
-		t.Errorf("round trip: %+v != %+v", got, stats)
-	}
-}
-
-// TestLedgerActiveAndSlots: slot-mapped recording accounts a subset race
-// into the full spec list's ledger, and Active implements the
-// chronic-loser drop rule.
-func TestLedgerActiveAndSlots(t *testing.T) {
-	l := NewLedgerLabels([]string{"a", "b", "c"})
-	// Engines race slots {0, 2}; slot 2 wins an UNSAT race.
-	l.record(Unsat, 2, []int{0, 2}, []Stats{{Conflicts: 4}, {Conflicts: 1}})
-	snap := l.Snapshot()
-	if snap[0].Races != 1 || snap[0].Conflicts != 4 || snap[0].Wins != 0 {
-		t.Errorf("slot 0: %+v", snap[0])
-	}
-	if snap[1].Races != 0 {
-		t.Errorf("slot 1 raced: %+v", snap[1])
-	}
-	if snap[2].Races != 1 || snap[2].Wins != 1 || snap[2].UnsatWins != 1 {
-		t.Errorf("slot 2: %+v", snap[2])
-	}
-
-	// Active: slot 0 has raced once without a win; dropAfter 1 drops it,
-	// dropAfter 2 keeps it, slot 1 (never raced) always stays.
-	if act := l.Active(1); act[0] || !act[1] || !act[2] {
-		t.Errorf("Active(1) = %v", act)
-	}
-	if act := l.Active(2); !act[0] || !act[1] || !act[2] {
-		t.Errorf("Active(2) = %v", act)
-	}
-	if act := l.Active(0); !act[0] || !act[1] || !act[2] {
-		t.Errorf("Active(0) = %v", act)
 	}
 }
 
