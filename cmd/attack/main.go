@@ -36,6 +36,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/attack"
@@ -74,8 +75,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 1
 	}
+	// fail prints one "attack: " prefix: errors from internal/attack
+	// already carry it.
 	fail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "attack: "+format+"\n", a...)
+		msg := fmt.Sprintf(format, a...)
+		if !strings.HasPrefix(msg, "attack: ") {
+			msg = "attack: " + msg
+		}
+		fmt.Fprintln(stderr, msg)
 		return 1
 	}
 	if *list {

@@ -106,6 +106,12 @@ func TestRun(t *testing.T) {
 			t.Errorf("-json: oracle check line not on stderr %q", errOut)
 		}
 	})
+	t.Run("bogus", func(t *testing.T) {
+		code, _, errOut := cli("-name", "bogus", "-locked", locked)
+		if code != 1 || !strings.HasPrefix(errOut, `attack: unknown attack "bogus"`) || strings.Count(errOut, "attack: ") != 1 {
+			t.Errorf("unknown attack: exit %d, stderr %q; want 1 and one attack: prefix", code, errOut)
+		}
+	})
 	t.Run("keyless", func(t *testing.T) {
 		if code, _, errOut := cli("-name", "fall", "-locked", origPath, "-h", "0"); code != 1 || !strings.Contains(errOut, "no key inputs") {
 			t.Errorf("keyless netlist: exit %d, stderr %q; want 1", code, errOut)

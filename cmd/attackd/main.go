@@ -20,11 +20,11 @@
 // and a killed daemon's jobs are re-claimed after one lease.
 //
 // Observability: structured logs on stderr (-log-format text|json, one
-// line per job transition and per API request), Prometheus text
-// metrics at GET /metrics.prom alongside the JSON GET /metrics,
-// per-job span traces at GET /jobs/{id}/trace (bounded ring of
-// -trace-spans spans; analyze with cmd/tracestat), and net/http/pprof
-// on a separate listener behind -pprof-addr.
+// line per job transition and per API request), every daemon
+// statistic as Prometheus text at GET /metrics.prom, per-job span
+// traces at GET /jobs/{id}/trace (bounded ring of -trace-spans spans;
+// analyze with cmd/tracestat), and net/http/pprof on a separate
+// listener behind -pprof-addr.
 //
 // Exit codes: 0 clean shutdown after drain (or -h); 1 usage or hard
 // error (stderr explains).

@@ -121,8 +121,14 @@ func parseFlags(fs *flag.FlagSet, args []string) {
 	}
 }
 
+// fatalf prints the message with one "campaign: " prefix (errors from
+// internal/campaign already carry it) and exits 1.
 func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "campaign: "+format+"\n", args...)
+	msg := fmt.Sprintf(format, args...)
+	if !strings.HasPrefix(msg, "campaign: ") {
+		msg = "campaign: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }
 

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +44,34 @@ func TestUsageExitCodes(t *testing.T) {
 	}
 	if code, _ := exitCode("plan", "-h"); code != 0 {
 		t.Errorf("campaign plan -h: exit %d, want 0", code)
+	}
+}
+
+// An error from internal/campaign, which already names the package,
+// prints with one "campaign: " prefix.
+func TestErrorPrefixedOnce(t *testing.T) {
+	bin := buildCommand(t)
+	dir := t.TempDir()
+	if out, err := exec.Command(bin, "plan", "-dir", dir, "-scale", "tiny", "-suites", "summary").CombinedOutput(); err != nil {
+		t.Fatalf("campaign plan: %v\n%s", err, out)
+	}
+	plan := filepath.Join(dir, "plan.json")
+	data, err := os.ReadFile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte("{"), []byte(`{"bogus": 1,`), 1)
+	if err := os.WriteFile(plan, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr bytes.Buffer
+	cmd := exec.Command(bin, "status", "-dir", dir)
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); cmd.ProcessState == nil {
+		t.Fatalf("campaign status did not start: %v", err)
+	}
+	msg := stderr.String()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.HasPrefix(msg, "campaign: parse ") || strings.Count(msg, "campaign: ") != 1 {
+		t.Errorf("status on a plan with an unknown field: exit %d, stderr %q; want 1 and one campaign: prefix", code, msg)
 	}
 }

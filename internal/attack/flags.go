@@ -66,7 +66,6 @@ func (f *SolverFlags) Start(name string, attrs ...any) error {
 	}
 	if f.Specs != nil || f.Memo != nil || f.tracer != nil {
 		setup.Memo = f.Memo
-		setup.TraceTo(f.Root)
 		f.Setup = setup
 	}
 	return nil

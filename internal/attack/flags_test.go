@@ -88,7 +88,7 @@ func TestRegisterFlagsTrace(t *testing.T) {
 	if f.Setup == nil || f.Root == nil || f.Specs != nil {
 		t.Fatalf("-trace: setup %+v root %v specs %+v", f.Setup, f.Root, f.Specs)
 	}
-	e := f.Setup.Factory()(context.Background())
+	e := f.Setup.Factory()(obs.With(context.Background(), f.Root))
 	loadPigeonhole(e, 5, 4)
 	if got := e.Solve(); got != sat.Unsat {
 		t.Fatalf("verdict %v, want UNSAT", got)

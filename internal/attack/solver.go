@@ -41,25 +41,6 @@ type SolverSetup struct {
 	ledger  *sat.Ledger
 	memoCtr sat.MemoCounters
 	solveNS atomic.Int64
-
-	// trace, when non-nil, is the fallback parent span for query spans
-	// built by engines whose construction context carries no span of
-	// its own. Set once via TraceTo before the run starts.
-	trace *obs.Span
-}
-
-// TraceTo attaches the setup to a tracing span: every engine the
-// factory builds afterwards emits one child span per solver query
-// (engine label, verdict, conflicts/decisions delta, memo hit/miss,
-// cancellation cause). Queries whose build context carries a more
-// specific span (a grid cell, a query family) parent there instead.
-// Call before the run begins; nil-safe on both sides, and a setup
-// never traced pays one nil check per solve.
-func (s *SolverSetup) TraceTo(sp *obs.Span) {
-	if s == nil || sp == nil {
-		return
-	}
-	s.trace = sp
 }
 
 // NewSolverSetupEngines builds a setup racing the given engine specs
@@ -132,11 +113,12 @@ func (s *SolverSetup) Factory() SolverFactory {
 
 // wrap layers the setup's cross-cutting engine middleware over a built
 // engine: the shared verdict memo (when enabled), the solve-time
-// accumulator, and — when a span reaches the build site via ctx or
-// TraceTo — per-query trace emission. Verdicts and models are
+// accumulator, and — when ctx carries a span (obs.With) — one child
+// span per solver query (engine label, verdict, conflicts/decisions
+// delta, memo tier, cancellation cause). Verdicts and models are
 // unchanged — the memo replays query history on misses so cached and
 // uncached runs are state-identical, and the timer/tracer only
-// observe.
+// observe; an untraced engine pays one nil check per solve.
 func (s *SolverSetup) wrap(e sat.Engine, ctx context.Context) sat.Engine {
 	if s.Memo != nil {
 		me := sat.NewMemoEngine(s.Memo, &s.memoCtr, e)
@@ -146,7 +128,7 @@ func (s *SolverSetup) wrap(e sat.Engine, ctx context.Context) sat.Engine {
 		e = me
 	}
 	t := &timedEngine{inner: e, ns: &s.solveNS}
-	if sp := s.traceParent(ctx); sp != nil {
+	if sp := obs.SpanFrom(ctx); sp != nil {
 		t.span = sp
 		t.ctx = ctx
 		t.label = s.Label()
@@ -155,16 +137,6 @@ func (s *SolverSetup) wrap(e sat.Engine, ctx context.Context) sat.Engine {
 		}
 	}
 	return t
-}
-
-// traceParent resolves the span new query spans parent under: the
-// engine build context's span when present (grid cell, query family),
-// else the setup-level TraceTo span, else nil (tracing off).
-func (s *SolverSetup) traceParent(ctx context.Context) *obs.Span {
-	if sp := obs.SpanFrom(ctx); sp != nil {
-		return sp
-	}
-	return s.trace
 }
 
 // SolveTime returns the cumulative wall time engines built by this

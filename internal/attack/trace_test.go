@@ -18,8 +18,7 @@ func TestTimedEngineTraceCancelled(t *testing.T) {
 	root := obs.New(ring).Start("test")
 
 	setup := &SolverSetup{}
-	setup.TraceTo(root)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(obs.With(context.Background(), root))
 	e := setup.Factory()(ctx)
 
 	// Clause loading is encode time: the solve accumulator must not move.

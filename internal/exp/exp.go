@@ -401,7 +401,6 @@ func attackCtx(ctx context.Context, cfg Config) (context.Context, context.Cancel
 func RunFALL(ctx context.Context, cs *Case, analysis fall.Analysis, cfg Config) Outcome {
 	out := Outcome{Circuit: cs.Spec.Name, Level: cs.Level, Attack: analysis.String()}
 	setup := cfg.solverSetup()
-	setup.TraceTo(obs.SpanFrom(ctx))
 	out.SolverConfig = setup.Label()
 	rctx, cancel := attackCtx(ctx, cfg)
 	defer cancel()
@@ -432,7 +431,6 @@ func RunFALL(ctx context.Context, cs *Case, analysis fall.Analysis, cfg Config) 
 func RunSAT(ctx context.Context, cs *Case, cfg Config) Outcome {
 	out := Outcome{Circuit: cs.Spec.Name, Level: cs.Level, Attack: "SAT-Attack"}
 	setup := cfg.solverSetup()
-	setup.TraceTo(obs.SpanFrom(ctx))
 	out.SolverConfig = setup.Label()
 	rctx, cancel := attackCtx(ctx, cfg)
 	defer cancel()
@@ -544,7 +542,6 @@ type Fig6CaseResult struct {
 func RunFig6Case(ctx context.Context, cs *Case, cfg Config) Fig6CaseResult {
 	r := Fig6CaseResult{Circuit: cs.Spec.Name, Level: cs.Level}
 	setup := cfg.solverSetup()
-	setup.TraceTo(obs.SpanFrom(ctx))
 	r.KCSolverConfig = setup.Label()
 	fallAtk := fall.New(fall.Options{Enc: cfg.Enc})
 	var cands []attack.Key

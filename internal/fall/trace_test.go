@@ -30,7 +30,6 @@ func TestTraceSpanIntegrity(t *testing.T) {
 	// Query spans are emitted by the solver-setup middleware; the cell
 	// span reaches it through the engine build context.
 	setup := &attack.SolverSetup{}
-	setup.TraceTo(root)
 	res, err := Attack(obs.With(context.Background(), root), lr.Locked,
 		Options{H: 1, Workers: 4, Solver: setup.Factory()})
 	if err != nil {

@@ -7,48 +7,19 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // This file is the metrics half of the observability layer: a small
-// registry of counters, gauges, and histograms rendered in the
-// Prometheus text exposition format (version 0.0.4). Dynamic label
-// sets — per-tenant load, per-engine wins, jobs by state — are
-// covered by collector callbacks sampled at scrape time, so the
-// daemon never has to pre-register a metric per tenant.
+// registry of collector callbacks and histograms rendered in the
+// Prometheus text exposition format (version 0.0.4). A collector is
+// sampled at scrape time from the state it reports on, so each
+// statistic has one definition and dynamic label sets (per-tenant
+// load, per-engine ledgers, jobs by state) need no pre-registration.
 
 // Label is one name="value" pair. Labels render in the order given.
 type Label struct {
 	Key, Value string
 }
-
-// Counter is a monotonically increasing int64 metric.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable int64 metric.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a cumulative-bucket histogram over float64
 // observations (Prometheus _bucket/_sum/_count semantics).
@@ -56,7 +27,6 @@ type Histogram struct {
 	mu      sync.Mutex
 	bounds  []float64 // ascending upper bounds, +Inf implicit
 	buckets []uint64  // per-bound counts (non-cumulative internally)
-	inf     uint64
 	sum     float64
 	count   uint64
 }
@@ -79,7 +49,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-	h.inf++
 }
 
 func (h *Histogram) snapshot() (bounds []float64, cum []uint64, sum float64, count uint64) {
@@ -120,11 +89,11 @@ type Sample struct {
 	Value  float64
 }
 
+// registration is one metric family: a histogram, or a collector
+// callback of the given kind.
 type registration struct {
 	name, help string
 	kind       metricKind
-	counter    *Counter
-	gauge      *Gauge
 	hist       *Histogram
 	collect    func() []Sample
 }
@@ -138,20 +107,6 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// Counter registers and returns a counter metric.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	r.add(&registration{name: name, help: help, kind: kindCounter, counter: c})
-	return c
-}
-
-// Gauge registers and returns a gauge metric.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.add(&registration{name: name, help: help, kind: kindGauge, gauge: g})
-	return g
-}
 
 // Histogram registers and returns a histogram with the given ascending
 // bucket upper bounds (nil selects DefaultLatencyBuckets).
@@ -193,8 +148,7 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for _, reg := range regs {
 		fmt.Fprintf(&b, "# HELP %s %s\n", reg.name, escapeHelp(reg.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", reg.name, reg.kind)
-		switch {
-		case reg.collect != nil:
+		if reg.hist == nil {
 			samples := reg.collect()
 			sort.SliceStable(samples, func(i, j int) bool {
 				return labelKey(samples[i].Labels) < labelKey(samples[j].Labels)
@@ -202,19 +156,15 @@ func (r *Registry) WriteText(w io.Writer) error {
 			for _, s := range samples {
 				fmt.Fprintf(&b, "%s%s %s\n", reg.name, renderLabels(s.Labels), formatFloat(s.Value))
 			}
-		case reg.kind == kindCounter:
-			fmt.Fprintf(&b, "%s %d\n", reg.name, reg.counter.Value())
-		case reg.kind == kindGauge:
-			fmt.Fprintf(&b, "%s %d\n", reg.name, reg.gauge.Value())
-		case reg.kind == kindHistogram:
-			bounds, cum, sum, count := reg.hist.snapshot()
-			for i, ub := range bounds {
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", reg.name, formatFloat(ub), cum[i])
-			}
-			fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", reg.name, count)
-			fmt.Fprintf(&b, "%s_sum %s\n", reg.name, formatFloat(sum))
-			fmt.Fprintf(&b, "%s_count %d\n", reg.name, count)
+			continue
 		}
+		bounds, cum, sum, count := reg.hist.snapshot()
+		for i, ub := range bounds {
+			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", reg.name, formatFloat(ub), cum[i])
+		}
+		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", reg.name, count)
+		fmt.Fprintf(&b, "%s_sum %s\n", reg.name, formatFloat(sum))
+		fmt.Fprintf(&b, "%s_count %d\n", reg.name, count)
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

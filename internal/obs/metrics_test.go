@@ -8,10 +8,8 @@ import (
 
 func TestRegistryWriteText(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("jobs_total", "Jobs submitted.")
-	c.Add(3)
-	g := r.Gauge("queue_depth", "Queued jobs.")
-	g.Set(2)
+	r.CollectCounter("jobs_total", "Jobs submitted.", func() []Sample { return []Sample{{Value: 3}} })
+	r.CollectGauge("queue_depth", "Queued jobs.", func() []Sample { return []Sample{{Value: 2}} })
 	h := r.Histogram("lat_seconds", "Latency.", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)

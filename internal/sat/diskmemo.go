@@ -59,7 +59,8 @@ type DiskMemo struct {
 const DefaultDiskMemoBytes = 1 << 30
 
 // DiskMemoStats is a snapshot of the on-disk tier's accounting: the
-// shape behind daemon /metrics and CLI stderr summaries.
+// shape behind the daemon's attackd_memo_disk_* series and CLI stderr
+// summaries.
 type DiskMemoStats struct {
 	// Hits / Misses count Get resolutions (a corrupt record counts as
 	// a miss AND in Corrupt).

@@ -52,12 +52,13 @@ func (t MemoTier) String() string {
 }
 
 // MemoStats is a per-tier hit/miss snapshot of memo-cache accounting —
-// the shape serialized into harness outcomes, campaign merges and the
-// daemon's /metrics. Hits counts in-memory (L1) answers, DiskHits
-// on-disk (L2) answers, Misses queries the inner engine solved. Capped
-// counts decided results that were recomputed but could not be stored
-// in memory because the entry cap was reached (they still reach the
-// disk tier when one is attached). The new fields are omitempty so
+// the shape serialized into harness outcomes and campaign merges, and
+// the source of the daemon's attackd_memo_{hits,misses,capped}_total
+// series. Hits counts in-memory (L1) answers, DiskHits on-disk (L2)
+// answers, Misses queries the inner engine solved. Capped counts
+// decided results that were recomputed but could not be stored in
+// memory because the entry cap was reached (they still reach the disk
+// tier when one is attached). The new fields are omitempty so
 // disk-less, uncapped runs serialize byte-identically to before.
 type MemoStats struct {
 	Hits     int64 `json:"hits"`
@@ -312,15 +313,6 @@ var (
 func NewMemoEngine(memo *Memo, ctr *MemoCounters, inner Engine) *MemoEngine {
 	return &MemoEngine{memo: memo, ctr: ctr, inner: inner, stream: NewStream()}
 }
-
-// Inner returns the wrapped engine that serves cache misses.
-func (m *MemoEngine) Inner() Engine { return m.inner }
-
-// LastFromCache reports whether the most recent Solve/SolveAssuming
-// was answered from the memo without touching the inner engine —
-// per-query hit attribution for tracing (the counters only give
-// totals).
-func (m *MemoEngine) LastFromCache() bool { return m.cached != nil }
 
 // LastTier returns which tier answered the most recent
 // Solve/SolveAssuming: TierMemory, TierDisk, or TierMiss (solved by

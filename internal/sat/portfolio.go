@@ -48,9 +48,6 @@ func NewEnginePortfolio(engines []Engine, ledger *Ledger) *Portfolio {
 	return &Portfolio{engines: engines, ledger: ledger}
 }
 
-// Size returns the number of racing engines.
-func (p *Portfolio) Size() int { return len(p.engines) }
-
 // SetContext attaches the base context every race runs under.
 func (p *Portfolio) SetContext(ctx context.Context) { p.ctx = ctx }
 

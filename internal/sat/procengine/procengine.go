@@ -31,24 +31,6 @@ import (
 	"repro/internal/sat"
 )
 
-// DefaultSolvers lists the solver binaries Find probes for, in
-// preference order.
-var DefaultSolvers = []string{"kissat", "cadical", "lingeling", "minisat", "glucose"}
-
-// Find returns the first of the named solver binaries present on PATH
-// (DefaultSolvers when none are given).
-func Find(names ...string) (string, error) {
-	if len(names) == 0 {
-		names = DefaultSolvers
-	}
-	for _, n := range names {
-		if path, err := exec.LookPath(n); err == nil {
-			return path, nil
-		}
-	}
-	return "", fmt.Errorf("procengine: none of %s found on PATH", strings.Join(names, ", "))
-}
-
 // ProcessEngine is a sat.Engine backed by an external DIMACS solver
 // process. Like every engine, it is not safe for concurrent use; racing
 // several lives in sat.Portfolio.
@@ -70,14 +52,11 @@ var _ sat.Engine = (*ProcessEngine)(nil)
 // New returns an engine spawning cmd (a binary name to resolve on PATH
 // or an explicit path) with the given extra arguments before the CNF
 // file argument. The binary is not checked here — a missing solver
-// surfaces as Unknown verdicts with Err set (use Find or
+// surfaces as Unknown verdicts with Err set (use
 // attack.SolverSetup.Check to fail fast).
 func New(cmd string, args ...string) *ProcessEngine {
 	return &ProcessEngine{cmd: cmd, args: args, ok: true}
 }
-
-// Cmd returns the configured solver command.
-func (e *ProcessEngine) Cmd() string { return e.cmd }
 
 // Err returns the failure of the most recent Solve call that returned
 // Unknown for an abnormal reason (unparseable output, a model that

@@ -90,15 +90,6 @@ func (f *Frozen) NumVars() int {
 	return f.nVars
 }
 
-// Ok reports whether the stream is still possibly satisfiable (false
-// once an empty clause was recorded).
-func (f *Frozen) Ok() bool {
-	if f == nil {
-		return true
-	}
-	return f.ok
-}
-
 // Hash returns the chain content hash: equal hashes mean equal
 // variable/clause streams (up to SHA-256 collisions).
 func (f *Frozen) Hash() Hash {

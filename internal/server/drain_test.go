@@ -189,12 +189,10 @@ func TestSubmitDuringDrainRejected(t *testing.T) {
 		srv.Drain(300 * time.Millisecond)
 		close(done)
 	}()
-	// Wait for the drain flag to be visible via /metrics.
+	// Wait for the drain flag to be visible via /metrics.prom.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		var m server.Metrics
-		getJSON(t, ts, "/metrics", &m)
-		if m.Draining {
+		if scrape(t, ts)["attackd_draining"] == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

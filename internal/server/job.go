@@ -170,7 +170,8 @@ type Job struct {
 	// BENCH format (Result.RecoveredGates summarizes it).
 	RecoveredBench string `json:"recovered_bench,omitempty"`
 	// PortfolioStats carries the per-engine win ledger accumulated by
-	// this job's races, aggregated into GET /metrics.
+	// this job's races, aggregated into the attackd_engine_* series of
+	// GET /metrics.prom.
 	PortfolioStats []sat.ConfigStats `json:"portfolio_stats,omitempty"`
 
 	// userCancel marks a DELETE-initiated cancellation; drainCancel

@@ -8,95 +8,6 @@ import (
 	"repro/internal/sat"
 )
 
-// Metrics is the GET /metrics document: queue pressure, job states,
-// per-tenant load, and the daemon-wide per-engine portfolio win ledger
-// aggregated (sat.MergeStats) across every finished job that raced.
-type Metrics struct {
-	// UptimeNS is the daemon's uptime in integer nanoseconds (the _ns
-	// suffix is the API-wide contract, shared with wall_ns/solve_ns in
-	// job artifacts).
-	UptimeNS   int64 `json:"uptime_ns"`
-	Workers    int   `json:"workers"`
-	QueueDepth int   `json:"queue_depth"`
-	QueueCap   int   `json:"queue_cap"`
-	Draining   bool  `json:"draining,omitempty"`
-	// Jobs counts jobs by lifecycle state.
-	Jobs map[JobState]int `json:"jobs"`
-	// Tenants reports per-tenant queued/running counts, keyed by
-	// tenant.
-	Tenants map[string]TenantMetrics `json:"tenants,omitempty"`
-	// Portfolio is the aggregated per-engine racing ledger.
-	Portfolio []sat.ConfigStats `json:"portfolio,omitempty"`
-	// MemoHits/MemoMisses/MemoEntries report the daemon-global verdict
-	// cache when the daemon runs with one (Config.Memo). MemoHits counts
-	// in-memory (L1) answers; MemoDiskHits on-disk (L2) answers;
-	// MemoCapped decided results dropped by the in-memory entry cap.
-	MemoHits    int64 `json:"memo_hits,omitempty"`
-	MemoMisses  int64 `json:"memo_misses,omitempty"`
-	MemoEntries int   `json:"memo_entries,omitempty"`
-	MemoCapped  int64 `json:"memo_capped,omitempty"`
-	// MemoDisk* report the persistent on-disk tier when one is attached
-	// (-memo-dir): the cache that survives daemon restarts.
-	MemoDiskHits    int64 `json:"memo_disk_hits,omitempty"`
-	MemoDiskEntries int64 `json:"memo_disk_entries,omitempty"`
-	MemoDiskBytes   int64 `json:"memo_disk_bytes,omitempty"`
-}
-
-// TenantMetrics is one tenant's live load.
-type TenantMetrics struct {
-	Queued  int `json:"queued,omitempty"`
-	Running int `json:"running,omitempty"`
-}
-
-// Snapshot assembles the current metrics.
-func (s *Server) Snapshot() Metrics {
-	queued, running := s.queue.Snapshot()
-	s.mu.Lock()
-	m := Metrics{
-		UptimeNS:   int64(time.Since(s.started)),
-		Workers:    s.cfg.Workers,
-		QueueDepth: s.queue.Depth(),
-		QueueCap:   s.cfg.QueueDepth,
-		Draining:   s.draining,
-		Jobs:       map[JobState]int{},
-		Portfolio:  sat.MergeStats(s.stats),
-	}
-	for _, j := range s.jobs {
-		m.Jobs[j.State]++
-	}
-	if s.cfg.Memo != nil {
-		// Sampled inside the lock like the rest of the snapshot, so the
-		// memo counters are consistent with the job states reported
-		// alongside them (a job cannot finalize mid-snapshot).
-		st := s.cfg.Memo.Stats()
-		m.MemoHits, m.MemoMisses, m.MemoEntries = st.Hits, st.Misses, s.cfg.Memo.Len()
-		m.MemoDiskHits, m.MemoCapped = st.DiskHits, st.Capped
-		if disk := s.cfg.Memo.Disk(); disk != nil {
-			ds := disk.Stats()
-			m.MemoDiskEntries, m.MemoDiskBytes = ds.Entries, ds.Bytes
-		}
-	}
-	s.mu.Unlock()
-	if len(queued)+len(running) > 0 {
-		m.Tenants = map[string]TenantMetrics{}
-		for t, n := range queued {
-			tm := m.Tenants[t]
-			tm.Queued = n
-			m.Tenants[t] = tm
-		}
-		for t, n := range running {
-			tm := m.Tenants[t]
-			tm.Running = n
-			m.Tenants[t] = tm
-		}
-	}
-	return m
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Snapshot())
-}
-
 // buildRegistry wires the Prometheus-text registry served at
 // GET /metrics.prom. Histograms are observed live in runJob; everything
 // with a dynamic label set (job states, tenants, engines) is a
@@ -163,17 +74,35 @@ func (s *Server) buildRegistry() {
 		}
 		return out
 	})
-	r.CollectCounter("attackd_engine_wins_total", "Portfolio races won, by engine.", func() []obs.Sample {
-		stats := s.Stats()
-		out := make([]obs.Sample, 0, len(stats))
-		for _, st := range stats {
-			out = append(out, obs.Sample{
-				Labels: []obs.Label{{Key: "engine", Value: st.Config}},
-				Value:  float64(st.Wins),
-			})
-		}
-		return out
-	})
+	// The per-engine portfolio ledger, aggregated (sat.MergeStats)
+	// across every finished job that raced: one family per column.
+	for _, col := range []struct {
+		name, help string
+		value      func(sat.ConfigStats) int64
+	}{
+		{"attackd_engine_races_total", "Portfolio races entered, by engine.",
+			func(c sat.ConfigStats) int64 { return c.Races }},
+		{"attackd_engine_wins_total", "Portfolio races won, by engine.",
+			func(c sat.ConfigStats) int64 { return c.Wins }},
+		{"attackd_engine_sat_wins_total", "Portfolio races won with a SAT verdict, by engine.",
+			func(c sat.ConfigStats) int64 { return c.SatWins }},
+		{"attackd_engine_unsat_wins_total", "Portfolio races won with an UNSAT verdict, by engine.",
+			func(c sat.ConfigStats) int64 { return c.UnsatWins }},
+		{"attackd_engine_conflicts_total", "Conflicts spent in portfolio races, won or lost, by engine.",
+			func(c sat.ConfigStats) int64 { return c.Conflicts }},
+	} {
+		r.CollectCounter(col.name, col.help, func() []obs.Sample {
+			stats := s.ledger()
+			out := make([]obs.Sample, len(stats))
+			for i, st := range stats {
+				out[i] = obs.Sample{
+					Labels: []obs.Label{{Key: "engine", Value: st.Config}},
+					Value:  float64(col.value(st)),
+				}
+			}
+			return out
+		})
+	}
 	if s.cfg.Memo != nil {
 		r.CollectCounter("attackd_memo_hits_total", "Daemon-global verdict-cache hits.", func() []obs.Sample {
 			return one(float64(s.cfg.Memo.Stats().Hits))
@@ -217,9 +146,9 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WriteText(w)
 }
 
-// Stats returns the aggregated per-engine win statistics in
-// first-seen label order (the sat.MergeStats convention).
-func (s *Server) Stats() []sat.ConfigStats {
+// ledger returns a copy of the aggregated per-engine win statistics
+// in first-seen label order (the sat.MergeStats convention).
+func (s *Server) ledger() []sat.ConfigStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]sat.ConfigStats, len(s.stats))

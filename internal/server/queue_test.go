@@ -74,10 +74,11 @@ func TestTenantConcurrencyFairness(t *testing.T) {
 	}
 
 	// Metrics attribute the queue to the capped tenant.
-	var m server.Metrics
-	getJSON(t, ts, "/metrics", &m)
-	if tm := m.Tenants["tenant-a"]; tm.Running != 1 || tm.Queued != 1 {
-		t.Errorf("tenant-a metrics = %+v, want 1 running / 1 queued", tm)
+	m := scrape(t, ts)
+	running := m[`attackd_tenant_jobs{tenant="tenant-a",phase="running"}`]
+	queued := m[`attackd_tenant_jobs{tenant="tenant-a",phase="queued"}`]
+	if running != 1 || queued != 1 {
+		t.Errorf("tenant-a metrics: %v running / %v queued, want 1 / 1", running, queued)
 	}
 
 	// Cancelling A's running job releases its slot and the queued one

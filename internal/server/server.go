@@ -51,7 +51,8 @@ type Config struct {
 	// (sat.NewMemo) shared by every job's solvers: repeated submissions
 	// of the same instance answer repeated SAT queries from the cache.
 	// Verdicts are unchanged — the cache replays query history on
-	// misses — and hit/miss counters surface in GET /metrics.
+	// misses — and its counters surface as the attackd_memo_* series of
+	// GET /metrics.prom.
 	Memo *sat.Memo
 	// TraceSpans, when > 0, keeps an in-memory span trace per job: each
 	// job runs under an obs.Tracer emitting to a bounded ring of this
@@ -398,7 +399,6 @@ func (s *Server) runJob(id string) {
 				r.setup = &attack.SolverSetup{}
 				r.target.Solver = r.setup.Factory()
 			}
-			r.setup.TraceTo(root)
 			runCtx = obs.With(runCtx, root)
 			s.mu.Lock()
 			s.traces[id] = ring
@@ -548,8 +548,7 @@ func (s *Server) finalizeLocked(j *Job, state JobState, res *attack.ResultJSON, 
 //	GET    /jobs/{id}/result the persisted result artifact (terminal jobs)
 //	GET    /jobs/{id}/trace  the job's span trace as NDJSON (Config.TraceSpans > 0)
 //	DELETE /jobs/{id}        cancel a queued or running job
-//	GET    /metrics          queue/job/tenant/engine statistics (JSON)
-//	GET    /metrics.prom     the same statistics plus latency histograms, Prometheus text format
+//	GET    /metrics.prom     queue/job/tenant/engine/memo statistics and latency histograms, Prometheus text format
 //	GET    /healthz          liveness probe
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -560,7 +559,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics.prom", s.handlePromMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")

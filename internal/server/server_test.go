@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/lock"
 	"repro/internal/oracle"
+	"repro/internal/sat"
 	"repro/internal/sat/testsolver"
 	"repro/internal/server"
 	"repro/internal/testcirc"
@@ -121,6 +123,42 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v any) *http.Respon
 		}
 	}
 	return resp
+}
+
+// scrape reads GET /metrics.prom into a map from series (the metric
+// name with its rendered labels, e.g. attackd_jobs{state="done"}) to
+// value.
+func scrape(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics.prom: %d", resp.StatusCode)
+	}
+	series := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			t.Fatalf("malformed exposition line %q", line)
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("malformed exposition line %q: %v", line, err)
+		}
+		series[line[:i]] = v
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return series
 }
 
 // waitTerminal polls GET /jobs/{id} until the job reaches a terminal
@@ -452,8 +490,9 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
-// TestMetrics checks /metrics reports job states, queue depth and the
-// aggregated per-engine portfolio ledger of a racing job.
+// TestMetrics checks /metrics.prom reports job states, queue depth,
+// pool size and every column of the aggregated per-engine portfolio
+// ledger of a racing job, and that no JSON /metrics route remains.
 func TestMetrics(t *testing.T) {
 	_, locked, _, _ := newTTLockFixture(t)
 	_, ts := startDaemon(t, server.Config{Workers: 2})
@@ -461,28 +500,97 @@ func TestMetrics(t *testing.T) {
 	if final := waitTerminal(t, ts, view.ID, 60*time.Second); final.State != server.StateDone {
 		t.Fatalf("job finished %s", final.State)
 	}
-	var m server.Metrics
-	if resp := getJSON(t, ts, "/metrics", &m); resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
+	m := scrape(t, ts)
+	if got := m[`attackd_jobs{state="done"}`]; got != 1 {
+		t.Errorf("done jobs = %v, want 1", got)
 	}
-	if m.Jobs[server.StateDone] != 1 {
-		t.Errorf("done jobs = %d, want 1", m.Jobs[server.StateDone])
+	if got, ok := m["attackd_queue_depth"]; !ok || got != 0 {
+		t.Errorf("queue depth = %v (present %v), want 0", got, ok)
 	}
-	if m.QueueDepth != 0 {
-		t.Errorf("queue depth = %d, want 0", m.QueueDepth)
+	if got := m["attackd_workers"]; got != 2 {
+		t.Errorf("workers = %v, want 2", got)
 	}
-	if m.Workers != 2 {
-		t.Errorf("workers = %d, want 2", m.Workers)
+	// Sum each ledger family over its engine label.
+	ledger := map[string]float64{}
+	for series, v := range m {
+		if name, _, ok := strings.Cut(series, `{engine="`); ok {
+			ledger[name] += v
+		}
 	}
-	if len(m.Portfolio) == 0 {
-		t.Error("no per-engine portfolio statistics after a racing job")
+	for _, family := range []string{
+		"attackd_engine_races_total",
+		"attackd_engine_wins_total",
+		"attackd_engine_sat_wins_total",
+		"attackd_engine_unsat_wins_total",
+		"attackd_engine_conflicts_total",
+	} {
+		if _, ok := ledger[family]; !ok {
+			t.Errorf("no %s series after a racing job", family)
+		}
 	}
-	var races int64
-	for _, cs := range m.Portfolio {
-		races += cs.Races
-	}
-	if races == 0 {
+	if ledger["attackd_engine_races_total"] == 0 {
 		t.Error("portfolio ledger records no races")
+	}
+	if resp := getJSON(t, ts, "/metrics", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics: %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestMemoMetrics checks the daemon-global verdict memo's series: a
+// repeated job hits the memory tier and writes through to disk, a
+// daemon restarted on the same store answers from disk, and a daemon
+// without a memo exposes no memo series.
+func TestMemoMetrics(t *testing.T) {
+	_, locked, _, _ := newTTLockFixture(t)
+	dir := t.TempDir()
+	memoOn := func(t *testing.T) *sat.Memo {
+		t.Helper()
+		d, err := sat.OpenDiskMemo(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := sat.NewMemo(0)
+		m.AttachDisk(d)
+		return m
+	}
+	run := func(t *testing.T, ts *httptest.Server) {
+		t.Helper()
+		_, view := submit(t, ts, "", server.JobSpec{Attack: "fall", Locked: locked, Seed: 5})
+		if final := waitTerminal(t, ts, view.ID, 60*time.Second); final.State != server.StateDone {
+			t.Fatalf("job finished %s", final.State)
+		}
+	}
+
+	_, a := startDaemon(t, server.Config{Workers: 1, Memo: memoOn(t)})
+	run(t, a)
+	run(t, a)
+	m := scrape(t, a)
+	for _, series := range []string{
+		"attackd_memo_hits_total",
+		"attackd_memo_misses_total",
+		"attackd_memo_entries",
+		"attackd_memo_disk_writes_total",
+		"attackd_memo_disk_entries",
+		"attackd_memo_disk_bytes",
+	} {
+		if m[series] <= 0 {
+			t.Errorf("%s = %v after a repeated job, want > 0", series, m[series])
+		}
+	}
+
+	// A fresh memo over the same store: the restarted daemon resumes
+	// warm.
+	_, b := startDaemon(t, server.Config{Workers: 1, Memo: memoOn(t)})
+	run(t, b)
+	if got := scrape(t, b)["attackd_memo_disk_hits_total"]; got <= 0 {
+		t.Errorf("attackd_memo_disk_hits_total = %v on a warm store, want > 0", got)
+	}
+
+	_, c := startDaemon(t, server.Config{Workers: 1})
+	for series := range scrape(t, c) {
+		if strings.HasPrefix(series, "attackd_memo_") {
+			t.Errorf("memo-less daemon exposes %s", series)
+		}
 	}
 }
 
