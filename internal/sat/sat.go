@@ -4,6 +4,14 @@
 // analysis with clause minimization, Luby restarts, LBD-aware learnt-clause
 // database reduction, and incremental solving under assumptions.
 //
+// Clauses live in one flat arena of literals addressed by 32-bit offsets
+// (the MiniSat layout), so watchers and reasons hold no pointers and
+// adding a clause or analyzing a conflict allocates nothing per clause.
+// TestSearchTrajectory pins the search path: for a fixed Config, the
+// decisions, propagations, conflicts, learnt and deleted clauses,
+// restarts and models are recorded per instance, so a change to the data
+// structures cannot silently change the search.
+//
 // It replaces the Lingeling solver used by the paper's prototype. All
 // attack queries in this repository (comparator identification, unateness,
 // sliding window, equivalence miters, SAT attack, key confirmation) run
@@ -13,6 +21,7 @@ package sat
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -89,15 +98,24 @@ const (
 	lFalse lbool = -1
 )
 
-type clause struct {
-	lits     []Lit
-	activity float64
-	lbd      int32
-	learnt   bool
-}
+// cref is a clause reference: the offset of the clause's header in
+// Solver.arena. A clause is clauseHeader header words followed by its
+// literals:
+//
+//	arena[c]      the number of literals
+//	arena[c+1]    lbd<<1 | learnt
+//	arena[c+2:4]  the clause activity's float64 bits, low word first
+//	arena[c+4:]   the literals
+type cref uint32
+
+// crefUndef is the sentinel "no clause" reference (no reason, no
+// conflict).
+const crefUndef cref = math.MaxUint32
+
+const clauseHeader = 4
 
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
@@ -148,15 +166,20 @@ func (s Stats) Add(o Stats) Stats {
 // with NewVar and clauses with AddClause, then call Solve or SolveAssuming
 // any number of times, adding more variables/clauses between calls.
 type Solver struct {
-	// Problem.
-	clauses []*clause // original clauses
-	learnts []*clause // learnt clauses
-	ok      bool      // false once a top-level conflict is found
+	// Problem. Every clause lives in arena; clauses and learnts list
+	// the live ones in the order they were added (reduceDB keeps its
+	// own order among the learnts).
+	arena       []Lit
+	wasted      int    // arena words of removed clauses, reclaimed by compact
+	compactions int    // compact calls so far
+	clauses     []cref // original clauses
+	learnts     []cref // learnt clauses
+	ok          bool   // false once a top-level conflict is found
 
 	// Assignment state.
 	value    []lbool // per variable
 	level    []int32 // per variable, decision level of assignment
-	reason   []*clause
+	reason   []cref  // per variable, crefUndef for decisions and units
 	trail    []Lit
 	trailLim []int // trail length at each decision level
 	qhead    int
@@ -170,9 +193,15 @@ type Solver struct {
 	heap     varHeap
 	polarity []bool // saved phases; true = last assigned false
 
-	// Conflict analysis scratch.
-	seen    []bool
-	toClear []int
+	// Scratch reused across calls, so adding a clause and analyzing a
+	// conflict allocate nothing: the literals AddClause keeps, the
+	// clause analyze learns, and the per-level stamps of computeLBD.
+	seen     []bool
+	toClear  []int
+	addBuf   []Lit
+	learnt   []Lit
+	lbdStamp []uint32
+	lbdEpoch uint32
 
 	// Clause activity.
 	claInc       float64
@@ -233,7 +262,7 @@ func (s *Solver) NewVar() int {
 	v := len(s.value)
 	s.value = append(s.value, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true)
 	s.seen = append(s.seen, false)
@@ -259,11 +288,10 @@ func (s *Solver) SetConflictLimit(n int64) { s.conflictLimit = n }
 func (s *Solver) SetContext(ctx context.Context) { s.ctx = ctx }
 
 func (s *Solver) litValue(l Lit) lbool {
-	v := s.value[l.Var()]
-	if l.Sign() {
-		return -v
-	}
-	return v
+	// Negate the variable's value for a negated literal without a
+	// branch: m is 0 for a positive literal and -1 for a negated one.
+	m := lbool(-(l & 1))
+	return (s.value[l>>1] ^ m) - m
 }
 
 // AddClause adds a clause over the given literals. It returns false if the
@@ -277,7 +305,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause called during search")
 	}
 	// Sort/uniq and check for tautology or satisfied/falsified literals.
-	out := make([]Lit, 0, len(lits))
+	out := s.addBuf[:0]
 	for _, l := range lits {
 		if l.Var() >= len(s.value) || l < 0 {
 			panic(fmt.Sprintf("sat: literal %v references unknown variable", l))
@@ -302,32 +330,74 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addBuf = out // keep the grown buffer; newClause copies out of it
 	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		s.ok = s.propagate() == nil
+		s.uncheckedEnqueue(out[0], crefUndef)
+		s.ok = s.propagate() == crefUndef
 		return s.ok
 	}
-	c := &clause{lits: out}
+	c := s.newClause(out, false, 0)
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	s.watches[c.lits[0].Neg()] = append(s.watches[c.lits[0].Neg()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Neg()] = append(s.watches[c.lits[1].Neg()], watcher{c, c.lits[0]})
+// newClause copies lits into the arena behind a fresh header (activity
+// 0) and returns the clause's reference.
+func (s *Solver) newClause(lits []Lit, learnt bool, lbd int32) cref {
+	if uint64(len(s.arena)+clauseHeader+len(lits)) > uint64(crefUndef) {
+		panic("sat: clause arena exceeds 2^32 words")
+	}
+	c := cref(len(s.arena))
+	flags := Lit(lbd << 1)
+	if learnt {
+		flags |= 1
+	}
+	s.arena = append(s.arena, Lit(len(lits)), flags, 0, 0)
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
-func (s *Solver) detach(c *clause) {
-	s.removeWatch(c.lits[0].Neg(), c)
-	s.removeWatch(c.lits[1].Neg(), c)
+// lits returns clause c's literals, aliasing the arena: swaps through
+// the slice reorder the clause in place.
+func (s *Solver) lits(c cref) []Lit {
+	return s.arena[c+clauseHeader : c+clauseHeader+cref(s.arena[c])]
 }
 
-func (s *Solver) removeWatch(l Lit, c *clause) {
+// words returns the arena words clause c occupies, header included.
+func (s *Solver) words(c cref) int { return clauseHeader + int(s.arena[c]) }
+
+func (s *Solver) isLearnt(c cref) bool { return s.arena[c+1]&1 == 1 }
+
+func (s *Solver) lbd(c cref) int32 { return int32(s.arena[c+1] >> 1) }
+
+func (s *Solver) claActivity(c cref) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+2])) | uint64(uint32(s.arena[c+3]))<<32)
+}
+
+func (s *Solver) setClaActivity(c cref, a float64) {
+	b := math.Float64bits(a)
+	s.arena[c+2] = Lit(uint32(b))
+	s.arena[c+3] = Lit(uint32(b >> 32))
+}
+
+func (s *Solver) attach(c cref) {
+	lits := s.lits(c)
+	s.watches[lits[0].Neg()] = append(s.watches[lits[0].Neg()], watcher{c, lits[1]})
+	s.watches[lits[1].Neg()] = append(s.watches[lits[1].Neg()], watcher{c, lits[0]})
+}
+
+func (s *Solver) detach(c cref) {
+	lits := s.lits(c)
+	s.removeWatch(lits[0].Neg(), c)
+	s.removeWatch(lits[1].Neg(), c)
+}
+
+func (s *Solver) removeWatch(l Lit, c cref) {
 	ws := s.watches[l]
 	for i := range ws {
 		if ws[i].c == c {
@@ -342,7 +412,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) newDecisionLevel() { s.trailLim = append(s.trailLim, len(s.trail)) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
+func (s *Solver) uncheckedEnqueue(l Lit, from cref) {
 	v := l.Var()
 	if l.Sign() {
 		s.value[v] = lFalse
@@ -355,9 +425,9 @@ func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
 }
 
 // propagate performs unit propagation; it returns the conflicting clause
-// or nil.
-func (s *Solver) propagate() *clause {
-	var confl *clause
+// or crefUndef.
+func (s *Solver) propagate() cref {
+	confl := crefUndef
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -377,7 +447,7 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
-			lits := c.lits
+			lits := s.lits(c)
 			// Ensure the false literal is lits[1].
 			if lits[0] == falseLit {
 				lits[0], lits[1] = lits[1], lits[0]
@@ -412,11 +482,11 @@ func (s *Solver) propagate() *clause {
 			s.uncheckedEnqueue(first, c)
 		}
 		s.watches[p] = ws[:j]
-		if confl != nil {
+		if confl != crefUndef {
 			return confl
 		}
 	}
-	return nil
+	return crefUndef
 }
 
 func (s *Solver) cancelUntil(lvl int) {
@@ -428,7 +498,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.value[v] == lFalse
 		s.value[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = crefUndef
 		s.heap.insertIfAbsent(v)
 	}
 	s.trail = s.trail[:bound]
@@ -449,11 +519,12 @@ func (s *Solver) varBump(v int) {
 
 func (s *Solver) varDecay() { s.varInc /= s.cfg.VarDecay }
 
-func (s *Solver) claBump(c *clause) {
-	c.activity += s.claInc
-	if c.activity > 1e20 {
+func (s *Solver) claBump(c cref) {
+	a := s.claActivity(c) + s.claInc
+	s.setClaActivity(c, a)
+	if a > 1e20 {
 		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+			s.setClaActivity(lc, s.claActivity(lc)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -462,19 +533,20 @@ func (s *Solver) claBump(c *clause) {
 func (s *Solver) claDecay() { s.claInc /= s.cfg.ClauseDecay }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{LitUndef} // slot 0 reserved for the asserting literal
+// clause (asserting literal first) and the backtrack level. The clause
+// is the solver's reusable buffer, valid until the next analyze.
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
+	learnt := append(s.learnt[:0], LitUndef) // slot 0 reserved for the asserting literal
 	pathC := 0
 	p := LitUndef
 	idx := len(s.trail) - 1
 	for {
-		lits := confl.lits
+		lits := s.lits(confl)
 		start := 0
 		if p != LitUndef {
 			start = 1
 		}
-		if confl.learnt {
+		if s.isLearnt(confl) {
 			s.claBump(confl)
 		}
 		for _, q := range lits[start:] {
@@ -510,13 +582,13 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		r := s.reason[v]
-		if r == nil {
+		if r == crefUndef {
 			learnt[j] = learnt[i]
 			j++
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits[1:] {
+		for _, q := range s.lits(r)[1:] {
 			if !s.seen[q.Var()] && s.level[q.Var()] > 0 {
 				redundant = false
 				break
@@ -547,17 +619,31 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		btLevel = int(s.level[learnt[1].Var()])
 	}
+	s.learnt = learnt
 	return learnt, btLevel
 }
 
 // computeLBD returns the number of distinct decision levels in the clause,
-// the "literal block distance" quality measure.
+// the "literal block distance" quality measure. A level counts once per
+// call: its stamp is set to the call's epoch the first time it is seen.
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	levels := make(map[int32]struct{}, len(lits))
-	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+	s.lbdEpoch++
+	if s.lbdEpoch == 0 { // wrapped: old stamps could collide
+		clear(s.lbdStamp)
+		s.lbdEpoch = 1
 	}
-	return int32(len(levels))
+	n := int32(0)
+	for _, l := range lits {
+		lv := int(s.level[l.Var()])
+		for lv >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, 0)
+		}
+		if s.lbdStamp[lv] != s.lbdEpoch {
+			s.lbdStamp[lv] = s.lbdEpoch
+			n++
+		}
+	}
+	return n
 }
 
 func (s *Solver) reduceDB() {
@@ -566,42 +652,79 @@ func (s *Solver) reduceDB() {
 	if len(s.learnts) == 0 {
 		return
 	}
-	cand := make([]*clause, 0, len(s.learnts))
-	kept := make([]*clause, 0, len(s.learnts))
+	cand := make([]cref, 0, len(s.learnts))
+	kept := make([]cref, 0, len(s.learnts))
 	for _, c := range s.learnts {
-		if c.lbd <= 2 || len(c.lits) == 2 || s.locked(c) {
+		if s.lbd(c) <= 2 || len(s.lits(c)) == 2 || s.locked(c) {
 			kept = append(kept, c)
 		} else {
 			cand = append(cand, c)
 		}
 	}
 	// Remove the lower-activity half of the candidates.
-	sortClausesByActivity(cand)
+	s.sortClausesByActivity(cand)
 	cut := len(cand) / 2
 	for i, c := range cand {
 		if i < cut {
 			s.detach(c)
+			s.wasted += s.words(c)
 			s.stats.Removed++
 		} else {
 			kept = append(kept, c)
 		}
 	}
 	s.learnts = kept
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func (s *Solver) locked(c *clause) bool {
-	v := c.lits[0].Var()
+// compact copies the live clauses into a fresh arena, originals first,
+// each list in its order, and remaps every reference: the clauses and
+// learnts lists, every watcher and the reason of every assigned
+// variable. Only offsets change; no list, watch list or reason is
+// reordered. A moved clause's old header keeps its new offset in the
+// activity's low word until the old arena is dropped.
+func (s *Solver) compact() {
+	to := make([]Lit, 0, len(s.arena)-s.wasted)
+	for _, cs := range [][]cref{s.clauses, s.learnts} {
+		for i, c := range cs {
+			moved := cref(len(to))
+			to = append(to, s.arena[c:int(c)+s.words(c)]...)
+			s.arena[c+2] = Lit(moved)
+			cs[i] = moved
+		}
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = cref(s.arena[ws[i].c+2])
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = cref(s.arena[r+2])
+		}
+	}
+	s.arena = to
+	s.wasted = 0
+	s.compactions++
+}
+
+func (s *Solver) locked(c cref) bool {
+	v := s.lits(c)[0].Var()
 	return s.reason[v] == c && s.value[v] != lUndef
 }
 
-func sortClausesByActivity(cs []*clause) {
+func (s *Solver) sortClausesByActivity(cs []cref) {
 	// Insertion-friendly shellsort to avoid pulling in sort.Slice closures
-	// on a hot path; sizes here are modest.
+	// on a hot path; sizes here are modest. Its tie order is part of the
+	// search path: equal activities keep the order this sort leaves them.
 	for gap := len(cs) / 2; gap > 0; gap /= 2 {
 		for i := gap; i < len(cs); i++ {
 			c := cs[i]
+			a := s.claActivity(c)
 			j := i
-			for ; j >= gap && cs[j-gap].activity > c.activity; j -= gap {
+			for ; j >= gap && s.claActivity(cs[j-gap]) > a; j -= gap {
 				cs[j] = cs[j-gap]
 			}
 			cs[j] = c
@@ -633,7 +756,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 	conflicts := int64(0)
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			s.stats.Conflicts++
 			conflicts++
 			if s.decisionLevel() == 0 {
@@ -643,9 +766,9 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 			learnt, btLevel := s.analyze(confl)
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], crefUndef)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: s.computeLBD(learnt)}
+				c := s.newClause(learnt, true, s.computeLBD(learnt))
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.claBump(c)
@@ -696,7 +819,7 @@ func (s *Solver) search(nofConflicts int64, assumptions []Lit) Status {
 			next = MkLit(v, s.decidePolarity(v))
 		}
 		s.newDecisionLevel()
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 

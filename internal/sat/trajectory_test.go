@@ -263,3 +263,19 @@ var pinnedTrajectories = map[string]trajectory{
 	"xor-chain-sat seed=9,rand=0.1":                                  {"S", Stats{0, 12, 0, 1, 0, 0, 1}, 0x2f8bef81ea9c957d},
 	"xor-chain-sat seed=11,restart=geometric,phase=random,rand=0.05": {"S", Stats{0, 12, 0, 1, 0, 0, 1}, 0x2f8bef81ea9c957d},
 }
+
+// TestTrajectoryCompactsArena checks that the pinned rows which delete
+// learnt clauses also compact the clause arena, so TestSearchTrajectory
+// covers compaction as well as deletion.
+func TestTrajectoryCompactsArena(t *testing.T) {
+	geometric := Config{Restart: RestartGeometric, RestartBase: 50, RestartGrowth: 2}
+	insts := trajectoryInstances()
+	for _, name := range []string{"php87-unsat", "php98-unsat"} {
+		r := runTrajectory(geometric, insts[name])
+		if r.Stats().Removed == 0 || r.compactions == 0 {
+			t.Errorf("%s %s: removed %d clauses, compacted the arena %d times; want both > 0",
+				name, geometric, r.Stats().Removed, r.compactions)
+		}
+		t.Logf("%s %s: removed %d, compactions %d", name, geometric, r.Stats().Removed, r.compactions)
+	}
+}
