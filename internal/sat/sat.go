@@ -349,8 +349,16 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // newClause copies lits into the arena behind a fresh header (activity
 // 0) and returns the clause's reference.
 func (s *Solver) newClause(lits []Lit, learnt bool, lbd int32) cref {
-	if uint64(len(s.arena)+clauseHeader+len(lits)) > uint64(crefUndef) {
+	need := len(s.arena) + clauseHeader + len(lits)
+	if uint64(need) > uint64(crefUndef) {
 		panic("sat: clause arena exceeds 2^32 words")
+	}
+	if need > cap(s.arena) {
+		// Double, unlike append's 1.25x for large slices: every
+		// growth copies the whole arena, and the old copy is garbage.
+		grown := make([]Lit, len(s.arena), max(need, 2*cap(s.arena)))
+		copy(grown, s.arena)
+		s.arena = grown
 	}
 	c := cref(len(s.arena))
 	flags := Lit(lbd << 1)
