@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -18,8 +19,15 @@ import (
 )
 
 func main() {
+	// A bad flag exits 1 like any other usage error; -help exits 0.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	strash := flag.Bool("strash", false, "also report post-strash (AIG) statistics")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: benchinfo [-strash] FILE...")
 		os.Exit(1)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +25,8 @@ import (
 )
 
 func main() {
+	// A bad flag exits 1 like any other usage error; -help exits 0.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	var (
 		inPath  = flag.String("in", "", "input circuit in BENCH format")
 		genName = flag.String("gen", "", "generate a Table I benchmark by name instead of reading -in")
@@ -35,7 +38,12 @@ func main() {
 		outPath = flag.String("out", "", "output locked BENCH file (default stdout)")
 		keyOut  = flag.String("keyout", "", "output key file (default stderr)")
 	)
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
 
 	var orig *circuit.Circuit
 	switch {

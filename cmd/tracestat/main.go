@@ -18,6 +18,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -26,12 +27,19 @@ import (
 )
 
 func main() {
+	// A bad flag exits 1 like any other usage error; -help exits 0.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	var (
 		topN      = flag.Int("top", 10, "slowest queries to list")
 		reconcile = flag.String("reconcile", "", "attack result JSON to reconcile query spans against (solve_ns coverage must be >= threshold)")
 		threshold = flag.Float64("threshold", 0.95, "minimum solve_ns coverage for -reconcile")
 	)
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: tracestat [-top N] [-reconcile result.json] TRACE.ndjson...")
 		os.Exit(1)

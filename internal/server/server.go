@@ -305,12 +305,16 @@ func (s *Server) unsubscribe(id string, ch chan Event) {
 // resolve the spec, run the attack under the job's context, and
 // finalize — done/failed/cancelled, or back to queued when a graceful
 // drain cut the solve short. With Config.ClaimLease set the job is
-// first claimed against peer daemons sharing the store; the deferred
-// release covers every exit, including the drain-requeue path, so a
+// first claimed against peer daemons sharing the store. A terminal
+// state releases the claim before s.mu is unlocked, so no client reads
+// a finished job whose claim file still exists; the deferred release
+// covers every other exit, including the drain-requeue path, so a
 // requeued job is immediately claimable by a peer.
 func (s *Server) runJob(id string) {
+	var claim *campaign.Claim
 	if s.cfg.ClaimLease > 0 {
-		claim, err := campaign.TryClaim(s.store.ClaimPath(id),
+		var err error
+		claim, err = campaign.TryClaim(s.store.ClaimPath(id),
 			campaign.ClaimInfo{Owner: s.owner, Case: id}, s.cfg.ClaimLease)
 		switch {
 		case err != nil:
@@ -341,6 +345,7 @@ func (s *Server) runJob(id string) {
 		// on disk for the next daemon.
 		if j != nil && j.State == StateQueued && j.userCancel {
 			s.finalizeLocked(j, StateCancelled, nil, "", nil, "")
+			releaseClaim(claim)
 		}
 		s.mu.Unlock()
 		return
@@ -445,6 +450,17 @@ func (s *Server) runJob(id string) {
 			recovered = bench.WriteString(res.Recovered)
 		}
 		s.finalizeLocked(j, StateDone, &rj, "", r.setup.WinStats(), recovered)
+	}
+	if j.State.Terminal() {
+		releaseClaim(claim)
+	}
+}
+
+// releaseClaim releases a job's claim, if it holds one. Release is
+// idempotent, so runJob's deferred release may follow.
+func releaseClaim(c *campaign.Claim) {
+	if c != nil {
+		c.Release()
 	}
 }
 
