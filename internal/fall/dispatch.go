@@ -3,6 +3,7 @@ package fall
 import (
 	"context"
 	"math/bits"
+	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,36 +16,46 @@ import (
 // This file decides each support-matched candidate once, before any of
 // its candidate×polarity cells run, and orders the grid from those
 // decisions. The pre-pass (filterCandidates) computes a candidate's TFC,
-// flags key dependence, and runs the density filter's single
+// flags key dependence, and runs the stripper shape filter's single
 // 16384-pattern sweep on the locked netlist itself, which fixes the
 // verdicts of both polarities at once; there is no separate probe. The
-// cells read those verdicts, and the first cell that passes the filter
-// extracts the cone the candidate's cells share. Cells are handed to the
-// worker pool in longest-expected-first order (the grid-level analogue
-// of exp.DispatchOrder), so one late heavy cell cannot run
-// alone after every cheap cell has drained. Dispatch order changes
-// scheduling only: outcomes are written at the cell's original index
-// and merged in candidate order, so the shortlist stays byte-identical
-// to a serial run for every worker count.
+// filter is exact in one direction: it rejects a polarity only when two
+// sampled on-set patterns could not both lie on one Hamming sphere of
+// radius h, so every rejected cell is one the equivalence check would
+// reject, and rejecting it early changes no outcome. The cells read
+// those verdicts, and the first cell that passes the filter extracts the
+// cone the candidate's cells share. Cells are handed to the worker pool
+// in longest-expected-first order (the grid-level analogue of
+// exp.DispatchOrder), so one late heavy cell cannot run alone after
+// every cheap cell has drained. Dispatch order changes scheduling only:
+// outcomes are written at the cell's original index and merged in
+// candidate order, so the shortlist stays byte-identical to a serial run
+// for every worker count.
 
-// densityWords is the density filter's sample: 256 words of 64
-// patterns.
-const densityWords = 256
+// filterWords is the shape filter's sample: 256 words of 64 patterns.
+const filterWords = 256
+
+// filterRNG returns the deterministic pattern source for the shape
+// filter over a cone of coneLen nodes and m inputs: a pure function of
+// the cone, never of run order.
+func filterRNG(coneLen, m int) *rand.Rand {
+	return rand.New(rand.NewSource(int64(coneLen)*2654435761 + int64(m)))
+}
 
 // candidate is one support-matched node's grid state, shared by its two
 // polarity cells. The pre-pass fills the verdicts before any cell runs.
-// The first cell that passes the filter extracts the cone and creates
-// the prefix cache, which every passing cell reads; the last passing
-// cell to finish drops them, so a grid holds only the state of
+// The first cell that passes the shape filter extracts the cone and
+// creates the prefix cache, which every passing cell reads; the last
+// passing cell to finish drops them, so a grid holds only the state of
 // candidates still in flight.
 type candidate struct {
 	node int
 
 	// Set by the pre-pass.
-	decided bool    // the pre-pass reached this candidate before cancellation
-	keydep  bool    // the TFC contains a key input: not a cube stripper
-	coneLen int     // TFC size, which is the extracted cone's node count
-	dense   [2]bool // positive/negated polarity rejected by the density filter
+	decided  bool    // the pre-pass reached this candidate before cancellation
+	keydep   bool    // the TFC contains a key input: not a cube stripper
+	coneLen  int     // TFC size, which is the extracted cone's node count
+	rejected [2]bool // positive/negated polarity rejected by the shape filter
 
 	coneOnce sync.Once
 	cone     *circuit.Circuit
@@ -76,40 +87,80 @@ func (cd *candidate) decide(c *circuit.Circuit, h int, scratch []uint64) {
 		}
 		ins = append(ins, id)
 	}
-	cd.dense = densityVerdicts(c, tfc, ins, cd.node, h, scratch)
-	for _, d := range cd.dense {
-		if !d {
+	cd.rejected = shapeVerdicts(c, tfc, ins, cd.node, h, scratch)
+	for _, r := range cd.rejected {
+		if !r {
 			cd.pending.Add(1)
 		}
 	}
 }
 
-// densityVerdicts runs the density filter (see densityThreshold) for
-// both polarities of node in one sweep over its TFC. The patterns are
-// the ones the filter draws on the extracted cone: the same densityRNG
-// seed, words assigned to the inputs in the same (ascending id) order.
-// The negated polarity's on-count is the positive polarity's off-count.
-// A count above the threshold rejects its polarity, since it can only
-// grow; a count that stays within it even if every remaining pattern is
-// on accepts. The sweep stops once both polarities are decided, so a
-// threshold of at least the sample size simulates nothing.
-func densityVerdicts(c *circuit.Circuit, tfc, ins []int, node, h int, vals []uint64) [2]bool {
-	const patterns = densityWords * 64
-	threshold := densityThreshold(patterns, len(ins), h)
-	decided := func(count, rest int) bool {
-		return float64(count) > threshold || float64(count+rest) <= threshold
-	}
-	rng := densityRNG(len(tfc), len(ins))
-	on, n := 0, 0
-	for n < patterns && !(decided(on, patterns-n) && decided(n-on, patterns-n)) {
+// shapeVerdicts runs the stripper shape filter for both polarities of
+// node in one sweep over its TFC. The on-set of strip_h(K) is the
+// Hamming sphere of radius h around K, so any two of its points differ
+// in an even number of inputs, and in at most 2h. The sweep keeps each
+// polarity's first on-set pattern in (word, lane) order and rejects the
+// polarity at the first later on-set pattern whose distance from it is
+// odd or above 2h; the negated polarity's on-set is the positive
+// polarity's off-set. The patterns are the ones the filter draws on the
+// extracted cone: the same filterRNG seed, words assigned to the inputs
+// in the same (ascending id) order. The sweep stops once both
+// polarities are rejected.
+func shapeVerdicts(c *circuit.Circuit, tfc, ins []int, node, h int, vals []uint64) [2]bool {
+	var rejected [2]bool
+	var first [2][]uint64 // per input, the first on-set pattern's bit in every lane
+	rng := filterRNG(len(tfc), len(ins))
+	for w := 0; w < filterWords && !(rejected[0] && rejected[1]); w++ {
 		for _, in := range ins {
 			vals[in] = rng.Uint64()
 		}
 		c.SimulateNodes(tfc, vals)
-		on += bits.OnesCount64(vals[node])
-		n += 64
+		for pol := range rejected {
+			on := vals[node]
+			if pol == 1 {
+				on = ^on
+			}
+			if rejected[pol] || on == 0 {
+				continue
+			}
+			if first[pol] == nil {
+				lane := bits.TrailingZeros64(on)
+				first[pol] = make([]uint64, len(ins))
+				for i, in := range ins {
+					first[pol][i] = -(vals[in] >> lane & 1)
+				}
+			}
+			rejected[pol] = on&offSphere(vals, ins, first[pol], h) != 0
+		}
 	}
-	return [2]bool{float64(on) > threshold, float64(n-on) > threshold}
+	return rejected
+}
+
+// offSphere returns the lanes of vals whose pattern over ins differs
+// from ref in an odd number of inputs or in more than 2h. It counts the
+// differences of all 64 lanes at once in a bit-sliced counter: bit j of
+// a lane's distance is that lane's bit in cnt[j].
+func offSphere(vals []uint64, ins []int, ref []uint64, h int) uint64 {
+	var cnt [64]uint64
+	for i, in := range ins {
+		for j, x := 0, vals[in]^ref[i]; x != 0; j++ {
+			cnt[j], x = cnt[j]^x, cnt[j]&x
+		}
+	}
+	if 2*h >= len(ins) {
+		return cnt[0] // no distance exceeds 2h
+	}
+	var gt uint64 // lanes whose distance, read from the top bit down, exceeds 2h
+	eq := ^uint64(0)
+	for j := bits.Len(uint(len(ins))) - 1; j >= 0; j-- {
+		if (2*h)>>j&1 == 1 {
+			eq &= cnt[j]
+		} else {
+			gt |= eq & cnt[j]
+			eq &^= cnt[j]
+		}
+	}
+	return cnt[0] | gt
 }
 
 // filterCandidates is the grid's pre-pass: it decides every candidate on
@@ -133,7 +184,7 @@ func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidat
 	if sp == nil {
 		return
 	}
-	var decided, dense, keydep int
+	var decided, rejected, keydep int
 	for _, cd := range cands {
 		if cd.decided {
 			decided++
@@ -141,14 +192,14 @@ func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidat
 		if cd.keydep {
 			keydep++
 		}
-		for _, d := range cd.dense {
-			if d {
-				dense++
+		for _, r := range cd.rejected {
+			if r {
+				rejected++
 			}
 		}
 	}
 	sp.Set("candidates", decided)
-	sp.Set("dense_cells", dense)
+	sp.Set("rejected_cells", rejected)
 	sp.Set("keydep", keydep)
 	sp.End()
 }
@@ -173,13 +224,14 @@ func (cd *candidate) cellDone() {
 }
 
 // cost estimates the relative runtime of one of the candidate's cells
-// from its exact pre-pass verdicts. A cell that is key-dependent or
-// rejected by the density filter does no work. Every other cell runs the
-// full analysis and the equivalence-check UNSAT proof, whose cost grows
-// with the cone (every SAT query Tseitin-encodes it, twice for the HD
-// instances) and with h.
+// from its pre-pass verdicts. A cell that is key-dependent or rejected
+// by the shape filter does no work. Every other cell's function passed
+// the filter's sample as a subset of a Hamming sphere, so it is a likely
+// stripper: it runs the full analysis and the equivalence-check UNSAT
+// proof, whose cost grows with the cone (every SAT query Tseitin-encodes
+// it, twice for the HD instances) and with h.
 func (cd *candidate) cost(neg bool, h int) int64 {
-	if !cd.decided || cd.keydep || cd.dense[polarity(neg)] {
+	if !cd.decided || cd.keydep || cd.rejected[polarity(neg)] {
 		return 0
 	}
 	return int64(cd.coneLen) * int64(2+h)

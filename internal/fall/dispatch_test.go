@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/genbench"
 	"repro/internal/lock"
 	"repro/internal/testcirc"
 )
@@ -32,32 +33,54 @@ func supportCandidates(c *circuit.Circuit) []*candidate {
 	return cands
 }
 
-// coneOnCounts is the reference density count: the filter's patterns
-// simulated on the extracted cone, all 16384 of them, no early exit. It
-// returns the cumulative on-count of the positive polarity after each
-// word (on[w] after w words) and the input count m.
-func coneOnCounts(c *circuit.Circuit, node int) (on []int, m int) {
+// coneOnSets is the reference sweep: the filter's patterns simulated on
+// the extracted cone, all 16384 of them, no early exit. It returns each
+// polarity's on-set patterns in (word, lane) order as bit masks over the
+// cone's inputs, and the input count m.
+func coneOnSets(t *testing.T, c *circuit.Circuit, node int) (on [2][]uint64, m int) {
 	cone, _ := c.Cone(node)
 	ins := cone.Inputs()
-	rng := densityRNG(cone.Len(), len(ins))
+	if len(ins) > 64 {
+		t.Fatalf("node %d: %d inputs do not fit a mask", node, len(ins))
+	}
+	rng := filterRNG(cone.Len(), len(ins))
 	vals := make([]uint64, cone.Len())
-	on = make([]int, densityWords+1)
-	for w := 0; w < densityWords; w++ {
+	for w := 0; w < filterWords; w++ {
 		for _, in := range ins {
 			vals[in] = rng.Uint64()
 		}
 		cone.Simulate(vals)
-		on[w+1] = on[w] + bits.OnesCount64(vals[cone.Outputs[0]])
+		out := vals[cone.Outputs[0]]
+		for lane := 0; lane < 64; lane++ {
+			var p uint64
+			for i, in := range ins {
+				p |= (vals[in] >> lane & 1) << i
+			}
+			pol := int(^out >> lane & 1) // 0: on in the positive polarity
+			on[pol] = append(on[pol], p)
+		}
 	}
 	return on, len(ins)
 }
 
+// sphereRule is the shape filter's rule, applied pattern by pattern: an
+// on-set is rejected when a later pattern differs from the first in an
+// odd number of inputs or in more than 2h.
+func sphereRule(on []uint64, h int) bool {
+	for _, p := range on {
+		if d := bits.OnesCount64(p ^ on[0]); d%2 == 1 || d > 2*h {
+			return true
+		}
+	}
+	return false
+}
+
 // Property: for every h in 0..m, the one netlist sweep's two verdicts
-// equal a full 16384-pattern count per polarity on the extracted cone,
-// over random cones and the support-matched (popcount and stripper)
-// nodes of SFLL-HD locks. The inputs cover early rejections, early
-// acceptances and thresholds that skip simulation altogether.
-func TestDensityVerdictsMatchFullConeCount(t *testing.T) {
+// equal the shape rule applied to all 16384 patterns simulated on the
+// extracted cone, over random cones and the support-matched (popcount
+// and stripper) nodes of SFLL-HD locks. The inputs cover cells with both
+// polarities rejected, with exactly one rejected and with neither.
+func TestShapeVerdictsMatchFullConeSweep(t *testing.T) {
 	type sample struct {
 		c     *circuit.Circuit
 		nodes []int
@@ -88,7 +111,7 @@ func TestDensityVerdictsMatchFullConeCount(t *testing.T) {
 		samples = append(samples, sample{lr.Locked, nodes})
 	}
 
-	var cases, earlyReject, earlyAccept, skipped int
+	var cases, both, one, neither int
 	for _, s := range samples {
 		// Scratch reused across candidates, as the pre-pass's pool does,
 		// and poisoned so a read outside the TFC would show.
@@ -97,49 +120,143 @@ func TestDensityVerdictsMatchFullConeCount(t *testing.T) {
 			scratch[i] = rng.Uint64()
 		}
 		for _, node := range s.nodes {
-			on, m := coneOnCounts(s.c, node)
+			on, m := coneOnSets(t, s.c, node)
 			tfc := s.c.TFC(node)
 			ins := s.c.Support(node)
 			for h := 0; h <= m; h++ {
 				cases++
-				threshold := densityThreshold(densityWords*64, m, h)
-				got := densityVerdicts(s.c, tfc, ins, node, h, scratch)
-				stop := 0 // word after which the sweep may stop
-				for pol := 0; pol < 2; pol++ {
-					count := func(w int) int {
-						if pol == 1 {
-							return 64*w - on[w]
-						}
-						return on[w]
-					}
-					want := float64(count(densityWords)) > threshold
-					if got[pol] != want {
-						t.Fatalf("node %d m=%d h=%d polarity %d: sweep dense=%v, full cone count %d vs threshold %.1f",
-							node, m, h, pol, got[pol], count(densityWords), threshold)
-					}
-					w := 0
-					for w < densityWords && float64(count(w)) <= threshold && float64(count(w)+64*(densityWords-w)) > threshold {
-						w++
-					}
-					if w > stop {
-						stop = w
-					}
-					switch {
-					case w < densityWords && want:
-						earlyReject++
-					case w > 0 && w < densityWords && !want:
-						earlyAccept++
-					}
+				got := shapeVerdicts(s.c, tfc, ins, node, h, scratch)
+				want := [2]bool{sphereRule(on[0], h), sphereRule(on[1], h)}
+				if got != want {
+					t.Fatalf("node %d m=%d h=%d: sweep rejected %v, full cone sweep %v (%d/%d on-set patterns)",
+						node, m, h, got, want, len(on[0]), len(on[1]))
 				}
-				if stop == 0 {
-					skipped++
+				switch {
+				case want[0] && want[1]:
+					both++
+				case want[0] || want[1]:
+					one++
+				default:
+					neither++
 				}
 			}
 		}
 	}
-	t.Logf("%d cases: %d early rejections, %d early acceptances, %d without simulation", cases, earlyReject, earlyAccept, skipped)
-	if earlyReject == 0 || earlyAccept == 0 || skipped == 0 {
-		t.Error("inputs do not cover early rejection, early acceptance and the skipped sweep")
+	t.Logf("%d cases: %d with both polarities rejected, %d with one, %d with neither", cases, both, one, neither)
+	if both == 0 || one == 0 || neither == 0 {
+		t.Error("inputs do not cover both, exactly one and neither polarity rejected")
+	}
+}
+
+// Property: the shape filter is sound. For 2 <= m <= 12, every h in 0..m and
+// several random cubes K, shapeVerdicts never rejects strip_h(K) in its
+// positive polarity, and over all 2^m patterns offSphere marks exactly
+// the patterns whose distance from a reference on-set point is odd or
+// above 2h, and none of the on-set, for every on-set point as reference.
+func TestShapeFilterKeepsTrueStrippers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for m := 2; m <= 12; m++ { // buildStripHD needs two inputs
+		words := max(1<<m/64, 1)
+		for h := 0; h <= m; h++ {
+			for trial := 0; trial < 3; trial++ {
+				cube := make([]bool, m)
+				for i := range cube {
+					cube[i] = rng.Intn(2) == 1
+				}
+				c := buildStripHD(m, h, cube)
+				out := c.Outputs[0]
+				ins := c.Inputs()
+				scratch := make([]uint64, c.Len())
+				if got := shapeVerdicts(c, c.TFC(out), ins, out, h, scratch); got[0] {
+					t.Fatalf("m=%d h=%d cube=%v: strip_h rejected in its positive polarity", m, h, cube)
+				}
+				// Every pattern p of 0..2^m-1 once: input i is bit i of p.
+				vals := make([][]uint64, words)
+				var onset []uint64
+				for w := range vals {
+					vals[w] = make([]uint64, c.Len())
+					for i, in := range ins {
+						for lane := 0; lane < 64; lane++ {
+							vals[w][in] |= uint64((w*64+lane)>>i&1) << lane
+						}
+					}
+					c.Simulate(vals[w])
+					for on := vals[w][out]; on != 0; on &= on - 1 {
+						onset = append(onset, uint64(w*64+bits.TrailingZeros64(on))&(1<<m-1))
+					}
+				}
+				for _, r := range onset {
+					ref := make([]uint64, m)
+					for i := range ref {
+						ref[i] = -(r >> i & 1)
+					}
+					for w := range vals {
+						far := offSphere(vals[w], ins, ref, h)
+						for lane := 0; lane < 64; lane++ {
+							d := bits.OnesCount64(uint64(w*64+lane)&(1<<m-1) ^ r)
+							if want := d%2 == 1 || d > 2*h; far>>lane&1 == 1 != want {
+								t.Fatalf("m=%d h=%d: offSphere lane %d of word %d = %v, distance %d",
+									m, h, lane, w, !want, d)
+							}
+						}
+						if far&vals[w][out] != 0 {
+							t.Fatalf("m=%d h=%d cube=%v: on-set points off the sphere", m, h, cube)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Every cell the shape filter rejects on SFLL-HD locks, at each of the
+// paper's h levels, is one the unfiltered path (the selected analysis,
+// then the equivalence check) also rejects.
+func TestShapeFilterRejectsOnlyNonStrippers(t *testing.T) {
+	specs := genbench.Scaled(genbench.TableI, 16, 12)
+	for _, spec := range []genbench.Spec{specs[0], specs[3]} { // ex1010 (m=10), c432 (m=12)
+		orig, err := genbench.Generate(spec, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := spec.Keys
+		for _, h := range []int{0, max(m/8, 1), max(m/4, 1), max(m/3, 1)} {
+			lr, err := lock.SFLLHD(orig, lock.Options{KeySize: m, H: h, Seed: int64(h + 3), Optimize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands := supportCandidates(lr.Locked)
+			filterCandidates(context.Background(), lr.Locked, cands, h, 1)
+			opts := Options{H: h}
+			rejected := 0
+			for _, cd := range cands {
+				for pol, neg := range []bool{false, true} {
+					if cd.keydep || !cd.rejected[pol] {
+						continue
+					}
+					rejected++
+					actx, err := newAnalysisContext(context.Background(), lr.Locked, cd.node, neg, &opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cube, ok, _, err := runAnalysis(actx, m, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						continue
+					}
+					if okEq, err := actx.EquivalenceCheck(cube, h); err != nil || okEq {
+						t.Fatalf("%s h=%d node %d neg=%v: rejected by the filter, but the equivalence check gives %v, %v",
+							spec.Name, h, cd.node, neg, okEq, err)
+					}
+				}
+			}
+			t.Logf("%s m=%d h=%d: %d candidates, %d cells rejected", spec.Name, m, h, len(cands), rejected)
+			if rejected == 0 {
+				t.Errorf("%s h=%d: the filter rejected no cell", spec.Name, h)
+			}
+		}
 	}
 }
 
@@ -177,15 +294,15 @@ func TestGridSharesAndReleasesCones(t *testing.T) {
 			t.Fatalf("node %d: pre-pass did not decide it", cd.node)
 		case cd.keydep:
 			keydep++
-		case cd.dense[0] && cd.dense[1]:
+		case cd.rejected[0] && cd.rejected[1]:
 			rejected++
 		default:
 			passed++
 		}
-		wantCone := !cd.keydep && !(cd.dense[0] && cd.dense[1])
+		wantCone := !cd.keydep && !(cd.rejected[0] && cd.rejected[1])
 		if (cd.cone != nil) != wantCone {
-			t.Errorf("node %d (keydep=%v dense=%v): cone extracted=%v, want %v",
-				cd.node, cd.keydep, cd.dense, cd.cone != nil, wantCone)
+			t.Errorf("node %d (keydep=%v rejected=%v): cone extracted=%v, want %v",
+				cd.node, cd.keydep, cd.rejected, cd.cone != nil, wantCone)
 		}
 		if cd.cone != nil && cd.cone.Len() != cd.coneLen {
 			t.Errorf("node %d: cone has %d nodes, pre-pass TFC %d", cd.node, cd.cone.Len(), cd.coneLen)

@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -352,37 +351,6 @@ func newAnalysisContext(ctx context.Context, c *circuit.Circuit, node int, neg b
 		}
 	}
 	return &analysisContext{ctx: ctx, cone: cone, inputMap: im, inputs: ins, neg: neg, opts: opts}, nil
-}
-
-// stripperLog2Density returns log2(C(m,h)/2^m), the on-set density of
-// a true cube stripper over m inputs.
-func stripperLog2Density(m, h int) float64 {
-	log2d := -float64(m)
-	for i := 1; i <= h; i++ {
-		log2d += math.Log2(float64(m-h+i)) - math.Log2(float64(i))
-	}
-	return log2d
-}
-
-// densityThreshold returns the density filter's reject threshold for n
-// sampled patterns over m inputs. The filter rejects a candidate cell
-// whose sampled on-set density is far above C(m,h)/2^m, the density of
-// a true cube stripper: strip_h has exactly C(m,h) on-minterms out of
-// 2^m, while nodes like popcount sum bits share the stripper's support
-// but sit near 50% density and are precisely the candidates whose UNSAT
-// lemma proofs blow up. A cell is rejected when its on-count exceeds
-// 16x the stripper's expected on-count plus 64 (at the filter's 16384
-// patterns) — a margin so far above the stripper's concentration
-// (Chernoff tail < 2^-50) that the filter is sound in practice.
-func densityThreshold(n float64, m, h int) float64 {
-	return 16*n*math.Exp2(stripperLog2Density(m, h)) + 64*n/16384
-}
-
-// densityRNG returns the deterministic pattern source for density
-// sampling over a cone of coneLen nodes and m inputs: a pure function
-// of the cone, never of run order.
-func densityRNG(coneLen, m int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(coneLen)*2654435761 + int64(m)))
 }
 
 // prefixes returns the candidate's prefix cache, creating a private
@@ -833,8 +801,8 @@ func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysis
 	if ctx.Err() != nil || !cd.decided {
 		return analysisOutcome{err: ErrTimeout}
 	}
-	if cd.keydep || cd.dense[polarity(job.neg)] {
-		return analysisOutcome{} // not a stripper, or too dense to be one
+	if cd.keydep || cd.rejected[polarity(job.neg)] {
+		return analysisOutcome{} // key-dependent, or its sampled on-set fits no sphere of radius h
 	}
 	cd.extractCone(locked)
 	defer cd.cellDone()

@@ -55,10 +55,9 @@ func goldenAnswer(res *Result) golden {
 // TestGoldenAnswers pins FALL's answers (candidates and every key's
 // signature, cube, node, polarity and analysis) on SFLL-HD locks of
 // three scaled Table I hosts at the paper's four h levels, at one and
-// four workers. The values were recorded before the pre-pass's stripper
-// shape filter replaced the density threshold: a filter that only
-// drops cells which could never pass the equivalence check leaves this
-// table untouched.
+// four workers. A pre-pass filter that only drops cells which could
+// never pass the equivalence check, or a change to scheduling, leaves
+// this table untouched; a change to an answer shows up here first.
 func TestGoldenAnswers(t *testing.T) {
 	specs := genbench.Scaled(genbench.TableI, 16, 12)
 	for _, host := range goldenHosts {

@@ -48,7 +48,7 @@ func TestTraceSpanIntegrity(t *testing.T) {
 		}
 		ids[sp.ID] = sp.Name
 	}
-	var filters, cells, queries int
+	var filters, cells, queries, rejectedCells, filterRejected int
 	for _, sp := range spans {
 		if sp.Parent != 0 {
 			if _, ok := ids[sp.Parent]; !ok {
@@ -64,8 +64,12 @@ func TestTraceSpanIntegrity(t *testing.T) {
 			if n, ok := sp.Attrs["candidates"].(int); !ok || n != len(res.Candidates) {
 				t.Errorf("filter span decided %v candidates, want %d", sp.Attrs["candidates"], len(res.Candidates))
 			}
+			filterRejected, _ = sp.Attrs["rejected_cells"].(int)
 		case "fall.cell":
 			cells++
+			if sp.Attrs["outcome"] == "rejected" {
+				rejectedCells++
+			}
 			if ids[sp.Parent] != "fall.analysis" {
 				t.Errorf("cell %d parented under %q, want fall.analysis", sp.ID, ids[sp.Parent])
 			}
@@ -78,6 +82,10 @@ func TestTraceSpanIntegrity(t *testing.T) {
 	}
 	if filters != 1 {
 		t.Errorf("grid emitted %d fall.filter spans, want 1", filters)
+	}
+	// Every cell the shape filter rejects ends as a rejected cell.
+	if filterRejected <= 0 || filterRejected > rejectedCells {
+		t.Errorf("filter span rejected_cells = %d, want 1..%d (the rejected cells)", filterRejected, rejectedCells)
 	}
 	if cells == 0 || queries == 0 {
 		t.Fatalf("grid emitted %d cells, %d queries — tracing did not reach the workers", cells, queries)

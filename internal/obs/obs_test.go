@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -147,6 +150,35 @@ func TestReadSpansBadLine(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Errorf("bad line not located: %v", err)
 	}
+}
+
+// FuzzReadSpans feeds ReadSpans arbitrary bytes: it must not panic,
+// and every span it accepts, written back as one NDJSON line, must read
+// back as that one span. An empty attribute map counts as none, since
+// the encoding omits both.
+func FuzzReadSpans(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, err := ReadSpans(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, sp := range spans {
+			line, err := json.Marshal(sp)
+			if err != nil {
+				t.Fatalf("accepted span %+v does not encode: %v", sp, err)
+			}
+			back, err := ReadSpans(bytes.NewReader(append(line, '\n')))
+			if err != nil || len(back) != 1 {
+				t.Fatalf("span %+v writes %s, which reads back as %d spans, %v", sp, line, len(back), err)
+			}
+			if len(sp.Attrs) == 0 {
+				sp.Attrs = nil
+			}
+			if !reflect.DeepEqual(back[0], sp) {
+				t.Fatalf("span %+v writes %s, which reads back as %+v", sp, line, back[0])
+			}
+		}
+	})
 }
 
 func TestAnalyzeAndReconcile(t *testing.T) {
