@@ -602,17 +602,18 @@ func BenchmarkFleetMakespan(b *testing.B) {
 	})
 }
 
-// benchMemoFrozen builds the frozen prefix the memo benchmarks query:
-// PHP(7,6), a non-trivial UNSAT instance, so a miss pays a real solve
-// while a hit is a pure cache lookup.
-func benchMemoFrozen() *sat.Frozen {
-	s := sat.NewStream()
+// memoBenchSolve feeds PHP(7,6), a non-trivial UNSAT instance, into one
+// fresh MemoEngine over m by AddClause, solves it and returns which tier
+// answered: a miss pays a real solve, a hit the formula's hash and one
+// lookup.
+func memoBenchSolve(b *testing.B, m *sat.Memo) sat.MemoTier {
+	e := sat.NewMemoEngine(m, nil, sat.New())
 	const p, holes = 7, 6
 	vars := make([][]int, p)
 	for pi := range vars {
 		vars[pi] = make([]int, holes)
 		for hi := range vars[pi] {
-			vars[pi][hi] = s.NewVar()
+			vars[pi][hi] = e.NewVar()
 		}
 	}
 	for pi := 0; pi < p; pi++ {
@@ -620,38 +621,29 @@ func benchMemoFrozen() *sat.Frozen {
 		for hi := 0; hi < holes; hi++ {
 			lits[hi] = sat.PosLit(vars[pi][hi])
 		}
-		s.AddClause(lits...)
+		e.AddClause(lits...)
 	}
 	for hi := 0; hi < holes; hi++ {
 		for a := 0; a < p; a++ {
 			for bb := a + 1; bb < p; bb++ {
-				s.AddClause(sat.NegLit(vars[a][hi]), sat.NegLit(vars[bb][hi]))
+				e.AddClause(sat.NegLit(vars[a][hi]), sat.NegLit(vars[bb][hi]))
 			}
 		}
 	}
-	return s.Freeze()
-}
-
-// memoBenchSolve runs the benchmark query through one fresh MemoEngine
-// over m and returns which tier answered it.
-func memoBenchSolve(b *testing.B, frozen *sat.Frozen, m *sat.Memo) sat.MemoTier {
-	e := sat.NewMemoEngine(m, nil, sat.New())
-	sat.Prime(e, frozen)
 	if st := e.Solve(); st != sat.Unsat {
 		b.Fatalf("PHP(7,6): %v, want Unsat", st)
 	}
 	return e.LastTier()
 }
 
-// BenchmarkMemoHit measures an in-memory (L1) verdict-cache hit: key
-// hashing plus one map lookup, no solver.
+// BenchmarkMemoHit measures an in-memory (L1) verdict-cache hit: feeding
+// and hashing the formula plus one map lookup, no solver.
 func BenchmarkMemoHit(b *testing.B) {
-	frozen := benchMemoFrozen()
 	memo := sat.NewMemo(0)
-	memoBenchSolve(b, frozen, memo)
+	memoBenchSolve(b, memo)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if tier := memoBenchSolve(b, frozen, memo); tier != sat.TierMemory {
+		if tier := memoBenchSolve(b, memo); tier != sat.TierMemory {
 			b.Fatalf("tier %v, want memory", tier)
 		}
 	}
@@ -660,9 +652,8 @@ func BenchmarkMemoHit(b *testing.B) {
 // BenchmarkMemoMiss measures the same query uncached — the full solve
 // the memo tiers amortize (plus store overhead).
 func BenchmarkMemoMiss(b *testing.B) {
-	frozen := benchMemoFrozen()
 	for i := 0; i < b.N; i++ {
-		if tier := memoBenchSolve(b, frozen, sat.NewMemo(0)); tier != sat.TierMiss {
+		if tier := memoBenchSolve(b, sat.NewMemo(0)); tier != sat.TierMiss {
 			b.Fatalf("tier %v, want miss", tier)
 		}
 	}
@@ -672,7 +663,6 @@ func BenchmarkMemoMiss(b *testing.B) {
 // cold (miss + record write-through) vs warm (a fresh process — empty
 // memory tier — answering from the on-disk store).
 func BenchmarkDiskMemoColdWarm(b *testing.B) {
-	frozen := benchMemoFrozen()
 	b.Run("cold", func(b *testing.B) {
 		dir := b.TempDir()
 		for i := 0; i < b.N; i++ {
@@ -682,7 +672,7 @@ func BenchmarkDiskMemoColdWarm(b *testing.B) {
 			}
 			m := sat.NewMemo(0)
 			m.AttachDisk(d)
-			if tier := memoBenchSolve(b, frozen, m); tier != sat.TierMiss {
+			if tier := memoBenchSolve(b, m); tier != sat.TierMiss {
 				b.Fatalf("tier %v, want miss", tier)
 			}
 		}
@@ -695,7 +685,7 @@ func BenchmarkDiskMemoColdWarm(b *testing.B) {
 		}
 		seed := sat.NewMemo(0)
 		seed.AttachDisk(d)
-		memoBenchSolve(b, frozen, seed)
+		memoBenchSolve(b, seed)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// A fresh store handle per iteration models a fresh process:
@@ -706,7 +696,7 @@ func BenchmarkDiskMemoColdWarm(b *testing.B) {
 			}
 			m := sat.NewMemo(0)
 			m.AttachDisk(d2)
-			if tier := memoBenchSolve(b, frozen, m); tier != sat.TierDisk {
+			if tier := memoBenchSolve(b, m); tier != sat.TierDisk {
 				b.Fatalf("tier %v, want disk", tier)
 			}
 		}

@@ -87,17 +87,6 @@ func NewEngine(ctx context.Context, f SolverFactory) sat.Engine {
 	return f(ctx)
 }
 
-// NewEngineOn builds an engine through NewEngine and primes it with a
-// frozen clause-stream prefix (sat.Prime; a nil frozen is a no-op).
-// Priming is O(1) for sat.FrozenLoader engines — the memo engine and
-// portfolios — and an exact replay otherwise, so the primed engine is
-// state-identical to one that encoded the prefix directly.
-func NewEngineOn(ctx context.Context, f SolverFactory, frozen *sat.Frozen) sat.Engine {
-	e := NewEngine(ctx, f)
-	sat.Prime(e, frozen)
-	return e
-}
-
 // KeyGiven maps key-input node ids to their encoded literals, in the form
 // EncodeCircuitWith expects for tying a circuit copy to existing key
 // variables.

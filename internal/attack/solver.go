@@ -32,7 +32,7 @@ type SolverSetup struct {
 	Specs []sat.EngineSpec
 	// Memo, when non-nil, wraps every engine the factory builds in a
 	// verdict-memoizing layer (sat.MemoEngine) sharing this cache, so
-	// identical (prefix, delta, assumptions) queries — across cells,
+	// identical (formula, assumptions) queries — across cells,
 	// iterations, or whole runs handing around the same cache — are
 	// answered without solving. Hit/miss counters accumulate in the
 	// setup (MemoStats).
@@ -161,9 +161,7 @@ func (s *SolverSetup) MemoStats() *sat.MemoStats {
 }
 
 // timedEngine accumulates SolveAssuming wall time into the setup's
-// counter and, when traced, emits one span per query. It forwards
-// frozen-prefix priming so the engines below it keep their O(1)
-// loading.
+// counter and, when traced, emits one span per query.
 type timedEngine struct {
 	inner sat.Engine
 	ns    *atomic.Int64
@@ -225,9 +223,6 @@ func (t *timedEngine) Value(v int) bool               { return t.inner.Value(v) 
 func (t *timedEngine) LitTrue(l sat.Lit) bool         { return t.inner.LitTrue(l) }
 func (t *timedEngine) SetContext(ctx context.Context) { t.inner.SetContext(ctx) }
 func (t *timedEngine) Stats() sat.Stats               { return t.inner.Stats() }
-func (t *timedEngine) LoadFrozen(f *sat.Frozen)       { sat.Prime(t.inner, f) }
-
-var _ sat.FrozenLoader = (*timedEngine)(nil)
 
 // SolverSetupFromFlags resolves the -solver/-portfolio flag pair
 // (sat.ResolveSolverFlags) into a setup. Both flags unset (or a width

@@ -49,30 +49,19 @@ func ParseCardEncoding(s string) (CardEncoding, error) {
 	return AdderTree, fmt.Errorf("cnf: unknown cardinality encoding %q (want adder or seq)", s)
 }
 
-// Encoder owns a clause sink and allocates auxiliary variables for Tseitin
-// encodings built on top of it. Any sat.ClauseSink works — a single
-// solver, a racing portfolio, an external backend, or a buffering
-// sat.Stream whose frozen snapshot later primes any number of engines.
+// Encoder owns an engine and allocates auxiliary variables for Tseitin
+// encodings built on top of it. Any sat.Engine works — a single
+// solver, a racing portfolio, an external backend or a memo engine —
+// and the clauses go straight to the engine that solves them.
 type Encoder struct {
-	S sat.ClauseSink
+	S sat.Engine
 
 	haveConst bool
 	trueLit   sat.Lit
 }
 
-// NewEncoder wraps an existing engine or stream.
-func NewEncoder(s sat.ClauseSink) *Encoder { return &Encoder{S: s} }
-
-// ForkOnto returns a new Encoder continuing this encoder's Tseitin
-// encoding on sink s — typically an engine primed (sat.Prime) with the
-// frozen prefix this encoder built into a sat.Stream. The
-// constant-literal state carries over, so ConstLit on the fork reuses
-// the prefix's constant instead of allocating and constraining a
-// second one (which would desync variable numbering from a direct,
-// unforked construction).
-func (e *Encoder) ForkOnto(s sat.ClauseSink) *Encoder {
-	return &Encoder{S: s, haveConst: e.haveConst, trueLit: e.trueLit}
-}
+// NewEncoder wraps an existing engine.
+func NewEncoder(s sat.Engine) *Encoder { return &Encoder{S: s} }
 
 // NewLit allocates a fresh variable and returns its positive literal.
 func (e *Encoder) NewLit() sat.Lit { return sat.PosLit(e.S.NewVar()) }

@@ -102,12 +102,9 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 	// layer like SARLock can make at most one key misbehave per input,
 	// so it can never serve two disjoint pairs: the query never "wastes"
 	// an iteration on the SARLock layer (Shen & Zhou's key insight).
-	// Encoded into a clause stream and frozen: the engine is primed with
-	// the four-copy instance in one shot (O(1) and content-hashed for
-	// memoizing backends) and the per-iteration I/O constraints extend
-	// the live engine.
-	dst := sat.NewStream()
-	de := cnf.NewEncoder(dst)
+	// The per-iteration I/O constraints extend the same engine.
+	d := attack.NewEngine(ctx, opts.Solver)
+	de := cnf.NewEncoder(d)
 	d1 := de.EncodeCircuitWith(locked, nil)
 	shared := make(map[int]sat.Lit, len(pis))
 	for _, pi := range pis {
@@ -129,20 +126,16 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 		attack.KeyGiven(keys, k1), attack.KeyGiven(keys, k2),
 		attack.KeyGiven(keys, k3), attack.KeyGiven(keys, k4),
 	}
-	d := attack.NewEngineOn(ctx, opts.Solver, dst.Freeze())
-	de.S = d
 
 	// Key-extraction solver P.
-	pst := sat.NewStream()
-	pe := cnf.NewEncoder(pst)
+	p := attack.NewEngine(ctx, opts.Solver)
+	pe := cnf.NewEncoder(p)
 	kp := make([]sat.Lit, len(keys))
 	givenP := make(map[int]sat.Lit, len(keys))
 	for i, k := range keys {
 		kp[i] = pe.NewLit()
 		givenP[k] = kp[i]
 	}
-	p := attack.NewEngineOn(ctx, opts.Solver, pst.Freeze())
-	pe.S = p
 
 	var queried []queryRecord
 	rng := rand.New(rand.NewSource(opts.Seed ^ 0x5bd1e995))
@@ -226,11 +219,10 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 	// Phase 2: exact single-DIP convergence (optional; skipped when the
 	// shared iteration budget is already spent).
 	if maxExactIterations != 0 && budgetLeft() {
-		// The two-copy miter prefix is run-independent (frozen before the
-		// phase-1 observations), so repeated runs share its content hash;
-		// the observations are replayed as the live engine's delta.
-		qst := sat.NewStream()
-		qe := cnf.NewEncoder(qst)
+		// A fresh two-copy miter, then the phase-1 observations replayed
+		// into it.
+		q := attack.NewEngine(ctx, opts.Solver)
+		qe := cnf.NewEncoder(q)
 		q1 := qe.EncodeCircuitWith(locked, nil)
 		sharedQ := make(map[int]sat.Lit, len(pis))
 		for _, pi := range pis {
@@ -242,8 +234,6 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 			attack.KeyGiven(keys, cnf.InputLits(keys, q1)),
 			attack.KeyGiven(keys, cnf.InputLits(keys, q2)),
 		}
-		q := attack.NewEngineOn(ctx, opts.Solver, qst.Freeze())
-		qe.S = q
 		// Replay phase-1 observations.
 		for _, rec := range queried {
 			for _, g := range qGivens {

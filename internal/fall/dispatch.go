@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/attack"
 	"repro/internal/circuit"
@@ -23,14 +22,13 @@ import (
 // sampled on-set patterns could not both lie on one Hamming sphere of
 // radius h, so every rejected cell is one the equivalence check would
 // reject, and rejecting it early changes no outcome. The cells read
-// those verdicts, and the first cell that passes the filter extracts the
-// cone the candidate's cells share. Cells are handed to the worker pool
-// in longest-expected-first order (the grid-level analogue of
-// exp.DispatchOrder), so one late heavy cell cannot run alone after
-// every cheap cell has drained. Dispatch order changes scheduling only:
-// outcomes are written at the cell's original index and merged in
-// candidate order, so the shortlist stays byte-identical to a serial run
-// for every worker count.
+// those verdicts, and each cell that passes the filter extracts its own
+// cone. Cells are handed to the worker pool in longest-expected-first
+// order (the grid-level analogue of exp.DispatchOrder), so one late
+// heavy cell cannot run alone after every cheap cell has drained.
+// Dispatch order changes scheduling only: outcomes are written at the
+// cell's original index and merged in candidate order, so the shortlist
+// stays byte-identical to a serial run for every worker count.
 
 // filterWords is the shape filter's sample: 256 words of 64 patterns.
 const filterWords = 256
@@ -43,26 +41,14 @@ func filterRNG(coneLen, m int) *rand.Rand {
 }
 
 // candidate is one support-matched node's grid state, shared by its two
-// polarity cells. The pre-pass fills the verdicts before any cell runs.
-// The first cell that passes the shape filter extracts the cone and
-// creates the prefix cache, which every passing cell reads; the last
-// passing cell to finish drops them, so a grid holds only the state of
-// candidates still in flight.
+// polarity cells: the verdicts the pre-pass fills before any cell runs.
 type candidate struct {
 	node int
 
-	// Set by the pre-pass.
 	decided  bool    // the pre-pass reached this candidate before cancellation
 	keydep   bool    // the TFC contains a key input: not a cube stripper
 	coneLen  int     // TFC size, which is the extracted cone's node count
 	rejected [2]bool // positive/negated polarity rejected by the shape filter
-
-	coneOnce sync.Once
-	cone     *circuit.Circuit
-	inputMap map[int]int // cone input id -> locked-circuit node id
-	inputs   []int       // cone input ids, sorted
-	pre      *candPrefixes
-	pending  atomic.Int32 // cells that passed the filter and have not finished
 }
 
 func newCandidate(node int) *candidate {
@@ -88,11 +74,6 @@ func (cd *candidate) decide(c *circuit.Circuit, h int, scratch []uint64) {
 		ins = append(ins, id)
 	}
 	cd.rejected = shapeVerdicts(c, tfc, ins, cd.node, h, scratch)
-	for _, r := range cd.rejected {
-		if !r {
-			cd.pending.Add(1)
-		}
-	}
 }
 
 // shapeVerdicts runs the stripper shape filter for both polarities of
@@ -202,25 +183,6 @@ func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidat
 	sp.Set("rejected_cells", rejected)
 	sp.Set("keydep", keydep)
 	sp.End()
-}
-
-// extractCone builds the cone both polarity cells analyze, and their
-// prefix cache, once.
-func (cd *candidate) extractCone(c *circuit.Circuit) {
-	cd.coneOnce.Do(func() {
-		cd.cone, cd.inputMap = c.Cone(cd.node)
-		cd.inputs = cd.cone.Inputs()
-		cd.pre = &candPrefixes{}
-	})
-}
-
-// cellDone records that one of the candidate's cells that passed the
-// filter finished; after the last one the shared cone and prefixes
-// become garbage.
-func (cd *candidate) cellDone() {
-	if cd.pending.Add(-1) == 0 {
-		cd.cone, cd.inputMap, cd.inputs, cd.pre = nil, nil, nil, nil
-	}
 }
 
 // cost estimates the relative runtime of one of the candidate's cells

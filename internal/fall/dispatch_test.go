@@ -260,10 +260,10 @@ func TestShapeFilterRejectsOnlyNonStrippers(t *testing.T) {
 	}
 }
 
-// A candidate's cells share one cone, extracted only by a cell that
-// passes the filter and dropped with the prefixes after the last such
-// cell; after a completed grid no candidate holds a cone, input map or
-// prefix cache.
+// The pre-pass decides every candidate, flags a key-dependent one and
+// records each TFC's size, which is the node count of the cone a cell
+// extracts; a grid over the candidates shortlists a key. Cells share no
+// cone: each cell that passes the filter extracts its own.
 func TestGridSharesAndReleasesCones(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	orig := testcirc.Random(rng, 12, 120)
@@ -283,12 +283,6 @@ func TestGridSharesAndReleasesCones(t *testing.T) {
 	filterCandidates(context.Background(), lr.Locked, cands, opts.H, 1)
 	var keydep, rejected, passed int
 	for _, cd := range cands {
-		cd.pending.Add(1) // hold the cone past the cells to inspect it
-		for _, neg := range []bool{false, true} {
-			if oc := analyzeCell(context.Background(), lr.Locked, analysisJob{cd, neg}, 12, opts, pairing); oc.err != nil {
-				t.Fatalf("node %d neg=%v: %v", cd.node, neg, oc.err)
-			}
-		}
 		switch {
 		case !cd.decided:
 			t.Fatalf("node %d: pre-pass did not decide it", cd.node)
@@ -299,23 +293,11 @@ func TestGridSharesAndReleasesCones(t *testing.T) {
 		default:
 			passed++
 		}
-		wantCone := !cd.keydep && !(cd.rejected[0] && cd.rejected[1])
-		if (cd.cone != nil) != wantCone {
-			t.Errorf("node %d (keydep=%v rejected=%v): cone extracted=%v, want %v",
-				cd.node, cd.keydep, cd.rejected, cd.cone != nil, wantCone)
-		}
-		if cd.cone != nil && cd.cone.Len() != cd.coneLen {
-			t.Errorf("node %d: cone has %d nodes, pre-pass TFC %d", cd.node, cd.cone.Len(), cd.coneLen)
-		}
-		if n := cd.pending.Load(); n != 1 {
-			t.Errorf("node %d: %d references after both cells, want only the test's", cd.node, n)
-		}
-		cd.cellDone()
-		if cd.cone != nil || cd.pre != nil {
-			t.Errorf("node %d: cone or prefixes kept after the last reference", cd.node)
+		if cone, _ := lr.Locked.Cone(cd.node); cone.Len() != cd.coneLen {
+			t.Errorf("node %d: cone has %d nodes, pre-pass TFC %d", cd.node, cone.Len(), cd.coneLen)
 		}
 	}
-	if keydep != 1 || rejected == 0 || passed == 0 {
+	if keydep != 1 || !cands[len(cands)-1].keydep || rejected == 0 || passed == 0 {
 		t.Fatalf("vacuous: %d key-dependent, %d rejected, %d passing candidates", keydep, rejected, passed)
 	}
 
@@ -332,14 +314,6 @@ func TestGridSharesAndReleasesCones(t *testing.T) {
 	}
 	if keys == 0 {
 		t.Fatal("grid shortlisted no key")
-	}
-	for _, cd := range cands {
-		if cd.cone != nil || cd.inputMap != nil || cd.inputs != nil || cd.pre != nil {
-			t.Errorf("node %d: cone or prefixes still held after the grid", cd.node)
-		}
-		if n := cd.pending.Load(); n != 0 {
-			t.Errorf("node %d: %d cells pending after the grid", cd.node, n)
-		}
 	}
 }
 

@@ -320,9 +320,10 @@ func SupportMatch(c *circuit.Circuit, compX []int) []int {
 	return cands
 }
 
-// analysisContext carries a candidate node's extracted cone and SAT
-// encoding state shared by the functional analyses, plus the run context
-// bounding every SAT query.
+// analysisContext carries a candidate node's extracted cone for one
+// candidate×polarity cell, plus the run context bounding every SAT
+// query. Every analysis encodes its instance straight into the engine
+// that solves it.
 type analysisContext struct {
 	ctx      context.Context
 	cone     *circuit.Circuit
@@ -331,15 +332,9 @@ type analysisContext struct {
 	neg      bool        // analyze the complement of the cone function
 	opts     *Options
 
-	// pre caches the candidate's frozen clause-stream prefixes; the grid
-	// shares one candPrefixes between the two polarity cells of a
-	// candidate, and a directly-constructed context creates its own
-	// lazily (prefixes).
-	pre *candPrefixes
-	// unateEng is the cell's single engine for all checkUnate queries,
-	// created lazily over unatePre's frozen prefix.
-	unateEng sat.Engine
-	unatePre *unatePrefix
+	// unate is the cell's two-copy unateness instance, encoded by the
+	// first checkUnate query that reaches SAT.
+	unate *unateInstance
 }
 
 func newAnalysisContext(ctx context.Context, c *circuit.Circuit, node int, neg bool, opts *Options) (*analysisContext, error) {
@@ -351,15 +346,6 @@ func newAnalysisContext(ctx context.Context, c *circuit.Circuit, node int, neg b
 		}
 	}
 	return &analysisContext{ctx: ctx, cone: cone, inputMap: im, inputs: ins, neg: neg, opts: opts}, nil
-}
-
-// prefixes returns the candidate's prefix cache, creating a private
-// one when the context was built outside the grid.
-func (a *analysisContext) prefixes() *candPrefixes {
-	if a.pre == nil {
-		a.pre = &candPrefixes{}
-	}
-	return a.pre
 }
 
 func (a *analysisContext) expired() bool {
@@ -433,43 +419,72 @@ func (a *analysisContext) AnalyzeUnateness() (map[int]bool, bool, error) {
 	return cube, true, nil
 }
 
+// unateInstance is the two-copy encoding behind checkUnate: the copies
+// share nothing, and eq[i] is the literal asserting the copies agree on
+// input i. A cell's unateness queries select the flipped input and the
+// violating output pattern purely through assumptions, so one engine
+// serves all 2m queries of a cell.
+type unateInstance struct {
+	s      sat.Engine
+	x0, x1 []sat.Lit // the two copies' input literals, indexed like a.inputs
+	eq     []sat.Lit // eq[i] true iff x0[i] == x1[i]
+	f0, f1 sat.Lit   // positive-polarity outputs of the two copies
+}
+
+func (a *analysisContext) encodeUnate() *unateInstance {
+	s := attack.NewEngine(a.ctx, a.opts.Solver)
+	e := cnf.NewEncoder(s)
+	lits0 := e.EncodeCircuitWith(a.cone, nil)
+	lits1 := e.EncodeCircuitWith(a.cone, nil)
+	u := &unateInstance{
+		s:  s,
+		x0: cnf.InputLits(a.inputs, lits0),
+		x1: cnf.InputLits(a.inputs, lits1),
+		f0: lits0[a.cone.Outputs[0]],
+		f1: lits1[a.cone.Outputs[0]],
+	}
+	u.eq = make([]sat.Lit, len(a.inputs))
+	for i := range a.inputs {
+		u.eq[i] = e.Xor(u.x0[i], u.x1[i]).Neg()
+	}
+	return u
+}
+
 // checkUnate proves or refutes unateness of the cone function in input
-// index i by an assumption-only query against the cell's shared
-// two-copy prefix: assume the copies agree on every input but the
-// i-th, fix that input to 0 in copy 0 and 1 in copy 1, and assume the
-// outputs witness the violating pattern — Unsat means no violation
-// exists, i.e. the function is unate in the requested direction. All
-// of a cell's queries run on one incrementally-reused engine, so
-// learnt clauses carry across inputs and memoizing backends see one
-// frozen prefix for the whole cell. knownViolated
-// short-circuits with the simulation witness.
+// index i by an assumption-only query against the cell's two-copy
+// instance: assume the copies agree on every input but the i-th, fix
+// that input to 0 in copy 0 and 1 in copy 1, and assume the outputs
+// witness the violating pattern — Unsat means no violation exists,
+// i.e. the function is unate in the requested direction. All of a
+// cell's queries run on one incrementally-reused engine, so learnt
+// clauses carry across inputs. knownViolated short-circuits with the
+// simulation witness.
 func (a *analysisContext) checkUnate(i int, positive, knownViolated bool) (bool, error) {
 	if knownViolated {
 		return false, nil
 	}
-	if a.unateEng == nil {
-		a.unatePre = a.prefixes().unateFor(a)
-		a.unateEng = attack.NewEngineOn(a.ctx, a.opts.Solver, a.unatePre.frozen)
+	if a.unate == nil {
+		a.unate = a.encodeUnate()
 	}
-	p := a.unatePre
-	f0, f1 := p.f0, p.f1
+	u := a.unate
+	f0, f1 := u.f0, u.f1
 	if a.neg {
 		f0, f1 = f0.Neg(), f1.Neg()
 	}
 	as := make([]sat.Lit, 0, len(a.inputs)+3)
 	for j := range a.inputs {
 		if j != i {
-			as = append(as, p.eq[j])
+			as = append(as, u.eq[j])
 		}
 	}
-	as = append(as, p.x0[i].Neg(), p.x1[i])
+	as = append(as, u.x0[i].Neg(), u.x1[i])
 	// Positive unate iff no witness of f(xi=0)=1, f(xi=1)=0.
 	if positive {
 		as = append(as, f0, f1.Neg())
 	} else {
 		as = append(as, f0.Neg(), f1)
 	}
-	switch a.unateEng.SolveAssuming(as) {
+	switch u.s.SolveAssuming(as) {
 	case sat.Unsat:
 		return true, nil
 	case sat.Sat:
@@ -480,21 +495,24 @@ func (a *analysisContext) checkUnate(i int, positive, knownViolated bool) (bool,
 }
 
 // hdInstance returns an engine holding F = cone(X) ∧ cone(X') ∧
-// HD(X, X') = 2h plus the input literal vectors and the difference
-// literals. The distance instance itself comes from the candidate's
-// frozen prefix — encoded once, shared by both polarities and both
-// analyses — and only the polarity's output units are added here as
-// the cell's delta.
+// HD(X, X') = 2h ∧ f(X) ∧ f(X'), with f the cell's polarity of the cone
+// function, plus the input literal vectors and the difference literals.
 func (a *analysisContext) hdInstance(h int) (sat.Engine, []sat.Lit, []sat.Lit, []sat.Lit) {
-	p := a.prefixes().hdFor(a, h)
-	s := attack.NewEngineOn(a.ctx, a.opts.Solver, p.frozen)
-	f1, f2 := p.f1, p.f2
+	s := attack.NewEngine(a.ctx, a.opts.Solver)
+	e := cnf.NewEncoder(s)
+	lits1 := e.EncodeCircuitWith(a.cone, nil)
+	lits2 := e.EncodeCircuitWith(a.cone, nil)
+	xs := cnf.InputLits(a.inputs, lits1)
+	ys := cnf.InputLits(a.inputs, lits2)
+	ds := e.XorPairs(xs, ys)
+	e.ExactlyK(ds, 2*h, a.opts.Enc)
+	f1, f2 := lits1[a.cone.Outputs[0]], lits2[a.cone.Outputs[0]]
 	if a.neg {
 		f1, f2 = f1.Neg(), f2.Neg()
 	}
 	s.AddClause(f1)
 	s.AddClause(f2)
-	return s, p.xs, p.ys, p.ds
+	return s, xs, ys, ds
 }
 
 // SlidingWindowAnalysis implements Algorithm 2 (Lemma 3). It returns the
@@ -605,17 +623,18 @@ func (a *analysisContext) Distance2HAnalysis(h int) (map[int]bool, bool, error) 
 // miter between the cone and a reference Hamming-distance comparator. The
 // lemmas are necessary conditions only; this check makes them sufficient.
 func (a *analysisContext) EquivalenceCheck(cube map[int]bool, h int) (bool, error) {
-	p := a.prefixes().coneFor(a)
-	s := attack.NewEngineOn(a.ctx, a.opts.Solver, p.frozen)
-	e := p.enc.ForkOnto(s)
-	f := p.f
+	s := attack.NewEngine(a.ctx, a.opts.Solver)
+	e := cnf.NewEncoder(s)
+	lits := e.EncodeCircuitWith(a.cone, nil)
+	ins := cnf.InputLits(a.inputs, lits)
+	f := lits[a.cone.Outputs[0]]
 	if a.neg {
 		f = f.Neg()
 	}
 	// Reference strip_h(cube)(X): popcount of x_i XOR cube_i equals h.
 	ds := make([]sat.Lit, len(a.inputs))
 	for i, xi := range a.inputs {
-		ds[i] = p.ins[i]
+		ds[i] = ins[i]
 		if cube[a.inputMap[xi]] {
 			ds[i] = ds[i].Neg()
 		}
@@ -744,9 +763,9 @@ type analysisOutcome struct {
 // longest-expected-first order (gridDispatchOrder) to cut tail latency,
 // but each outcome is written at its job index and merged in candidate
 // order, so the completed-run shortlist does not depend on the worker
-// count or the dispatch order. Cells are deterministic: every solver
-// and RNG is local to the cell, and the two cells of a candidate share
-// only read-only state (verdicts, cone, frozen prefixes). An erroring
+// count or the dispatch order. Cells are deterministic: every cone,
+// solver and RNG is local to the cell, and the two cells of a candidate
+// share only the pre-pass verdicts, which are read-only. An erroring
 // cell (hard failure or ctx cancellation) stops further cells from
 // being dispatched, so the grid fails fast and drains promptly; every
 // cell dispatched before the first error still completes.
@@ -791,11 +810,10 @@ func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, 
 	return oc
 }
 
-// analyzeCellInner applies the pre-pass verdicts, then runs the
-// selected functional analysis and the equivalence check for one
-// candidate×polarity cell. All solver state is created here, per cell,
-// so cells never share solvers; only the candidate's read-only cone and
-// immutable frozen prefixes are shared across its two cells.
+// analyzeCellInner applies the pre-pass verdicts, then extracts the
+// cone and runs the selected functional analysis and the equivalence
+// check for one candidate×polarity cell. All cone and solver state is
+// created here, per cell, so cells never share it.
 func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry) analysisOutcome {
 	cd := job.cand
 	if ctx.Err() != nil || !cd.decided {
@@ -804,10 +822,10 @@ func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysis
 	if cd.keydep || cd.rejected[polarity(job.neg)] {
 		return analysisOutcome{} // key-dependent, or its sampled on-set fits no sphere of radius h
 	}
-	cd.extractCone(locked)
-	defer cd.cellDone()
-	actx := &analysisContext{ctx: ctx, cone: cd.cone, inputMap: cd.inputMap, inputs: cd.inputs,
-		neg: job.neg, opts: opts, pre: cd.pre}
+	actx, err := newAnalysisContext(ctx, locked, cd.node, job.neg, opts)
+	if err != nil {
+		return analysisOutcome{err: err}
+	}
 	cube, ok, algo, err := runAnalysis(actx, m, *opts)
 	if err != nil {
 		return analysisOutcome{err: err}

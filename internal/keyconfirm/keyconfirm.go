@@ -107,15 +107,12 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 		dSpan.End()
 	}()
 
-	// Each solver's initial encoding is built into a clause stream and
-	// frozen; the engine is primed with the frozen prefix in one shot
-	// (content-hashed and O(1) for memoizing backends), and the encoder
-	// then retargets the live engine so per-iteration I/O constraints
-	// extend it incrementally, exactly as before.
+	// The per-iteration I/O constraints extend each solver's initial
+	// encoding incrementally.
 
 	// Solver P: candidate keys satisfying φ and observed I/O patterns.
-	pst := sat.NewStream()
-	pe := cnf.NewEncoder(pst)
+	p := attack.NewEngine(obs.With(ctx, pSpan), opts.Solver)
+	pe := cnf.NewEncoder(p)
 	kp := make([]sat.Lit, len(keys))
 	givenP := make(map[int]sat.Lit, len(keys))
 	for i, k := range keys {
@@ -125,20 +122,16 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 	if len(candidates) > 0 {
 		encodePhi(pe, locked, keys, kp, candidates)
 	}
-	p := attack.NewEngineOn(obs.With(ctx, pSpan), opts.Solver, pst.Freeze())
-	pe.S = p
 
 	// Solver Q: single-copy miter per Algorithm 4 (the sound terminator).
-	qst := sat.NewStream()
-	qe := cnf.NewEncoder(qst)
+	q := attack.NewEngine(obs.With(ctx, qSpan), opts.Solver)
+	qe := cnf.NewEncoder(q)
 	q1lits := qe.EncodeCircuitWith(locked, nil)
 	sharedQ := piShared(locked, q1lits)
 	q2lits := qe.EncodeCircuitWith(locked, sharedQ)
 	qe.NotEqual(cnf.EncodedOutputs(locked, q1lits), cnf.EncodedOutputs(locked, q2lits))
 	qK1 := cnf.InputLits(keys, q1lits)
 	qK2given := attack.KeyGiven(keys, cnf.InputLits(keys, q2lits))
-	q := attack.NewEngineOn(obs.With(ctx, qSpan), opts.Solver, qst.Freeze())
-	qe.S = q
 
 	// Solver D: accelerated double-DIP miter (two other-key copies).
 	var d sat.Engine
@@ -147,8 +140,9 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 	var dPIs []sat.Lit
 	var dK2given, dK3given map[int]sat.Lit
 	if !opts.DisableDoubleDIP {
-		dst := sat.NewStream()
-		de = cnf.NewEncoder(dst)
+		dSpan = root.Child("kc.D")
+		d = attack.NewEngine(obs.With(ctx, dSpan), opts.Solver)
+		de = cnf.NewEncoder(d)
 		d1 := de.EncodeCircuitWith(locked, nil)
 		sharedD := piShared(locked, d1)
 		d2 := de.EncodeCircuitWith(locked, sharedD)
@@ -162,9 +156,6 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 		dPIs = cnf.InputLits(locked.PrimaryInputs(), d1)
 		dK2given = attack.KeyGiven(keys, k2)
 		dK3given = attack.KeyGiven(keys, k3)
-		dSpan = root.Child("kc.D")
-		d = attack.NewEngineOn(obs.With(ctx, dSpan), opts.Solver, dst.Freeze())
-		de.S = d
 	}
 
 	qPIs := cnf.InputLits(locked.PrimaryInputs(), q1lits)

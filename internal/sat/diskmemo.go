@@ -18,8 +18,8 @@ import (
 )
 
 // DiskMemo is the persistent L2 tier of the verdict memo: a
-// content-addressed store of solved (prefix hash, delta hash,
-// assumptions) → verdict records under a directory, shared by every
+// content-addressed store of solved (formula hash, assumptions) →
+// verdict records under a directory, shared by every
 // process pointed at it — campaign shards running concurrently,
 // reruns of the same suite, daemon restarts. Records are laid out in
 // a 256-way hash fanout (dir/ab/<digest>.rec) and written with the
@@ -134,8 +134,7 @@ const recordSuffix = ".rec"
 // first byte so no single directory collects millions of entries.
 func (d *DiskMemo) keyPath(key memoKey) string {
 	digest := sha256.New()
-	digest.Write(key.prefix[:])
-	digest.Write(key.delta[:])
+	digest.Write(key.formula[:])
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(key.assume)))
 	digest.Write(buf[:n])
@@ -325,20 +324,22 @@ func (d *DiskMemo) walk(fn func(path string, info fs.FileInfo)) {
 	}
 }
 
-// Record encoding (version 1). Every field the lookup depends on is in
+// Record encoding (version 2). Every field the lookup depends on is in
 // the record, and the whole record is covered by a trailing SHA-256,
 // so validation catches truncation, bit rot, garbage, and — via the
 // key echo — content-address collisions or records copied between
 // keys:
 //
-//	magic    [8]byte  "FALLMEM1"
+//	magic    [8]byte  "FALLMEM2"
 //	status   1 byte   1 = Sat, 2 = Unsat
-//	prefix   [32]byte key echo: frozen-prefix hash
-//	delta    [32]byte key echo: delta hash
+//	formula  [32]byte key echo: formula hash
 //	assume   uvarint length + bytes (key echo: packed assumptions)
 //	model    (Sat only) uvarint nVars + ceil(nVars/64) × 8 bytes LE
 //	checksum [32]byte SHA-256 of everything above
-var diskMemoMagic = [8]byte{'F', 'A', 'L', 'L', 'M', 'E', 'M', '1'}
+//
+// Version 1 records ("FALLMEM1") were keyed by a frozen-prefix hash
+// and a delta hash; they fail the magic check and read as misses.
+var diskMemoMagic = [8]byte{'F', 'A', 'L', 'L', 'M', 'E', 'M', '2'}
 
 // encodeRecord serializes one verdict record.
 func encodeRecord(key memoKey, e *memoEntry) []byte {
@@ -349,8 +350,7 @@ func encodeRecord(key memoKey, e *memoEntry) []byte {
 	} else {
 		b.WriteByte(2)
 	}
-	b.Write(key.prefix[:])
-	b.Write(key.delta[:])
+	b.Write(key.formula[:])
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(key.assume)))
 	b.Write(buf[:n])
@@ -369,12 +369,27 @@ func encodeRecord(key memoKey, e *memoEntry) []byte {
 	return b.Bytes()
 }
 
+// readUvarint reads a uvarint and rejects a non-minimal encoding, so
+// a record is accepted only in the one byte form encodeRecord writes.
+func readUvarint(r *bytes.Reader) (uint64, error) {
+	before := r.Len()
+	x, err := binary.ReadUvarint(r)
+	if err != nil {
+		return 0, err
+	}
+	var buf [binary.MaxVarintLen64]byte
+	if before-r.Len() != binary.PutUvarint(buf[:], x) {
+		return 0, fmt.Errorf("sat: disk memo record has a non-minimal varint")
+	}
+	return x, nil
+}
+
 // decodeRecord parses and validates a record against the key the
 // caller looked up. Any deviation — short file, bad magic, checksum
 // mismatch, key mismatch, impossible field — is an error; the caller
 // treats it as a miss.
 func decodeRecord(data []byte, key memoKey) (*memoEntry, error) {
-	if len(data) < len(diskMemoMagic)+1+2*sha256.Size+sha256.Size {
+	if len(data) < len(diskMemoMagic)+1+sha256.Size+sha256.Size {
 		return nil, fmt.Errorf("sat: disk memo record truncated (%d bytes)", len(data))
 	}
 	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
@@ -398,14 +413,11 @@ func decodeRecord(data []byte, key memoKey) (*memoEntry, error) {
 	default:
 		return nil, fmt.Errorf("sat: disk memo record has status %d", stByte)
 	}
-	var prefix, delta Hash
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+	var formula [sha256.Size]byte
+	if _, err := io.ReadFull(r, formula[:]); err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(r, delta[:]); err != nil {
-		return nil, err
-	}
-	alen, err := binary.ReadUvarint(r)
+	alen, err := readUvarint(r)
 	if err != nil {
 		return nil, err
 	}
@@ -416,14 +428,19 @@ func decodeRecord(data []byte, key memoKey) (*memoEntry, error) {
 	if _, err := io.ReadFull(r, assume); err != nil {
 		return nil, err
 	}
-	if prefix != key.prefix || delta != key.delta || string(assume) != key.assume {
+	if formula != key.formula || string(assume) != key.assume {
 		return nil, fmt.Errorf("sat: disk memo record keyed for a different query")
 	}
 	e := &memoEntry{st: st}
 	if st == Sat {
-		nVars, err := binary.ReadUvarint(r)
+		nVars, err := readUvarint(r)
 		if err != nil {
 			return nil, err
+		}
+		// Bound nVars by the bits left before rounding it up to words:
+		// near 2^64 the rounding wraps to 0 words.
+		if nVars > 8*uint64(r.Len()) {
+			return nil, fmt.Errorf("sat: disk memo record claims %d vars in %d bytes", nVars, r.Len())
 		}
 		words := (nVars + 63) / 64
 		if words*8 != uint64(r.Len()) {

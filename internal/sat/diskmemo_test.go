@@ -1,6 +1,10 @@
 package sat
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,10 +14,16 @@ import (
 
 func testKey(tag byte) memoKey {
 	var k memoKey
-	k.prefix[0] = tag
-	k.delta[0] = ^tag
+	k.formula[0] = tag
+	k.formula[1] = ^tag
 	k.assume = string([]byte{tag, tag + 1})
 	return k
+}
+
+// sealRecord appends a valid checksum to a record body.
+func sealRecord(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append(body[:len(body):len(body)], sum[:]...)
 }
 
 func satEntry(nVars int, tag uint64) *memoEntry {
@@ -106,6 +116,16 @@ func TestDiskMemoCorruption(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// A Sat record claiming 2^64-1 variables and holding no model
+		// words, under a valid checksum: rounding the count up to words
+		// wraps to 0 words, which matches the 0 bytes left.
+		{"nvars-overflow", func(t *testing.T, path string, data []byte) {
+			body := data[:len(data)-sha256.Size-8-1] // drop checksum, model word, nVars=64
+			body = binary.AppendUvarint(body, math.MaxUint64)
+			if err := os.WriteFile(path, sealRecord(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -158,6 +178,44 @@ func TestDiskMemoCorruption(t *testing.T) {
 		}
 		if st := d.Stats(); st.Corrupt != 1 {
 			t.Fatalf("stats %+v, want 1 corrupt", st)
+		}
+	})
+}
+
+// fuzzKey is the key FuzzDecodeRecord looks every record up under;
+// the committed seed corpus holds records written for it.
+var fuzzKey = memoKey{formula: sha256.Sum256([]byte("FuzzDecodeRecord")), assume: "\x06\x0b"}
+
+// FuzzDecodeRecord: decodeRecord never panics, and accepts a record
+// only when its key echo is the key looked up. An accepted Sat record
+// holds 0 <= nVars variables in ceil(nVars/64) model words, and every
+// accepted record re-encodes to exactly its bytes. Each input is tried
+// as a whole record and, so that mutations get past the checksum, as a
+// body sealed with a valid one.
+func FuzzDecodeRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, rec := range [][]byte{data, sealRecord(data)} {
+			e, err := decodeRecord(rec, fuzzKey)
+			if err != nil {
+				continue
+			}
+			if e.st == Sat && (e.nVars < 0 || len(e.bits) != (e.nVars+63)/64) {
+				t.Fatalf("accepted Sat record with %d vars in %d words", e.nVars, len(e.bits))
+			}
+			if e.st != Sat && (e.nVars != 0 || e.bits != nil) {
+				t.Fatalf("accepted %v record with a model", e.st)
+			}
+			if again := encodeRecord(fuzzKey, e); !bytes.Equal(again, rec) {
+				t.Fatalf("accepted record re-encodes differently:\n got %x\nwant %x", again, rec)
+			}
+			otherFormula, otherAssume := fuzzKey, fuzzKey
+			otherFormula.formula[0] ^= 1
+			otherAssume.assume += "\x00"
+			for _, other := range []memoKey{otherFormula, otherAssume} {
+				if _, err := decodeRecord(rec, other); err == nil {
+					t.Fatalf("record accepted under key %x/%q, which it does not echo", other.formula[:2], other.assume)
+				}
+			}
 		}
 	})
 }

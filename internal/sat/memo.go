@@ -2,22 +2,24 @@ package sat
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"sync"
 	"sync/atomic"
 )
 
-// This file implements the cross-query verdict memo cache on top of
-// frozen clause streams. FALL analyses across candidates — and
-// campaign cases across a run — repeatedly solve identical
-// sub-problems (same cone, same unateness/comparator query); the memo
-// keys every query by (frozen-prefix hash, delta hash, assumptions)
-// and returns the recorded verdict and model without touching a
-// solver. The wrapper preserves exact engine semantics: on a cache
-// miss it materializes its inner engine lazily and first replays the
-// engine's whole query history, so the inner engine reaches the same
-// incremental state (learnt clauses included) it would have reached
-// without the cache — verdicts AND models match the uncached run.
+// This file implements the cross-query verdict memo cache. Campaign
+// cases across a run, reruns of a suite and daemon jobs repeatedly
+// solve identical formulas (same cone, same unateness/comparator
+// query); the memo keys every query by (formula hash, assumptions) and
+// returns the recorded verdict and model without touching a solver.
+// The wrapper preserves exact engine semantics: on a cache miss it
+// feeds its inner engine the logged variable/clause calls and first
+// replays the engine's whole query history, so the inner engine
+// reaches the same incremental state (learnt clauses included) it
+// would have reached without the cache — verdicts AND models match the
+// uncached run.
 //
 // The memo is two-tiered: the in-memory map (L1) answers within a
 // process, and an optional content-addressed on-disk store (L2,
@@ -104,10 +106,11 @@ func (c *MemoCounters) Snapshot() MemoStats {
 // proportional to distinct models stored.
 const DefaultMemoEntries = 1 << 20
 
+// memoKey identifies a query: the formula hash (opLog.hash) and the
+// packed assumptions.
 type memoKey struct {
-	prefix Hash
-	delta  Hash
-	assume string
+	formula [sha256.Size]byte
+	assume  string
 }
 
 // memoEntry is one recorded verdict. Satisfying models are packed as
@@ -142,8 +145,8 @@ func (e *memoEntry) value(v int) bool {
 	return e.bits[v>>6]>>(uint(v)&63)&1 == 1
 }
 
-// Memo is the two-tier verdict cache keyed by (prefix hash, delta
-// hash, assumptions). It is safe for concurrent use and is typically
+// Memo is the two-tier verdict cache keyed by (formula hash,
+// assumptions). It is safe for concurrent use and is typically
 // shared across every engine of a run — or, in the daemon, across
 // jobs — so identical sub-queries are solved once. Only decided
 // verdicts are stored (Unknown is always recomputed); the first
@@ -271,6 +274,100 @@ func assumeKey(as []Lit) string {
 	return string(b)
 }
 
+// logOp is one step of a MemoEngine's op log: allocate newVars fresh
+// variables, then (when hasClause) add clause. Recording the
+// interleaving — rather than "all vars, then all clauses" — keeps the
+// replay into the inner engine call-for-call identical to direct
+// construction, which matters because unit propagation fires during
+// AddClause on the internal engine.
+type logOp struct {
+	newVars   int
+	clause    []Lit
+	hasClause bool
+}
+
+// appendTo appends the op's canonical byte encoding to b.
+func (op logOp) appendTo(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(op.newVars))
+	if !op.hasClause {
+		return binary.AppendUvarint(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(op.clause))+1)
+	for _, l := range op.clause {
+		b = binary.AppendUvarint(b, uint64(l))
+	}
+	return b
+}
+
+// replay applies the op to an engine.
+func (op logOp) replay(e Engine) {
+	for i := 0; i < op.newVars; i++ {
+		e.NewVar()
+	}
+	if op.hasClause {
+		e.AddClause(op.clause...)
+	}
+}
+
+// opLog records the variable/clause calls a MemoEngine receives and
+// keeps a running SHA-256 over them, so every query has a formula hash
+// without rehashing the log.
+type opLog struct {
+	ops []logOp
+	// lits holds every clause's literals back to back; each op's clause
+	// is a capped window of it. Growing lits leaves earlier clauses in
+	// the old array, which they keep alive and nothing writes again.
+	lits        []Lit
+	pendingVars int // NewVar calls since the last recorded op
+	nVars       int
+	ok          bool
+	digest      hash.Hash
+	buf         []byte // reused buffer for one op's encoding
+}
+
+func newOpLog() *opLog { return &opLog{ok: true, digest: sha256.New()} }
+
+func (l *opLog) newVar() int {
+	v := l.nVars
+	l.nVars++
+	l.pendingVars++
+	return v
+}
+
+// addClause records a clause. Like the DIMACS-pipe engine, the log
+// detects only the trivial top-level conflict (the empty clause);
+// deeper conflicts surface when the inner engine propagates.
+func (l *opLog) addClause(lits []Lit) bool {
+	start := len(l.lits)
+	l.lits = append(l.lits, lits...)
+	cl := l.lits[start:len(l.lits):len(l.lits)]
+	l.record(logOp{newVars: l.pendingVars, clause: cl, hasClause: true})
+	if len(lits) == 0 {
+		l.ok = false
+	}
+	return l.ok
+}
+
+func (l *opLog) record(op logOp) {
+	l.pendingVars = 0
+	l.ops = append(l.ops, op)
+	l.buf = op.appendTo(l.buf[:0])
+	l.digest.Write(l.buf)
+}
+
+// hash records any trailing NewVar calls as a clause-less op, then
+// returns the formula hash: the running digest's sum, which leaves the
+// digest running. The op encoding is prefix-free and counts every
+// NewVar, so equal hashes mean equal call sequences (up to SHA-256
+// collisions).
+func (l *opLog) hash() (h [sha256.Size]byte) {
+	if l.pendingVars != 0 {
+		l.record(logOp{newVars: l.pendingVars})
+	}
+	l.digest.Sum(h[:0])
+	return h
+}
+
 // memoQuery records one past SolveAssuming call so a later cache miss
 // can replay the inner engine into the exact incremental state it
 // would have had without the cache.
@@ -280,21 +377,21 @@ type memoQuery struct {
 }
 
 // MemoEngine wraps an inner engine with a Memo. Clauses and variables
-// are buffered in a Stream (so every query has a content hash); the
-// inner engine is only materialized — primed with the frozen prefix,
-// fed the buffered delta and the replayed query history — on the
-// first cache miss. A fully memoized consumer never runs a solver.
-// Like every Engine, a MemoEngine is not safe for concurrent use.
+// are recorded in an op log (so every query has a formula hash); the
+// inner engine is only fed — the logged calls and the replayed query
+// history — on the first cache miss. A fully memoized consumer never
+// runs a solver. Like every Engine, a MemoEngine is not safe for
+// concurrent use.
 type MemoEngine struct {
 	memo *Memo
 	ctr  *MemoCounters // optional per-run accounting; may be nil
 
-	inner  Engine
-	stream *Stream
-	ctx    context.Context
-	stats  Stats
+	inner Engine
+	log   *opLog
+	ctx   context.Context
+	stats Stats
 
-	primed      bool
+	live        bool // the inner engine has solved at least once
 	replayedOps int
 	synced      int // queries already replayed into inner
 	queries     []memoQuery
@@ -302,16 +399,13 @@ type MemoEngine struct {
 	lastTier    MemoTier   // which tier answered the last solve
 }
 
-var (
-	_ Engine       = (*MemoEngine)(nil)
-	_ FrozenLoader = (*MemoEngine)(nil)
-)
+var _ Engine = (*MemoEngine)(nil)
 
 // NewMemoEngine wraps inner with the given memo. ctr, when non-nil,
 // accumulates this engine's hits and misses for per-run reporting on
 // top of the memo's global counters.
 func NewMemoEngine(memo *Memo, ctr *MemoCounters, inner Engine) *MemoEngine {
-	return &MemoEngine{memo: memo, ctr: ctr, inner: inner, stream: NewStream()}
+	return &MemoEngine{memo: memo, ctr: ctr, inner: inner, log: newOpLog()}
 }
 
 // LastTier returns which tier answered the most recent
@@ -319,56 +413,44 @@ func NewMemoEngine(memo *Memo, ctr *MemoCounters, inner Engine) *MemoEngine {
 // the inner engine).
 func (m *MemoEngine) LastTier() MemoTier { return m.lastTier }
 
-// LoadFrozen adopts a frozen prefix (O(1)); the engine must be fresh.
-func (m *MemoEngine) LoadFrozen(f *Frozen) {
-	if m.stream.NumVars() != 0 || len(m.stream.ops) != 0 {
-		panic("sat: MemoEngine.LoadFrozen on a non-fresh engine")
-	}
-	m.stream = f.Fork()
-}
-
 // NewVar introduces a fresh variable and returns its index.
-func (m *MemoEngine) NewVar() int { return m.stream.NewVar() }
+func (m *MemoEngine) NewVar() int { return m.log.newVar() }
 
 // NumVars returns the number of variables created so far.
-func (m *MemoEngine) NumVars() int { return m.stream.NumVars() }
+func (m *MemoEngine) NumVars() int { return m.log.nVars }
 
-// AddClause buffers a clause (see Stream.AddClause for the top-level
+// AddClause records a clause (see opLog.addClause for the top-level
 // conflict caveat shared with the DIMACS-pipe engine).
-func (m *MemoEngine) AddClause(lits ...Lit) bool { return m.stream.AddClause(lits...) }
+func (m *MemoEngine) AddClause(lits ...Lit) bool { return m.log.addClause(lits) }
 
 // SetContext attaches a cancellation/deadline context.
 func (m *MemoEngine) SetContext(ctx context.Context) {
 	m.ctx = ctx
-	if m.primed {
+	if m.live {
 		m.inner.SetContext(ctx)
 	}
 }
 
 // Stats returns the wrapper's call counter plus the inner engine's
-// counters once it materialized.
+// counters once it has solved.
 func (m *MemoEngine) Stats() Stats {
-	if m.primed {
+	if m.live {
 		return m.stats.Add(m.inner.Stats())
 	}
 	return m.stats
 }
 
-// Solve determines satisfiability of the buffered clause set.
+// Solve determines satisfiability of the recorded clause set.
 func (m *MemoEngine) Solve() Status { return m.SolveAssuming(nil) }
 
-// SolveAssuming answers from the memo when the (prefix, delta,
-// assumptions) key is recorded in either tier; otherwise it solves on
-// the inner engine — replaying history first for state parity — and
-// records the verdict in both tiers.
+// SolveAssuming answers from the memo when the (formula, assumptions)
+// key is recorded in either tier; otherwise it solves on the inner
+// engine — replaying history first for state parity — and records the
+// verdict in both tiers.
 func (m *MemoEngine) SolveAssuming(assumptions []Lit) Status {
 	m.stats.SolveCalls++
-	key := memoKey{
-		prefix: m.stream.Base().Hash(),
-		delta:  m.stream.DeltaHash(),
-		assume: assumeKey(assumptions),
-	}
-	rec := memoQuery{opsAt: len(m.stream.ops), assumptions: append([]Lit(nil), assumptions...)}
+	key := memoKey{formula: m.log.hash(), assume: assumeKey(assumptions)}
+	rec := memoQuery{opsAt: len(m.log.ops), assumptions: append([]Lit(nil), assumptions...)}
 	if e, tier := m.memo.lookup(key); tier != TierMiss {
 		if m.ctr != nil {
 			if tier == TierDisk {
@@ -393,7 +475,7 @@ func (m *MemoEngine) SolveAssuming(assumptions []Lit) Status {
 	if st != Unknown {
 		e := &memoEntry{st: st}
 		if st == Sat {
-			e.nVars = m.stream.NumVars()
+			e.nVars = m.log.nVars
 			e.bits = packModel(m.inner, e.nVars)
 		}
 		if m.memo.store(key, e) && m.ctr != nil {
@@ -403,16 +485,15 @@ func (m *MemoEngine) SolveAssuming(assumptions []Lit) Status {
 	return st
 }
 
-// solveInner materializes the inner engine (prime + delta replay) and
-// replays any queries answered from the memo since the last inner
-// solve, then runs the current query.
+// solveInner brings the inner engine up to date — the logged calls
+// and any queries answered from the memo since the last inner solve,
+// in their original interleaving — then runs the current query.
 func (m *MemoEngine) solveInner(rec memoQuery) Status {
-	if !m.primed {
-		Prime(m.inner, m.stream.Base())
+	if !m.live {
 		if m.ctx != nil {
 			m.inner.SetContext(m.ctx)
 		}
-		m.primed = true
+		m.live = true
 	}
 	for _, q := range m.queries[m.synced:] {
 		m.replayOpsTo(q.opsAt)
@@ -424,8 +505,8 @@ func (m *MemoEngine) solveInner(rec memoQuery) Status {
 }
 
 func (m *MemoEngine) replayOpsTo(opsAt int) {
-	for _, op := range m.stream.ops[m.replayedOps:opsAt] {
-		op.replayOp(m.inner)
+	for _, op := range m.log.ops[m.replayedOps:opsAt] {
+		op.replay(m.inner)
 	}
 	if opsAt > m.replayedOps {
 		m.replayedOps = opsAt
@@ -438,7 +519,7 @@ func (m *MemoEngine) Value(v int) bool {
 	if m.cached != nil {
 		return m.cached.value(v)
 	}
-	if !m.primed {
+	if !m.live {
 		return false
 	}
 	return m.inner.Value(v)

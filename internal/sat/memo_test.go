@@ -7,31 +7,234 @@ import (
 	"repro/internal/sat"
 )
 
-// TestMemoEngineHitsAndModelIdentity: two engines over the same shared
-// memo and the same frozen prefix issue the same query; the second
-// answers from the cache with the identical verdict and model, without
-// ever materializing a solver.
-func TestMemoEngineHitsAndModelIdentity(t *testing.T) {
-	stream := sat.NewStream()
-	a, b, c := sat.PosLit(stream.NewVar()), sat.PosLit(stream.NewVar()), sat.PosLit(stream.NewVar())
-	stream.AddClause(a, b)
-	stream.AddClause(a.Neg(), c)
-	stream.AddClause(b.Neg(), c.Neg())
-	frozen := stream.Freeze()
+// testOp is one step of a random variable/clause stream: allocate vars
+// fresh variables, then (when has) add clause.
+type testOp struct {
+	vars   int
+	clause []sat.Lit
+	has    bool
+}
 
+// randOps generates a random interleaved variable/clause stream over
+// at most maxVars variables. Ops with a nil clause only allocate vars.
+func randOps(rng *rand.Rand, maxVars int) []testOp {
+	var ops []testOp
+	nVars := 0
+	// Seed a few variables so the first clauses have something to bite.
+	first := 2 + rng.Intn(4)
+	ops = append(ops, testOp{vars: first})
+	nVars += first
+	nClauses := 1 + rng.Intn(3*maxVars)
+	for c := 0; c < nClauses; c++ {
+		if nVars < maxVars && rng.Intn(3) == 0 {
+			k := 1 + rng.Intn(3)
+			ops = append(ops, testOp{vars: k})
+			nVars += k
+			continue
+		}
+		width := 1 + rng.Intn(3)
+		cl := make([]sat.Lit, 0, width)
+		for i := 0; i < width; i++ {
+			l := sat.PosLit(rng.Intn(nVars))
+			if rng.Intn(2) == 0 {
+				l = l.Neg()
+			}
+			cl = append(cl, l)
+		}
+		ops = append(ops, testOp{clause: cl, has: true})
+	}
+	return ops
+}
+
+func applyOps(e sat.Engine, ops []testOp) {
+	for _, op := range ops {
+		for i := 0; i < op.vars; i++ {
+			e.NewVar()
+		}
+		if op.has {
+			e.AddClause(op.clause...)
+		}
+	}
+}
+
+func randAssumptions(rng *rand.Rand, nVars int) []sat.Lit {
+	n := rng.Intn(4)
+	as := make([]sat.Lit, 0, n)
+	for i := 0; i < n; i++ {
+		l := sat.PosLit(rng.Intn(nVars))
+		if rng.Intn(2) == 0 {
+			l = l.Neg()
+		}
+		as = append(as, l)
+	}
+	return as
+}
+
+func countVars(ops []testOp) int {
+	n := 0
+	for _, op := range ops {
+		n += op.vars
+	}
+	return n
+}
+
+// TestMemoEngineMatchesDirect is the core property of the memo engine:
+// over random interleavings of variable-only ops, clauses and trailing
+// NewVars, and random assumptions, a memo engine answers every query
+// with the verdict AND the model of a plain engine built by the same
+// calls — when it solves (misses), when it answers from the memo
+// (hits), and when a miss follows a hit, which first replays the
+// logged calls and the answered query into the inner engine.
+func TestMemoEngineMatchesDirect(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := randOps(rng, 24)
+		if rng.Intn(2) == 0 {
+			ops = append(ops, testOp{vars: 1 + rng.Intn(3)}) // trailing NewVars
+		}
+		cut := 1 + rng.Intn(len(ops)) // ops[0] allocates variables for q1
+		nVars := countVars(ops)
+		q1 := randAssumptions(rng, countVars(ops[:cut]))
+		q2 := randAssumptions(rng, nVars)
+		// One more literal than q2, so its key differs from q2's.
+		q2miss := append(append([]sat.Lit(nil), q2...), sat.PosLit(rng.Intn(nVars)))
+
+		memo := sat.NewMemo(0)
+		for _, tc := range []struct {
+			name   string
+			second []sat.Lit
+			tiers  [2]sat.MemoTier
+		}{
+			{"cold", q2, [2]sat.MemoTier{sat.TierMiss, sat.TierMiss}},
+			{"warm", q2, [2]sat.MemoTier{sat.TierMemory, sat.TierMemory}},
+			{"hit-then-miss", q2miss, [2]sat.MemoTier{sat.TierMemory, sat.TierMiss}},
+		} {
+			ref := sat.New()
+			e := sat.NewMemoEngine(memo, nil, sat.New())
+			steps := [2][]testOp{ops[:cut], ops[cut:]}
+			queries := [2][]sat.Lit{q1, tc.second}
+			for i := range steps {
+				applyOps(ref, steps[i])
+				applyOps(e, steps[i])
+				if e.NumVars() != ref.NumVars() {
+					t.Fatalf("seed %d %s: step %d leaves %d vars, direct %d", seed, tc.name, i+1, e.NumVars(), ref.NumVars())
+				}
+				want, got := ref.SolveAssuming(queries[i]), e.SolveAssuming(queries[i])
+				if e.LastTier() != tc.tiers[i] {
+					t.Fatalf("seed %d %s: query %d answered by %v, want %v", seed, tc.name, i+1, e.LastTier(), tc.tiers[i])
+				}
+				if got != want {
+					t.Fatalf("seed %d %s: query %d verdict %v, direct %v", seed, tc.name, i+1, got, want)
+				}
+				if want != sat.Sat {
+					continue
+				}
+				for v := 0; v < ref.NumVars(); v++ {
+					if ref.Value(v) != e.Value(v) {
+						t.Fatalf("seed %d %s: query %d model differs at var %d", seed, tc.name, i+1, v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMemoKeyIsTheFormula: the memo key is (formula hash,
+// assumptions). Equal op logs share a key, so a second engine built by
+// the same calls answers from the memo; one changed clause literal, one
+// trailing NewVar, or different assumptions give a different key, so
+// the query misses.
+func TestMemoKeyIsTheFormula(t *testing.T) {
+	memo := sat.NewMemo(0)
+	tier := func(flip, trailingVar bool, as ...sat.Lit) sat.MemoTier {
+		t.Helper()
+		e := sat.NewMemoEngine(memo, nil, sat.New())
+		a, b := sat.PosLit(e.NewVar()), sat.PosLit(e.NewVar())
+		e.AddClause(a, b)
+		if flip {
+			e.AddClause(a.Neg(), b.Neg())
+		} else {
+			e.AddClause(a.Neg(), b)
+		}
+		if trailingVar {
+			e.NewVar()
+		}
+		if st := e.SolveAssuming(as); st != sat.Sat {
+			t.Fatalf("query: %v, want Sat", st)
+		}
+		return e.LastTier()
+	}
+	if got := tier(false, false); got != sat.TierMiss {
+		t.Fatalf("first query answered by %v, want a miss", got)
+	}
+	if got := tier(false, false); got != sat.TierMemory {
+		t.Fatalf("equal op log answered by %v, want a memory hit", got)
+	}
+	if got := tier(true, false); got != sat.TierMiss {
+		t.Fatalf("changed clause answered by %v, want a miss", got)
+	}
+	if got := tier(false, true); got != sat.TierMiss {
+		t.Fatalf("trailing NewVar answered by %v, want a miss", got)
+	}
+	if got := tier(false, false, sat.PosLit(1)); got != sat.TierMiss {
+		t.Fatalf("new assumptions answered by %v, want a miss", got)
+	}
+	if got := memo.Stats(); got.Hits != 1 || got.Misses != 4 {
+		t.Fatalf("stats %+v, want 1 hit / 4 misses", got)
+	}
+}
+
+// TestPortfolioInternalAndMemoRace races an internal solver against a
+// memo engine over a differently-configured solver, both fed the same
+// clauses through the portfolio's AddClause. Both members decide the
+// same formula, so the verdict matches a direct run whichever member
+// wins. Models are not compared (the winner varies); under -race this
+// exercises the memo engine's solve path inside a race.
+func TestPortfolioInternalAndMemoRace(t *testing.T) {
+	memo := sat.NewMemo(0)
+	for seed := int64(100); seed < 120; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := randOps(rng, 16)
+		as := randAssumptions(rng, countVars(ops))
+
+		ref := sat.New()
+		applyOps(ref, ops)
+		want := ref.SolveAssuming(as)
+
+		var ctr sat.MemoCounters
+		me := sat.NewMemoEngine(memo, &ctr, sat.NewWith(sat.Config{Seed: 3, Phase: sat.PhaseFalse}))
+		p := sat.NewEnginePortfolio([]sat.Engine{sat.New(), me}, nil)
+		applyOps(p, ops)
+		if got := p.SolveAssuming(as); got != want {
+			t.Fatalf("seed %d: portfolio verdict %v, direct %v", seed, got, want)
+		}
+	}
+}
+
+// TestMemoEngineHitsAndModelIdentity: two engines over the same shared
+// memo build the same formula and ask the same query; the second
+// answers from the cache with the identical verdict and model, without
+// ever running a solver.
+func TestMemoEngineHitsAndModelIdentity(t *testing.T) {
 	memo := sat.NewMemo(0)
 	var ctr sat.MemoCounters
+	build := func() (*sat.MemoEngine, sat.Lit) {
+		e := sat.NewMemoEngine(memo, &ctr, sat.New())
+		a, b, c := sat.PosLit(e.NewVar()), sat.PosLit(e.NewVar()), sat.PosLit(e.NewVar())
+		e.AddClause(a, b)
+		e.AddClause(a.Neg(), c)
+		e.AddClause(b.Neg(), c.Neg())
+		return e, a
+	}
 
-	e1 := sat.NewMemoEngine(memo, &ctr, sat.New())
-	sat.Prime(e1, frozen)
+	e1, a := build()
 	st1 := e1.SolveAssuming([]sat.Lit{a})
 	if st1 != sat.Sat {
 		t.Fatalf("first solve: %v, want Sat", st1)
 	}
 	model1 := []bool{e1.Value(0), e1.Value(1), e1.Value(2)}
 
-	e2 := sat.NewMemoEngine(memo, &ctr, sat.New())
-	sat.Prime(e2, frozen)
+	e2, a := build()
 	st2 := e2.SolveAssuming([]sat.Lit{a})
 	if st2 != sat.Sat {
 		t.Fatalf("cached solve: %v, want Sat", st2)
@@ -47,6 +250,9 @@ func TestMemoEngineHitsAndModelIdentity(t *testing.T) {
 	}
 	if got := memo.Stats(); got.Hits != 1 || got.Misses != 1 {
 		t.Fatalf("global stats %+v, want 1 hit / 1 miss", got)
+	}
+	if got := e2.Stats(); got.Conflicts != 0 || got.Decisions != 0 || got.Propagations != 0 {
+		t.Fatalf("cached engine searched: %+v", got)
 	}
 	// LitTrue must read the cached model too.
 	if e2.LitTrue(a) != model2[0] || e2.LitTrue(a.Neg()) == model2[0] {
@@ -65,20 +271,17 @@ func TestMemoEngineStateParity(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ops := randOps(rng, 20)
 		nVars := countVars(ops)
-		stream := sat.NewStream()
-		applyOps(stream, ops)
-		frozen := stream.Freeze()
 
 		q1 := randAssumptions(rng, nVars)
 		q2 := randAssumptions(rng, nVars)
-		extra := randAssumptions(rng, nVars) // becomes a delta clause
+		extra := randAssumptions(rng, nVars) // becomes a clause after q1
 		if len(extra) == 0 {
 			extra = []sat.Lit{sat.PosLit(rng.Intn(nVars))}
 		}
 
 		// Reference: no memo anywhere.
 		ref := sat.New()
-		sat.Prime(ref, frozen)
+		applyOps(ref, ops)
 		ref.SolveAssuming(q1)
 		ref.AddClause(extra...)
 		wantSt := ref.SolveAssuming(q2)
@@ -86,14 +289,14 @@ func TestMemoEngineStateParity(t *testing.T) {
 		memo := sat.NewMemo(0)
 		// Engine A populates the cache for q1.
 		ea := sat.NewMemoEngine(memo, nil, sat.New())
-		sat.Prime(ea, frozen)
+		applyOps(ea, ops)
 		ea.SolveAssuming(q1)
 
-		// Engine B hits on q1 (no solver yet), then adds a delta clause;
-		// q2 over the new delta misses, forcing materialization + history
-		// replay.
+		// Engine B hits on q1 (no solver yet), then adds a clause; q2
+		// over the extended formula misses, forcing the inner engine to
+		// catch up on the logged calls and the query history.
 		eb := sat.NewMemoEngine(memo, nil, sat.New())
-		sat.Prime(eb, frozen)
+		applyOps(eb, ops)
 		eb.SolveAssuming(q1)
 		eb.AddClause(extra...)
 		gotSt := eb.SolveAssuming(q2)

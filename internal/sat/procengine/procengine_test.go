@@ -220,38 +220,6 @@ func TestMissingBinary(t *testing.T) {
 	}
 }
 
-// TestFrozenPrefixDump: engines primed with one frozen prefix dump it
-// with their own delta, so each fork decides prefix plus delta and the
-// forks do not leak into one another.
-func TestFrozenPrefixDump(t *testing.T) {
-	stub := testsolver.Build(t)
-	stream := sat.NewStream()
-	a, b := sat.PosLit(stream.NewVar()), sat.PosLit(stream.NewVar())
-	stream.AddClause(a, b)
-	frozen := stream.Freeze()
-
-	for i, lit := range []sat.Lit{a.Neg(), a} { // fork i pins a to i's parity
-		e := New(stub)
-		sat.Prime(e, frozen)
-		e.AddClause(lit)
-		if got := e.Solve(); got != sat.Sat {
-			t.Fatalf("fork %d: %v (err: %v)", i, got, e.Err())
-		}
-		if !e.LitTrue(lit) {
-			t.Errorf("fork %d: pinned literal false in model", i)
-		}
-	}
-	// Pinning both a and b false contradicts the prefix clause, so the
-	// dump must carry the prefix.
-	e := New(stub)
-	sat.Prime(e, frozen)
-	e.AddClause(a.Neg())
-	e.AddClause(b.Neg())
-	if got := e.Solve(); got != sat.Unsat {
-		t.Errorf("dump missing frozen prefix: %v, want Unsat (err: %v)", got, e.Err())
-	}
-}
-
 // TestPortfolioWithProcessEngine: a heterogeneous internal+process
 // portfolio agrees with the internal verdict on every instance.
 func TestPortfolioWithProcessEngine(t *testing.T) {

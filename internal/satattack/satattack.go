@@ -82,12 +82,10 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 		pSpan.End()
 	}()
 
-	// Miter solver Q. The two-copy miter is encoded into a clause
-	// stream, frozen, and loaded into the engine in one shot (O(1) and
-	// content-hashed for memoizing backends); the per-iteration I/O
-	// constraints then extend the live engine.
-	qst := sat.NewStream()
-	qe := cnf.NewEncoder(qst)
+	// Miter solver Q: the two-copy miter, which the per-iteration I/O
+	// constraints then extend.
+	q := attack.NewEngine(obs.With(ctx, qSpan), opts.Solver)
+	qe := cnf.NewEncoder(q)
 	lits1 := qe.EncodeCircuitWith(locked, nil)
 	shared := make(map[int]sat.Lit, len(pis))
 	for _, pi := range pis {
@@ -97,20 +95,16 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 	qe.NotEqual(cnf.EncodedOutputs(locked, lits1), cnf.EncodedOutputs(locked, lits2))
 	k1 := cnf.InputLits(keys, lits1)
 	k2 := cnf.InputLits(keys, lits2)
-	q := attack.NewEngineOn(obs.With(ctx, qSpan), opts.Solver, qst.Freeze())
-	qe.S = q
 
 	// Key-extraction solver P accumulates I/O constraints on one key copy.
-	pst := sat.NewStream()
-	pe := cnf.NewEncoder(pst)
+	p := attack.NewEngine(obs.With(ctx, pSpan), opts.Solver)
+	pe := cnf.NewEncoder(p)
 	kp := make([]sat.Lit, len(keys))
 	givenP := make(map[int]sat.Lit, len(keys))
 	for i, k := range keys {
 		kp[i] = pe.NewLit()
 		givenP[k] = kp[i]
 	}
-	p := attack.NewEngineOn(obs.With(ctx, pSpan), opts.Solver, pst.Freeze())
-	pe.S = p
 
 	for {
 		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
