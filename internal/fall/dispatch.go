@@ -5,116 +5,201 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
-	"sync"
 
-	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/obs"
 )
 
 // This file decides each support-matched candidate once, before any of
-// its candidate×polarity cells run, and orders the grid from those
-// decisions. The pre-pass (filterCandidates) computes a candidate's TFC,
-// flags key dependence, and runs the stripper shape filter's single
-// 16384-pattern sweep on the locked netlist itself, which fixes the
-// verdicts of both polarities at once; there is no separate probe. The
-// filter is exact in one direction: it rejects a polarity only when two
-// sampled on-set patterns could not both lie on one Hamming sphere of
-// radius h, so every rejected cell is one the equivalence check would
-// reject, and rejecting it early changes no outcome. The cells read
-// those verdicts, and each cell that passes the filter extracts its own
-// cone. Cells are handed to the worker pool in longest-expected-first
-// order (the grid-level analogue of exp.DispatchOrder), so one late
-// heavy cell cannot run alone after every cheap cell has drained.
-// Dispatch order changes scheduling only: outcomes are written at the
-// cell's original index and merged in candidate order, so the shortlist
-// stays byte-identical to a serial run for every worker count.
+// its candidate×polarity cells run, and groups and orders the grid from
+// those decisions. The pre-pass (filterCandidates) computes each
+// candidate's TFC and flags key dependence, then runs one serial sweep
+// per lock: one stream of 16384 random patterns over the union of the
+// live candidates' supports, simulated once over the union of their
+// TFCs on the locked netlist itself. The sweep gives every cell the
+// stripper shape filter's verdict and a signature of its sampled
+// function; there is no separate probe. The filter is exact in one
+// direction: it rejects a polarity only when two sampled on-set patterns
+// could not both lie on one Hamming sphere of radius h, so every
+// rejected cell is one the equivalence check would reject, and rejecting
+// it early changes no outcome. Cells that pass the filter with equal
+// signatures form one unit, whose cells run in job order on one worker,
+// so a later cell can first check its cone against the cube its unit has
+// already proved (analyzeCellInner) and skip its analysis when they
+// match. Every other cell is a unit of its own. Units are handed to the
+// worker pool in longest-expected-first order (the grid-level analogue
+// of exp.DispatchOrder), so one late heavy unit cannot run alone after
+// every cheap one has drained. Dispatch order changes scheduling only:
+// outcomes are written at the cell's original index and merged in
+// candidate order, so the shortlist stays byte-identical to a serial run
+// for every worker count.
 
 // filterWords is the shape filter's sample: 256 words of 64 patterns.
 const filterWords = 256
 
-// filterRNG returns the deterministic pattern source for the shape
-// filter over a cone of coneLen nodes and m inputs: a pure function of
-// the cone, never of run order.
-func filterRNG(coneLen, m int) *rand.Rand {
-	return rand.New(rand.NewSource(int64(coneLen)*2654435761 + int64(m)))
+// filterRNG returns the deterministic pattern source for a sweep over
+// nodes TFC nodes with m inputs: a pure function of the lock, never of
+// run order.
+func filterRNG(nodes, m int) *rand.Rand {
+	return rand.New(rand.NewSource(int64(nodes)*2654435761 + int64(m)))
 }
 
+// FNV-1a's 64-bit offset basis and prime, for the cell signatures.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
 // candidate is one support-matched node's grid state, shared by its two
-// polarity cells: the verdicts the pre-pass fills before any cell runs.
+// polarity cells: the verdicts and signatures the pre-pass fills before
+// any cell runs.
 type candidate struct {
 	node int
 
-	decided  bool    // the pre-pass reached this candidate before cancellation
-	keydep   bool    // the TFC contains a key input: not a cube stripper
-	coneLen  int     // TFC size, which is the extracted cone's node count
-	rejected [2]bool // positive/negated polarity rejected by the shape filter
+	decided  bool      // the pre-pass reached this candidate before cancellation
+	keydep   bool      // the TFC contains a key input: not a cube stripper
+	coneLen  int       // TFC size, which is the extracted cone's node count
+	rejected [2]bool   // positive/negated polarity rejected by the shape filter
+	sig      [2]uint64 // FNV-1a of each polarity's sampled output words, if not rejected
 }
 
 func newCandidate(node int) *candidate {
 	return &candidate{node: node}
 }
 
-// decide fills the candidate's verdicts from the locked netlist without
-// extracting its cone. scratch holds a word per node of c; only the
-// TFC's entries are written or read.
-func (cd *candidate) decide(c *circuit.Circuit, h int, scratch []uint64) {
-	cd.decided = true
-	tfc := c.TFC(cd.node)
-	cd.coneLen = len(tfc)
-	var ins []int
-	for _, id := range tfc {
-		if c.Nodes[id].Type != circuit.Input {
-			continue
+// filterCandidates is the grid's pre-pass, under a fall.filter span. It
+// computes each candidate's TFC and key dependence, observing ctx before
+// each candidate (candidates it does not reach stay undecided), then
+// runs the shape sweep over the decided candidates that depend on no key
+// input.
+func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidate, h int) {
+	sp := obs.SpanFrom(ctx).Child("fall.filter")
+	var live []*candidate
+	var ins [][]int // live[i]'s inputs, ascending
+	inUnion := make([]bool, c.Len())
+	for _, cd := range cands {
+		if ctx.Err() != nil {
+			break
 		}
-		if c.Nodes[id].IsKey {
-			cd.keydep = true
-			return
-		}
-		ins = append(ins, id)
-	}
-	cd.rejected = shapeVerdicts(c, tfc, ins, cd.node, h, scratch)
-}
-
-// shapeVerdicts runs the stripper shape filter for both polarities of
-// node in one sweep over its TFC. The on-set of strip_h(K) is the
-// Hamming sphere of radius h around K, so any two of its points differ
-// in an even number of inputs, and in at most 2h. The sweep keeps each
-// polarity's first on-set pattern in (word, lane) order and rejects the
-// polarity at the first later on-set pattern whose distance from it is
-// odd or above 2h; the negated polarity's on-set is the positive
-// polarity's off-set. The patterns are the ones the filter draws on the
-// extracted cone: the same filterRNG seed, words assigned to the inputs
-// in the same (ascending id) order. The sweep stops once both
-// polarities are rejected.
-func shapeVerdicts(c *circuit.Circuit, tfc, ins []int, node, h int, vals []uint64) [2]bool {
-	var rejected [2]bool
-	var first [2][]uint64 // per input, the first on-set pattern's bit in every lane
-	rng := filterRNG(len(tfc), len(ins))
-	for w := 0; w < filterWords && !(rejected[0] && rejected[1]); w++ {
-		for _, in := range ins {
-			vals[in] = rng.Uint64()
-		}
-		c.SimulateNodes(tfc, vals)
-		for pol := range rejected {
-			on := vals[node]
-			if pol == 1 {
-				on = ^on
-			}
-			if rejected[pol] || on == 0 {
+		cd.decided = true
+		tfc := c.TFC(cd.node)
+		cd.coneLen = len(tfc)
+		var cins []int
+		for _, id := range tfc {
+			n := &c.Nodes[id]
+			if n.Type != circuit.Input {
 				continue
 			}
-			if first[pol] == nil {
-				lane := bits.TrailingZeros64(on)
-				first[pol] = make([]uint64, len(ins))
-				for i, in := range ins {
-					first[pol][i] = -(vals[in] >> lane & 1)
-				}
+			if n.IsKey {
+				cd.keydep = true
+				break
 			}
-			rejected[pol] = on&offSphere(vals, ins, first[pol], h) != 0
+			cins = append(cins, id)
+		}
+		if cd.keydep {
+			continue
+		}
+		for _, id := range tfc {
+			inUnion[id] = true
+		}
+		live = append(live, cd)
+		ins = append(ins, cins)
+	}
+	shapeSweep(c, inUnion, live, ins, h)
+	if sp == nil {
+		return
+	}
+	var decided, rejected, keydep int
+	for _, cd := range cands {
+		if cd.decided {
+			decided++
+		}
+		if cd.keydep {
+			keydep++
+		}
+		for _, r := range cd.rejected {
+			if r {
+				rejected++
+			}
 		}
 	}
-	return rejected
+	sp.Set("candidates", decided)
+	sp.Set("rejected_cells", rejected)
+	sp.Set("keydep", keydep)
+	sp.End()
+}
+
+// shapeSweep runs the stripper shape filter for both polarities of every
+// live candidate under one pattern stream, and folds each polarity's
+// sampled output words into its signature. inUnion marks the union of
+// the candidates' TFCs, and ins[i] is live[i]'s inputs. Each word
+// draws one random word per input of the union, in ascending id order,
+// from filterRNG seeded by the union's size and input count, so the
+// stream is a pure function of the lock; one SimulateNodes call over the
+// union evaluates every candidate on it.
+//
+// The on-set of strip_h(K) is the Hamming sphere of radius h around K,
+// so any two of its points differ in an even number of inputs, and in at
+// most 2h. The sweep keeps each polarity's first on-set pattern in
+// (word, lane) order and rejects the polarity at the first later on-set
+// pattern whose distance from it, over the candidate's own inputs, is odd
+// or above 2h; the negated polarity's on-set is the positive polarity's
+// off-set. A rejected polarity's signature is never read, so the sweep
+// stops folding it, and stops once every polarity is rejected.
+func shapeSweep(c *circuit.Circuit, inUnion []bool, live []*candidate, ins [][]int, h int) {
+	var union, inputs []int
+	for id, in := range inUnion {
+		if !in {
+			continue
+		}
+		union = append(union, id)
+		if c.Nodes[id].Type == circuit.Input {
+			inputs = append(inputs, id)
+		}
+	}
+	// first[i][pol] holds, per input of live[i], the polarity's first
+	// on-set pattern's bit in every lane.
+	first := make([][2][]uint64, len(live))
+	open := 2 * len(live)
+	for _, cd := range live {
+		cd.sig = [2]uint64{fnvOffset, fnvOffset}
+	}
+	rng := filterRNG(len(union), len(inputs))
+	vals := make([]uint64, c.Len())
+	for w := 0; w < filterWords && open > 0; w++ {
+		for _, in := range inputs {
+			vals[in] = rng.Uint64()
+		}
+		c.SimulateNodes(union, vals)
+		for i, cd := range live {
+			for pol := range cd.rejected {
+				if cd.rejected[pol] {
+					continue
+				}
+				on := vals[cd.node]
+				if pol == 1 {
+					on = ^on
+				}
+				for b := 0; b < 64; b += 8 {
+					cd.sig[pol] = (cd.sig[pol] ^ on>>b&0xff) * fnvPrime
+				}
+				if on == 0 {
+					continue
+				}
+				if first[i][pol] == nil {
+					lane := bits.TrailingZeros64(on)
+					first[i][pol] = make([]uint64, len(ins[i]))
+					for j, in := range ins[i] {
+						first[i][pol][j] = -(vals[in] >> lane & 1)
+					}
+				}
+				if on&offSphere(vals, ins[i], first[i][pol], h) != 0 {
+					cd.rejected[pol] = true
+					open--
+				}
+			}
+		}
+	}
 }
 
 // offSphere returns the lanes of vals whose pattern over ins differs
@@ -144,45 +229,10 @@ func offSphere(vals []uint64, ins []int, ref []uint64, h int) uint64 {
 	return cnt[0] | gt
 }
 
-// filterCandidates is the grid's pre-pass: it decides every candidate on
-// the grid's worker pool, observing ctx between candidates, under a
-// fall.filter span. Candidates it does not reach stay undecided.
-func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidate, h, workers int) {
-	sp := obs.SpanFrom(ctx).Child("fall.filter")
-	scratch := sync.Pool{New: func() any {
-		vals := make([]uint64, c.Len())
-		return &vals
-	}}
-	attack.ForEachIndexed(workers, len(cands), func(i int) bool {
-		if ctx.Err() != nil {
-			return false
-		}
-		vals := scratch.Get().(*[]uint64)
-		cands[i].decide(c, h, *vals)
-		scratch.Put(vals)
-		return true
-	})
-	if sp == nil {
-		return
-	}
-	var decided, rejected, keydep int
-	for _, cd := range cands {
-		if cd.decided {
-			decided++
-		}
-		if cd.keydep {
-			keydep++
-		}
-		for _, r := range cd.rejected {
-			if r {
-				rejected++
-			}
-		}
-	}
-	sp.Set("candidates", decided)
-	sp.Set("rejected_cells", rejected)
-	sp.Set("keydep", keydep)
-	sp.End()
+// passes reports whether the polarity's cell survives the pre-pass and
+// goes to the functional analyses.
+func (cd *candidate) passes(neg bool) bool {
+	return cd.decided && !cd.keydep && !cd.rejected[polarity(neg)]
 }
 
 // cost estimates the relative runtime of one of the candidate's cells
@@ -191,9 +241,10 @@ func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidat
 // the filter's sample as a subset of a Hamming sphere, so it is a likely
 // stripper: it runs the full analysis and the equivalence-check UNSAT
 // proof, whose cost grows with the cone (every SAT query Tseitin-encodes
-// it, twice for the HD instances) and with h.
+// it, twice for the HD instances) and with h. The estimate ignores that
+// a later cell of a unit may stop after one equivalence check.
 func (cd *candidate) cost(neg bool, h int) int64 {
-	if !cd.decided || cd.keydep || cd.rejected[polarity(neg)] {
+	if !cd.passes(neg) {
 		return 0
 	}
 	return int64(cd.coneLen) * int64(2+h)
@@ -206,23 +257,34 @@ func polarity(neg bool) int {
 	return 0
 }
 
-// gridDispatchOrder returns the indices of jobs sorted
-// longest-expected-first, ties broken by job index, so the order is a
-// pure function of the circuit and h.
-func gridDispatchOrder(jobs []analysisJob, h int) []int {
-	cost := make([]int64, len(jobs))
+// gridUnits groups the jobs into units and returns them in dispatch
+// order, each unit's job indices in job order. Cells that pass the
+// pre-pass are grouped by signature; every other cell is a unit of its
+// own. Units are sorted longest-expected-first by summed cell cost, ties
+// broken by their first job index, so the order is a pure function of
+// the circuit and h.
+func gridUnits(jobs []analysisJob, h int) [][]int {
+	var units [][]int
+	bySig := map[uint64]int{}
 	for i, j := range jobs {
-		cost[i] = j.cand.cost(j.neg, h)
-	}
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		if cost[order[a]] != cost[order[b]] {
-			return cost[order[a]] > cost[order[b]]
+		if j.cand.passes(j.neg) {
+			sig := j.cand.sig[polarity(j.neg)]
+			if u, ok := bySig[sig]; ok {
+				units[u] = append(units[u], i)
+				continue
+			}
+			bySig[sig] = len(units)
 		}
-		return order[a] < order[b]
-	})
-	return order
+		units = append(units, []int{i})
+	}
+	cost := func(unit []int) (c int64) {
+		for _, i := range unit {
+			c += jobs[i].cand.cost(jobs[i].neg, h)
+		}
+		return c
+	}
+	// Units were created in order of their first job, so a stable sort
+	// breaks cost ties by first job index.
+	sort.SliceStable(units, func(a, b int) bool { return cost(units[a]) > cost(units[b]) })
+	return units
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -33,34 +34,62 @@ func supportCandidates(c *circuit.Circuit) []*candidate {
 	return cands
 }
 
-// coneOnSets is the reference sweep: the filter's patterns simulated on
-// the extracted cone, all 16384 of them, no early exit. It returns each
-// polarity's on-set patterns in (word, lane) order as bit masks over the
-// cone's inputs, and the input count m.
-func coneOnSets(t *testing.T, c *circuit.Circuit, node int) (on [2][]uint64, m int) {
-	cone, _ := c.Cone(node)
-	ins := cone.Inputs()
-	if len(ins) > 64 {
-		t.Fatalf("node %d: %d inputs do not fit a mask", node, len(ins))
+// coneOnSets is the reference sweep for nodes sampled together: the
+// lock's stream drawn over the union of the nodes' supports (filterRNG
+// seeded by the size of the union of their TFCs and its input count,
+// inputs in ascending id order), each node's extracted cone given its
+// inputs' words and simulated, all 16384 patterns, no early exit. It
+// returns, per node, each polarity's on-set patterns in (word, lane)
+// order as bit masks over the cone's inputs, and the cone's input count.
+func coneOnSets(t *testing.T, c *circuit.Circuit, nodes []int) (on [][2][]uint64, m []int) {
+	inUnion := map[int]bool{}
+	for _, node := range nodes {
+		for _, id := range c.TFC(node) {
+			inUnion[id] = true
+		}
 	}
-	rng := filterRNG(cone.Len(), len(ins))
-	vals := make([]uint64, cone.Len())
-	for w := 0; w < filterWords; w++ {
+	var ins []int
+	for id := range inUnion {
+		if c.Nodes[id].Type == circuit.Input {
+			ins = append(ins, id)
+		}
+	}
+	sort.Ints(ins)
+	rng := filterRNG(len(inUnion), len(ins))
+	words := make([]map[int]uint64, filterWords) // per word, every union input's word
+	for w := range words {
+		words[w] = map[int]uint64{}
 		for _, in := range ins {
-			vals[in] = rng.Uint64()
-		}
-		cone.Simulate(vals)
-		out := vals[cone.Outputs[0]]
-		for lane := 0; lane < 64; lane++ {
-			var p uint64
-			for i, in := range ins {
-				p |= (vals[in] >> lane & 1) << i
-			}
-			pol := int(^out >> lane & 1) // 0: on in the positive polarity
-			on[pol] = append(on[pol], p)
+			words[w][in] = rng.Uint64()
 		}
 	}
-	return on, len(ins)
+	for _, node := range nodes {
+		cone, im := c.Cone(node)
+		cins := cone.Inputs()
+		if len(cins) > 64 {
+			t.Fatalf("node %d: %d inputs do not fit a mask", node, len(cins))
+		}
+		vals := make([]uint64, cone.Len())
+		var pols [2][]uint64
+		for _, word := range words {
+			for _, in := range cins {
+				vals[in] = word[im[in]]
+			}
+			cone.Simulate(vals)
+			out := vals[cone.Outputs[0]]
+			for lane := 0; lane < 64; lane++ {
+				var p uint64
+				for i, in := range cins {
+					p |= (vals[in] >> lane & 1) << i
+				}
+				pol := int(^out >> lane & 1) // 0: on in the positive polarity
+				pols[pol] = append(pols[pol], p)
+			}
+		}
+		on = append(on, pols)
+		m = append(m, len(cins))
+	}
+	return on, m
 }
 
 // sphereRule is the shape filter's rule, applied pattern by pattern: an
@@ -75,11 +104,12 @@ func sphereRule(on []uint64, h int) bool {
 	return false
 }
 
-// Property: for every h in 0..m, the one netlist sweep's two verdicts
-// equal the shape rule applied to all 16384 patterns simulated on the
-// extracted cone, over random cones and the support-matched (popcount
-// and stripper) nodes of SFLL-HD locks. The inputs cover cells with both
-// polarities rejected, with exactly one rejected and with neither.
+// Property: for every h in 0..m, the verdicts of the one sweep per lock
+// equal the shape rule applied to all 16384 patterns of the lock's
+// stream simulated on each extracted cone, over random cones sampled
+// together and the support-matched (popcount and stripper) nodes of
+// SFLL-HD locks. The inputs cover cells with both polarities rejected,
+// with exactly one rejected and with neither.
 func TestShapeVerdictsMatchFullConeSweep(t *testing.T) {
 	type sample struct {
 		c     *circuit.Circuit
@@ -113,23 +143,22 @@ func TestShapeVerdictsMatchFullConeSweep(t *testing.T) {
 
 	var cases, both, one, neither int
 	for _, s := range samples {
-		// Scratch reused across candidates, as the pre-pass's pool does,
-		// and poisoned so a read outside the TFC would show.
-		scratch := make([]uint64, s.c.Len())
-		for i := range scratch {
-			scratch[i] = rng.Uint64()
-		}
-		for _, node := range s.nodes {
-			on, m := coneOnSets(t, s.c, node)
-			tfc := s.c.TFC(node)
-			ins := s.c.Support(node)
-			for h := 0; h <= m; h++ {
+		on, ms := coneOnSets(t, s.c, s.nodes)
+		for h := 0; h <= slices.Max(ms); h++ {
+			cands := make([]*candidate, len(s.nodes))
+			for k, node := range s.nodes {
+				cands[k] = newCandidate(node)
+			}
+			filterCandidates(context.Background(), s.c, cands, h)
+			for k, cd := range cands {
+				if h > ms[k] {
+					continue
+				}
 				cases++
-				got := shapeVerdicts(s.c, tfc, ins, node, h, scratch)
-				want := [2]bool{sphereRule(on[0], h), sphereRule(on[1], h)}
-				if got != want {
+				want := [2]bool{sphereRule(on[k][0], h), sphereRule(on[k][1], h)}
+				if cd.rejected != want {
 					t.Fatalf("node %d m=%d h=%d: sweep rejected %v, full cone sweep %v (%d/%d on-set patterns)",
-						node, m, h, got, want, len(on[0]), len(on[1]))
+						cd.node, ms[k], h, cd.rejected, want, len(on[k][0]), len(on[k][1]))
 				}
 				switch {
 				case want[0] && want[1]:
@@ -149,7 +178,7 @@ func TestShapeVerdictsMatchFullConeSweep(t *testing.T) {
 }
 
 // Property: the shape filter is sound. For 2 <= m <= 12, every h in 0..m and
-// several random cubes K, shapeVerdicts never rejects strip_h(K) in its
+// several random cubes K, the sweep never rejects strip_h(K) in its
 // positive polarity, and over all 2^m patterns offSphere marks exactly
 // the patterns whose distance from a reference on-set point is odd or
 // above 2h, and none of the on-set, for every on-set point as reference.
@@ -166,8 +195,8 @@ func TestShapeFilterKeepsTrueStrippers(t *testing.T) {
 				c := buildStripHD(m, h, cube)
 				out := c.Outputs[0]
 				ins := c.Inputs()
-				scratch := make([]uint64, c.Len())
-				if got := shapeVerdicts(c, c.TFC(out), ins, out, h, scratch); got[0] {
+				cd := newCandidate(out)
+				if filterCandidates(context.Background(), c, []*candidate{cd}, h); cd.rejected[0] {
 					t.Fatalf("m=%d h=%d cube=%v: strip_h rejected in its positive polarity", m, h, cube)
 				}
 				// Every pattern p of 0..2^m-1 once: input i is bit i of p.
@@ -226,7 +255,7 @@ func TestShapeFilterRejectsOnlyNonStrippers(t *testing.T) {
 				t.Fatal(err)
 			}
 			cands := supportCandidates(lr.Locked)
-			filterCandidates(context.Background(), lr.Locked, cands, h, 1)
+			filterCandidates(context.Background(), lr.Locked, cands, h)
 			opts := Options{H: h}
 			rejected := 0
 			for _, cd := range cands {
@@ -280,7 +309,7 @@ func TestGridSharesAndReleasesCones(t *testing.T) {
 	}
 
 	cands := withKeyDep()
-	filterCandidates(context.Background(), lr.Locked, cands, opts.H, 1)
+	filterCandidates(context.Background(), lr.Locked, cands, opts.H)
 	var keydep, rejected, passed int
 	for _, cd := range cands {
 		switch {

@@ -663,6 +663,24 @@ func (a *analysisContext) EquivalenceCheck(cube map[int]bool, h int) (bool, erro
 	}
 }
 
+// sameStripper reports whether the cell's function is strip_h(cube), by
+// the §IV-C miter. It answers false without a query unless the cone's
+// inputs are exactly the cube's inputs and 2h differs from their count:
+// a Hamming sphere of radius h determines its center except at h = m/2,
+// where the sphere around K is also the sphere around ¬K, so the cell's
+// own analysis could shortlist ¬K.
+func (a *analysisContext) sameStripper(cube map[int]bool, h int) (bool, error) {
+	if len(cube) != len(a.inputs) || 2*h == len(a.inputs) {
+		return false, nil
+	}
+	for _, xi := range a.inputs {
+		if _, ok := cube[a.inputMap[xi]]; !ok {
+			return false, nil
+		}
+	}
+	return a.EquivalenceCheck(cube, h)
+}
+
 // Attack runs the full FALL pipeline on a locked netlist and returns the
 // shortlisted keys. The locked circuit's key inputs must be marked (IsKey)
 // and h must match the locking parameter (known to the adversary, §II-A).
@@ -749,42 +767,57 @@ type analysisJob struct {
 }
 
 // analysisOutcome is the verdict of one grid cell: a shortlisted key
-// (ok), a silent rejection (!ok), or an error (timeout or hard failure).
+// (ok), a duplicate of a key its unit already proved (dup), a silent
+// rejection (neither), or an error (timeout or hard failure).
 type analysisOutcome struct {
-	key CandidateKey
-	ok  bool
-	err error
+	key  CandidateKey
+	cube map[int]bool // the key's cube over locked-circuit input ids
+	ok   bool
+	dup  bool
+	err  error
 }
 
 // runAnalysisGrid decides every candidate in a pre-pass
-// (filterCandidates), then evaluates its two polarity cells on a
+// (filterCandidates), then evaluates the grid's units (gridUnits) on a
 // bounded worker pool and returns the outcomes indexed in candidate ×
-// polarity order. Cells are handed to the pool in adaptive
-// longest-expected-first order (gridDispatchOrder) to cut tail latency,
-// but each outcome is written at its job index and merged in candidate
-// order, so the completed-run shortlist does not depend on the worker
-// count or the dispatch order. Cells are deterministic: every cone,
-// solver and RNG is local to the cell, and the two cells of a candidate
-// share only the pre-pass verdicts, which are read-only. An erroring
-// cell (hard failure or ctx cancellation) stops further cells from
-// being dispatched, so the grid fails fast and drains promptly; every
-// cell dispatched before the first error still completes.
+// polarity order. A unit runs its cells in job order on one worker, and
+// each cell after the unit's first key checks itself against that key's
+// cube before anything else (analyzeCellInner). Units are handed to the
+// pool longest-expected-first to cut tail latency, but each outcome is
+// written at its job index and merged in candidate order, so the
+// completed-run shortlist does not depend on the worker count or the
+// dispatch order. Cells are deterministic: every cone, solver and RNG is
+// local to the cell, and a cell reads only the pre-pass verdicts, which
+// are read-only, and the cube its own unit proved. An erroring cell
+// (hard failure or ctx cancellation) ends its unit and stops further
+// units from being dispatched, so the grid fails fast and drains
+// promptly; every unit dispatched before the first error still
+// completes.
 func runAnalysisGrid(ctx context.Context, locked *circuit.Circuit, cands []*candidate, m int, opts *Options, pairing map[int]pairEntry) []analysisOutcome {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	filterCandidates(ctx, locked, cands, opts.H, workers)
+	filterCandidates(ctx, locked, cands, opts.H)
 	jobs := make([]analysisJob, 0, 2*len(cands))
 	for _, cd := range cands {
 		jobs = append(jobs, analysisJob{cand: cd, neg: false}, analysisJob{cand: cd, neg: true})
 	}
 	outcomes := make([]analysisOutcome, len(jobs))
-	order := gridDispatchOrder(jobs, opts.H)
-	attack.ForEachIndexed(workers, len(jobs), func(j int) bool {
-		i := order[j]
-		outcomes[i] = analyzeCell(ctx, locked, jobs[i], m, opts, pairing)
-		return outcomes[i].err == nil
+	units := gridUnits(jobs, opts.H)
+	attack.ForEachIndexed(workers, len(units), func(u int) bool {
+		var proved map[int]bool // the cube of the unit's first key
+		for _, i := range units[u] {
+			oc := analyzeCell(ctx, locked, jobs[i], m, opts, pairing, proved)
+			outcomes[i] = oc
+			if oc.err != nil {
+				return false
+			}
+			if proved == nil && oc.ok {
+				proved = oc.cube
+			}
+		}
+		return true
 	})
 	return outcomes
 }
@@ -792,17 +825,19 @@ func runAnalysisGrid(ctx context.Context, locked *circuit.Circuit, cands []*cand
 // analyzeCell runs one candidate×polarity cell, wrapping it in a
 // trace span (parenting every solver query the cell issues) when the
 // grid runs traced.
-func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry) analysisOutcome {
+func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry, proved map[int]bool) analysisOutcome {
 	cell := obs.SpanFrom(ctx).Child("fall.cell", "node", job.cand.node, "neg", job.neg)
 	if cell == nil {
-		return analyzeCellInner(ctx, locked, job, m, opts, pairing)
+		return analyzeCellInner(ctx, locked, job, m, opts, pairing, proved)
 	}
-	oc := analyzeCellInner(obs.With(ctx, cell), locked, job, m, opts, pairing)
+	oc := analyzeCellInner(obs.With(ctx, cell), locked, job, m, opts, pairing, proved)
 	switch {
 	case oc.err != nil:
 		cell.Set("outcome", "error")
 	case oc.ok:
 		cell.Set("outcome", "key")
+	case oc.dup:
+		cell.Set("outcome", "duplicate")
 	default:
 		cell.Set("outcome", "rejected")
 	}
@@ -812,19 +847,33 @@ func analyzeCell(ctx context.Context, locked *circuit.Circuit, job analysisJob, 
 
 // analyzeCellInner applies the pre-pass verdicts, then extracts the
 // cone and runs the selected functional analysis and the equivalence
-// check for one candidate×polarity cell. All cone and solver state is
-// created here, per cell, so cells never share it.
-func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry) analysisOutcome {
+// check for one candidate×polarity cell. When its unit has already
+// proved a key with cube proved, the cell first runs the equivalence
+// check against that cube (sameStripper); if its function is
+// strip_h(proved), its own analysis could only end with that key, which
+// an earlier cell in job order holds, or with no key, so it stops as a
+// duplicate. All cone and solver state is created here, per cell, so
+// cells never share it.
+func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysisJob, m int, opts *Options, pairing map[int]pairEntry, proved map[int]bool) analysisOutcome {
 	cd := job.cand
 	if ctx.Err() != nil || !cd.decided {
 		return analysisOutcome{err: ErrTimeout}
 	}
-	if cd.keydep || cd.rejected[polarity(job.neg)] {
+	if !cd.passes(job.neg) {
 		return analysisOutcome{} // key-dependent, or its sampled on-set fits no sphere of radius h
 	}
 	actx, err := newAnalysisContext(ctx, locked, cd.node, job.neg, opts)
 	if err != nil {
 		return analysisOutcome{err: err}
+	}
+	if proved != nil {
+		dup, err := actx.sameStripper(proved, opts.H)
+		if err != nil {
+			return analysisOutcome{err: err}
+		}
+		if dup {
+			return analysisOutcome{dup: true}
+		}
 	}
 	cube, ok, algo, err := runAnalysis(actx, m, *opts)
 	if err != nil {
@@ -844,7 +893,7 @@ func analyzeCellInner(ctx context.Context, locked *circuit.Circuit, job analysis
 	ck.Node = cd.node
 	ck.Negated = job.neg
 	ck.Analysis = algo
-	return analysisOutcome{key: ck, ok: true}
+	return analysisOutcome{key: ck, cube: cube, ok: true}
 }
 
 func runAnalysis(ctx *analysisContext, m int, opts Options) (map[int]bool, bool, string, error) {

@@ -3,6 +3,7 @@ package fall
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/attack"
@@ -68,32 +69,37 @@ func TestAttackPortfolioGridMatchesDefault(t *testing.T) {
 	}
 }
 
-// TestGridDispatchOrderDeterministic: the adaptive dispatch permutation
-// is a pure function of the circuit and h, whatever the pre-pass's
-// worker count.
+// TestGridDispatchOrderDeterministic: the grid's units place every job
+// in exactly one unit, and their dispatch order is a pure function of
+// the circuit and h: a second pre-pass and grouping repeat it exactly.
 func TestGridDispatchOrderDeterministic(t *testing.T) {
 	_, lr := lockFig2a(t, 1, 11)
-	order := func(workers int) []int {
+	units := func() [][]int {
 		cands := supportCandidates(lr.Locked)
-		filterCandidates(context.Background(), lr.Locked, cands, 1, workers)
+		filterCandidates(context.Background(), lr.Locked, cands, 1)
 		var jobs []analysisJob
 		for _, cd := range cands {
 			jobs = append(jobs, analysisJob{cd, false}, analysisJob{cd, true})
 		}
-		return gridDispatchOrder(jobs, 1)
+		return gridUnits(jobs, 1)
 	}
-	a, b := order(1), order(4)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("orders have %d and %d entries", len(a), len(b))
+	a, b := units(), units()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("unit order differs between computations:\n%v\n%v", a, b)
 	}
-	seen := make([]bool, len(a))
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("dispatch order differs between computations at %d", i)
+	jobs := 2 * len(supportCandidates(lr.Locked))
+	seen := make([]int, jobs)
+	for _, u := range a {
+		if len(u) == 0 {
+			t.Fatal("empty unit")
 		}
-		if seen[a[i]] {
-			t.Fatalf("index %d dispatched twice", a[i])
+		for _, i := range u {
+			seen[i]++
 		}
-		seen[a[i]] = true
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("job %d sits in %d units, want 1", i, n)
+		}
 	}
 }

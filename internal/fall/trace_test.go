@@ -15,7 +15,8 @@ import (
 // tracing on and checks the emitted span tree is sound: unique ids,
 // every child's parent emitted, the candidate pre-pass and the cells
 // parented under the analysis phase, queries parented under their
-// cell — the invariants tracestat relies on. Run under -race this also
+// cell, every cell's outcome a key, a duplicate, a rejection or an
+// error — the invariants tracestat relies on. Run under -race this also
 // exercises concurrent span emission from the pool.
 func TestTraceSpanIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -48,7 +49,7 @@ func TestTraceSpanIntegrity(t *testing.T) {
 		}
 		ids[sp.ID] = sp.Name
 	}
-	var filters, cells, queries, rejectedCells, filterRejected int
+	var filters, cells, queries, rejectedCells, duplicates, filterRejected int
 	for _, sp := range spans {
 		if sp.Parent != 0 {
 			if _, ok := ids[sp.Parent]; !ok {
@@ -67,8 +68,14 @@ func TestTraceSpanIntegrity(t *testing.T) {
 			filterRejected, _ = sp.Attrs["rejected_cells"].(int)
 		case "fall.cell":
 			cells++
-			if sp.Attrs["outcome"] == "rejected" {
+			switch sp.Attrs["outcome"] {
+			case "rejected":
 				rejectedCells++
+			case "duplicate":
+				duplicates++
+			case "key", "error":
+			default:
+				t.Errorf("cell %d has outcome %v", sp.ID, sp.Attrs["outcome"])
 			}
 			if ids[sp.Parent] != "fall.analysis" {
 				t.Errorf("cell %d parented under %q, want fall.analysis", sp.ID, ids[sp.Parent])
@@ -83,7 +90,9 @@ func TestTraceSpanIntegrity(t *testing.T) {
 	if filters != 1 {
 		t.Errorf("grid emitted %d fall.filter spans, want 1", filters)
 	}
-	// Every cell the shape filter rejects ends as a rejected cell.
+	// Every cell the shape filter rejects ends as a rejected cell, never
+	// as a duplicate.
+	t.Logf("%d cells: %d rejected (%d by the filter), %d duplicate", cells, rejectedCells, filterRejected, duplicates)
 	if filterRejected <= 0 || filterRejected > rejectedCells {
 		t.Errorf("filter span rejected_cells = %d, want 1..%d (the rejected cells)", filterRejected, rejectedCells)
 	}

@@ -311,7 +311,9 @@ func (op logOp) replay(e Engine) {
 
 // opLog records the variable/clause calls a MemoEngine receives and
 // keeps a running SHA-256 over them, so every query has a formula hash
-// without rehashing the log.
+// without rehashing the log. It holds only the ops its engine has not
+// yet replayed into the inner engine (drop): the digest and the
+// variable count cover the whole formula.
 type opLog struct {
 	ops []logOp
 	// lits holds every clause's literals back to back; each op's clause
@@ -355,6 +357,13 @@ func (l *opLog) record(op logOp) {
 	l.digest.Write(l.buf)
 }
 
+// drop forgets every recorded op, once all of them have been replayed.
+// The next op starts a fresh array, so no clause window an inner engine
+// was handed is ever written again.
+func (l *opLog) drop() {
+	l.ops, l.lits = nil, nil
+}
+
 // hash records any trailing NewVar calls as a clause-less op, then
 // returns the formula hash: the running digest's sum, which leaves the
 // digest running. The op encoding is prefix-free and counts every
@@ -370,7 +379,8 @@ func (l *opLog) hash() (h [sha256.Size]byte) {
 
 // memoQuery records one past SolveAssuming call so a later cache miss
 // can replay the inner engine into the exact incremental state it
-// would have had without the cache.
+// would have had without the cache. opsAt counts the ops logged before
+// it since the last inner solve.
 type memoQuery struct {
 	opsAt       int
 	assumptions []Lit
@@ -391,12 +401,10 @@ type MemoEngine struct {
 	ctx   context.Context
 	stats Stats
 
-	live        bool // the inner engine has solved at least once
-	replayedOps int
-	synced      int // queries already replayed into inner
-	queries     []memoQuery
-	cached      *memoEntry // model source when the last solve hit
-	lastTier    MemoTier   // which tier answered the last solve
+	live     bool        // the inner engine has solved at least once
+	queries  []memoQuery // memo hits since the last inner solve, to replay on a miss
+	cached   *memoEntry  // model source when the last solve hit
+	lastTier MemoTier    // which tier answered the last solve
 }
 
 var _ Engine = (*MemoEngine)(nil)
@@ -468,8 +476,6 @@ func (m *MemoEngine) SolveAssuming(assumptions []Lit) Status {
 		m.ctr.misses.Add(1)
 	}
 	st := m.solveInner(rec)
-	m.queries = append(m.queries, rec)
-	m.synced = len(m.queries) // the current query ran on inner; never replay it
 	m.cached = nil
 	m.lastTier = TierMiss
 	if st != Unknown {
@@ -487,7 +493,9 @@ func (m *MemoEngine) SolveAssuming(assumptions []Lit) Status {
 
 // solveInner brings the inner engine up to date — the logged calls
 // and any queries answered from the memo since the last inner solve,
-// in their original interleaving — then runs the current query.
+// in their original interleaving — then runs the current query. Nothing
+// reads the replayed ops and queries again, so it drops them: the
+// engine does not hold its formula twice.
 func (m *MemoEngine) solveInner(rec memoQuery) Status {
 	if !m.live {
 		if m.ctx != nil {
@@ -495,22 +503,22 @@ func (m *MemoEngine) solveInner(rec memoQuery) Status {
 		}
 		m.live = true
 	}
-	for _, q := range m.queries[m.synced:] {
-		m.replayOpsTo(q.opsAt)
+	replayed := 0
+	replayTo := func(opsAt int) {
+		for _, op := range m.log.ops[replayed:opsAt] {
+			op.replay(m.inner)
+		}
+		replayed = opsAt
+	}
+	for _, q := range m.queries {
+		replayTo(q.opsAt)
 		m.inner.SolveAssuming(q.assumptions)
 	}
-	m.synced = len(m.queries)
-	m.replayOpsTo(rec.opsAt)
-	return m.inner.SolveAssuming(rec.assumptions)
-}
-
-func (m *MemoEngine) replayOpsTo(opsAt int) {
-	for _, op := range m.log.ops[m.replayedOps:opsAt] {
-		op.replay(m.inner)
-	}
-	if opsAt > m.replayedOps {
-		m.replayedOps = opsAt
-	}
+	replayTo(rec.opsAt)
+	st := m.inner.SolveAssuming(rec.assumptions)
+	m.queries = nil
+	m.log.drop()
+	return st
 }
 
 // Value returns variable v's value in the last satisfying assignment

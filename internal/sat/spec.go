@@ -177,6 +177,12 @@ func splitOpts(s string) []string {
 	return out
 }
 
+// maxPortfolio bounds the engines one portfolio races, in both the
+// integer and the list form of -portfolio. A width arrives from flags,
+// campaign plans and daemon requests, and sizes the engine list and
+// every race, so it must not ask for an unbounded allocation.
+const maxPortfolio = 64
+
 // ParseEngineList parses a heterogeneous -portfolio list into engine
 // specs. Entries are comma-separated; a comma-separated token containing
 // '=' continues the previous entry's option list (engine options
@@ -187,7 +193,8 @@ func splitOpts(s string) []string {
 // is three engines. A bare "internal" entry inherits base (the -solver
 // config); "internal:<opts>" stands alone. Duplicate canonical specs are
 // rejected — racing two identical engines wastes a core and collides
-// their win-statistics labels.
+// their win-statistics labels — and so is a list of more than
+// maxPortfolio engines.
 func ParseEngineList(list string, base Config) ([]EngineSpec, error) {
 	var entries []string
 	for _, tok := range strings.Split(list, ",") {
@@ -216,6 +223,9 @@ func ParseEngineList(list string, base Config) ([]EngineSpec, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("sat: empty portfolio list %q", list)
 	}
+	if len(entries) > maxPortfolio {
+		return nil, fmt.Errorf("sat: portfolio lists %d engines, more than %d", len(entries), maxPortfolio)
+	}
 	specs := make([]EngineSpec, 0, len(entries))
 	seen := map[string]bool{}
 	for _, e := range entries {
@@ -240,9 +250,10 @@ func ParseEngineList(list string, base Config) ([]EngineSpec, error) {
 // flag pair, shared by the attack CLIs (attack.RegisterFlags), the
 // daemon, and campaign plans, so a flag pair means the same thing
 // everywhere. solver is one engine spec. portfolio is either an integer
-// width N >= 2 — N internal variants of the -solver config
-// (PortfolioConfigs) — or an engine list (ParseEngineList). Both flags unset, or a width below 2 with an empty
-// solver, resolve to nil: the attacks' built-in default engine.
+// width 2 <= N <= maxPortfolio — N internal variants of the -solver
+// config (PortfolioConfigs) — or an engine list (ParseEngineList). Both
+// flags unset, or a width below 2 with an empty solver, resolve to nil:
+// the attacks' built-in default engine.
 func ResolveSolverFlags(solver, portfolio string) ([]EngineSpec, error) {
 	spec, err := ParseEngineSpec(solver)
 	if err != nil {
@@ -261,6 +272,9 @@ func ResolveSolverFlags(solver, portfolio string) ([]EngineSpec, error) {
 		}
 		if n < 0 {
 			return nil, fmt.Errorf("sat: -portfolio %d: width must not be negative", n)
+		}
+		if n > maxPortfolio {
+			return nil, fmt.Errorf("sat: -portfolio %d: width must not exceed %d", n, maxPortfolio)
 		}
 		width = n
 	}

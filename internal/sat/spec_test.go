@@ -1,7 +1,9 @@
 package sat
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -157,8 +159,9 @@ func TestParseEngineList(t *testing.T) {
 // TestResolveSolverFlags: an integer width expands at parse time into
 // one internal spec per PortfolioConfigs entry, whose labels are the
 // ledger labels recorded portfolio stats carry; widths below 2 with an
-// empty solver mean the default engine (nil); negative widths are
-// rejected with an error naming the flag.
+// empty solver mean the default engine (nil); negative widths, and
+// portfolios of more than maxPortfolio engines in either form, are
+// rejected with an error naming the flag or the list.
 func TestResolveSolverFlags(t *testing.T) {
 	base := Config{Seed: 3, Restart: RestartGeometric}
 	specs, err := ResolveSolverFlags("seed=3,restart=geometric", "3")
@@ -182,10 +185,26 @@ func TestResolveSolverFlags(t *testing.T) {
 	if specs, err := ResolveSolverFlags("seed=3", "1"); err != nil || len(specs) != 1 || specs[0] != InternalSpec(Config{Seed: 3}) {
 		t.Errorf("width 1 with a solver: %+v, %v", specs, err)
 	}
-	for _, pair := range [][2]string{{"", "-2"}, {"seed=3", "-1"}} {
+	for _, pair := range [][2]string{{"", "-2"}, {"seed=3", "-1"}, {"", "65"}, {"", "9223372036854775807"}} {
 		if _, err := ResolveSolverFlags(pair[0], pair[1]); err == nil || !strings.Contains(err.Error(), "-portfolio") {
 			t.Errorf("width %q: error %v does not reject the flag", pair[1], err)
 		}
+	}
+	if specs, err := ResolveSolverFlags("", strconv.Itoa(maxPortfolio)); err != nil || len(specs) != maxPortfolio {
+		t.Errorf("width %d: %d specs, %v", maxPortfolio, len(specs), err)
+	}
+	list := func(n int) string {
+		seeds := make([]string, n)
+		for i := range seeds {
+			seeds[i] = fmt.Sprintf("internal:seed=%d", i)
+		}
+		return strings.Join(seeds, ",")
+	}
+	if specs, err := ResolveSolverFlags("", list(maxPortfolio)); err != nil || len(specs) != maxPortfolio {
+		t.Errorf("list of %d engines: %d specs, %v", maxPortfolio, len(specs), err)
+	}
+	if _, err := ResolveSolverFlags("", list(maxPortfolio+1)); err == nil || !strings.Contains(err.Error(), "portfolio lists") {
+		t.Errorf("list of %d engines: error %v does not reject the list", maxPortfolio+1, err)
 	}
 }
 

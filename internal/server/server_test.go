@@ -405,7 +405,7 @@ func checkLifecycle(t *testing.T, evs []server.Event) {
 
 // TestSubmitValidation exercises the 400 paths: unknown attack, missing
 // circuit, oracle-guided attack without oracle, bad solver spec,
-// negative portfolio width, unknown JSON fields.
+// negative or oversized portfolio width, unknown JSON fields.
 func TestSubmitValidation(t *testing.T) {
 	_, locked, _, _ := newTTLockFixture(t)
 	_, ts := startDaemon(t, server.Config{Workers: 1})
@@ -418,6 +418,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"no oracle", fmt.Sprintf(`{"attack":"sat","locked":%q}`, locked)},
 		{"bad solver", fmt.Sprintf(`{"attack":"fall","locked":%q,"solver":"martian"}`, locked)},
 		{"negative portfolio", fmt.Sprintf(`{"attack":"fall","locked":%q,"portfolio":"-2"}`, locked)},
+		{"oversized portfolio", fmt.Sprintf(`{"attack":"fall","locked":%q,"portfolio":"9223372036854775807"}`, locked)},
 		{"unknown field", fmt.Sprintf(`{"attack":"fall","locked":%q,"timeout":5}`, locked)},
 		{"bad bench", `{"attack":"fall","locked":"INPUT("}`},
 	}
