@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -121,7 +120,7 @@ func BenchmarkFig6(b *testing.B) {
 	cfg := benchConfig(2)
 	var cases []*exp.Case
 	for i, spec := range cfg.Specs {
-		cs, err := exp.BuildCase(spec, exp.HD0, cfg.Seed+int64(i)*1009)
+		cs, err := exp.BuildCase(spec, exp.HD0, exp.CaseSeed(cfg.Seed, i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,84 +313,22 @@ func BenchmarkAblationKeyConfirmDoubleDIP(b *testing.B) { benchKeyConfirm(b, fal
 // convergence is feasible.
 func BenchmarkAblationKeyConfirmPureAlg4(b *testing.B) { benchKeyConfirm(b, true, 8) }
 
-// --- Serial vs portfolio (solver-engine racing) benchmarks ---
+// --- FALL on the solver engine ---
 
-// benchSolverEngine solves PHP(8,7) — a restart/heuristic-sensitive
-// UNSAT proof, the query class portfolio racing targets — on a single
-// engine or an n-way portfolio.
-func benchSolverEngine(b *testing.B, n int) {
-	for i := 0; i < b.N; i++ {
-		var e sat.Engine
-		if n <= 1 {
-			e = sat.New()
-		} else {
-			engines := make([]sat.Engine, n)
-			for j, cfg := range sat.PortfolioConfigs(sat.Config{}, n) {
-				engines[j] = sat.NewWith(cfg)
-			}
-			e = sat.NewEnginePortfolio(engines, nil)
-		}
-		const p, holes = 8, 7
-		vars := make([][]int, p)
-		for pi := range vars {
-			vars[pi] = make([]int, holes)
-			for hi := range vars[pi] {
-				vars[pi][hi] = e.NewVar()
-			}
-		}
-		for pi := 0; pi < p; pi++ {
-			lits := make([]sat.Lit, holes)
-			for hi := 0; hi < holes; hi++ {
-				lits[hi] = sat.PosLit(vars[pi][hi])
-			}
-			e.AddClause(lits...)
-		}
-		for hi := 0; hi < holes; hi++ {
-			for a := 0; a < p; a++ {
-				for bb := a + 1; bb < p; bb++ {
-					e.AddClause(sat.NegLit(vars[a][hi]), sat.NegLit(vars[bb][hi]))
-				}
-			}
-		}
-		if e.Solve() != sat.Unsat {
-			b.Fatal("PHP(8,7) must be UNSAT")
-		}
-	}
-}
-
-// BenchmarkSolverEngineSingle is the single-engine baseline for the
-// portfolio benchmarks.
-func BenchmarkSolverEngineSingle(b *testing.B) { benchSolverEngine(b, 1) }
-
-// BenchmarkSolverEnginePortfolio3 races three configured engines per
-// query (first verdict wins, losers cancelled).
-func BenchmarkSolverEnginePortfolio3(b *testing.B) { benchSolverEngine(b, 3) }
-
-// benchFALLSolver measures the FALL SlidingWindow attack with every
-// candidate×polarity cell solving through the given portfolio width.
-func benchFALLSolver(b *testing.B, portfolio int) {
+// BenchmarkFALLSolverSingle measures the FALL SlidingWindow attack with
+// every candidate×polarity cell solving on default single engines.
+func BenchmarkFALLSolverSingle(b *testing.B) {
 	lr := ablationCase(b, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		setup, err := attack.SolverSetupFromFlags("", strconv.Itoa(portfolio))
-		if err != nil {
-			b.Fatal(err)
-		}
 		res, err := fall.Attack(context.Background(), lr.Locked, fall.Options{
-			H: 4, Analysis: fall.SlidingWindow, Solver: setup.Factory(),
+			H: 4, Analysis: fall.SlidingWindow,
 		})
 		if err != nil || len(res.Keys) == 0 {
 			b.Fatalf("attack failed: %v (%d keys)", err, len(res.Keys))
 		}
 	}
 }
-
-// BenchmarkFALLSolverSingle runs the grid on default single engines.
-func BenchmarkFALLSolverSingle(b *testing.B) { benchFALLSolver(b, 1) }
-
-// BenchmarkFALLSolverPortfolio3 races a 3-engine portfolio per query in
-// every grid cell.
-func BenchmarkFALLSolverPortfolio3(b *testing.B) { benchFALLSolver(b, 3) }
 
 // --- Substrate micro-benchmarks ---
 

@@ -150,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// field-for-field.
 		j := res.JSON()
 		j.WallNS = time.Since(start)
-		j.Engines = sf.Setup.EngineLabels()
+		j.Engines = []string{sf.Setup.EngineLabel()}
 		j.SolveNS = int64(sf.Setup.SolveTime())
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")

@@ -111,6 +111,10 @@ func TestRun(t *testing.T) {
 		if code != 1 || !strings.HasPrefix(errOut, `attack: unknown attack "bogus"`) || strings.Count(errOut, "attack: ") != 1 {
 			t.Errorf("unknown attack: exit %d, stderr %q; want 1 and one attack: prefix", code, errOut)
 		}
+		// One engine answers every query, so -portfolio is no flag.
+		if code, out, _ := cli("-name", "fall", "-locked", locked, "-portfolio", "3"); code != 1 || out != "" {
+			t.Errorf("-portfolio 3: exit %d, stdout %q; want 1 and no stdout", code, out)
+		}
 	})
 	t.Run("keyless", func(t *testing.T) {
 		if code, _, errOut := cli("-name", "fall", "-locked", origPath, "-h", "0"); code != 1 || !strings.Contains(errOut, "no key inputs") {

@@ -28,13 +28,11 @@
 // and recomputes exactly those cases. merge prints each suite through
 // exp.RenderSuite, the renderer cmd/fallbench uses, so its output is
 // byte-identical to a monolithic cmd/fallbench run over the same
-// measurements, however the fleet split the work. When the plan raced
-// solver engines, merge also prints the aggregated per-engine win
-// statistics (exp.WinStats) on stderr. merge -rescore recomputes each
-// artifact's Solved/Equivalent verdicts from its persisted key
-// shortlist through the harness's scoring rule, exp.ScoreShortlist
-// (planted-key membership, then the equivalence miter), and rewrites
-// changed artifacts — no attack re-runs.
+// measurements, however the fleet split the work. merge -rescore
+// recomputes each artifact's Solved/Equivalent verdicts from its
+// persisted key shortlist through the harness's scoring rule,
+// exp.ScoreShortlist (planted-key membership, then the equivalence
+// miter), and rewrites changed artifacts — no attack re-runs.
 //
 // Exit codes: 0 success (or -h); 1 usage or hard error (stderr
 // explains); 2 completed with failed cases; 3 (status/merge
@@ -52,7 +50,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -166,7 +163,6 @@ func cmdPlan(args []string) {
 	iterCap := fs.Int("satcap", 500, "SAT attack iteration cap (0 = none)")
 	enc := fs.String("enc", "adder", "cardinality encoding: adder | seq")
 	solver := fs.String("solver", "", "solver engine spec for every attack and scoring miter (empty = baseline CDCL)")
-	portfolio := fs.String("portfolio", "", "race engines per solver query: integer width or engine list like internal,kissat")
 	memoDir := fs.String("memo-dir", "", "record a persistent verdict-store directory in the plan: every shard run attaches the on-disk memo there (verdicts unchanged)")
 	suites := fs.String("suites", strings.Join(campaign.DefaultSuites(), ","), "report suites, comma-separated")
 	force := fs.Bool("force", false, "overwrite an existing, different plan")
@@ -183,15 +179,6 @@ func cmdPlan(args []string) {
 		Solver:     *solver,
 		MemoDir:    *memoDir,
 		Suites:     strings.Split(*suites, ","),
-	}
-	// An integer -portfolio keeps the legacy field (and plan hash); an
-	// engine list lands in the heterogeneous field.
-	if p := strings.TrimSpace(*portfolio); p != "" {
-		if n, err := strconv.Atoi(p); err == nil {
-			cfg.Portfolio = n
-		} else {
-			cfg.PortfolioEngines = p
-		}
 	}
 	var err error
 	if cfg.Specs, err = genbench.ParseScale(*scale); err != nil {
@@ -348,9 +335,6 @@ func cmdMerge(args []string) {
 	if err := m.Render(os.Stdout); err != nil {
 		fatalf("%v", err)
 	}
-	// Racing statistics stay off stdout so merges diff byte-identical
-	// against monolithic fallbench runs.
-	attack.FprintStats(os.Stderr, m.WinStats())
 	if st := m.MemoStats(); st != nil {
 		attack.FprintMemoSummary(os.Stderr, nil, *st, -1)
 	}

@@ -45,6 +45,10 @@ func TestUsageExitCodes(t *testing.T) {
 	if code, _ := exitCode("plan", "-h"); code != 0 {
 		t.Errorf("campaign plan -h: exit %d, want 0", code)
 	}
+	// One engine answers every query, so -portfolio is no flag.
+	if code, stdout := exitCode("plan", "-dir", t.TempDir(), "-portfolio", "3"); code != 1 || stdout != "" {
+		t.Errorf("campaign plan -portfolio 3: exit %d, stdout %q; want exit 1 and no stdout", code, stdout)
+	}
 }
 
 // An error from internal/campaign, which already names the package,

@@ -15,11 +15,8 @@
 //	               output is identical for every worker count)
 //	-solver SPEC   solver engine spec: an internal config
 //	               (seed=3,restart=geometric) or an external DIMACS
-//	               solver (kissat, process:cmd=/path)
-//	-portfolio P   race engines per solver query: an integer N is
-//	               shorthand for N internal variants of -solver, a list
-//	               (internal,kissat) races heterogeneous backends;
-//	               decided verdicts are identical for every mix
+//	               solver (kissat, process:cmd=/path); decided
+//	               verdicts are identical for every engine
 //	-memo          share a cross-query verdict cache across every attack
 //	               and scoring miter (verdicts unchanged; hit statistics
 //	               and per-case encode/solve splits land on stderr)
@@ -34,14 +31,13 @@
 // Each requested suite runs as exp.SuiteUnits → exp.RunUnits →
 // exp.RenderSuite and prints as soon as it finishes, in the order
 // table1, fig5, fig6, summary. Results go to stdout, diagnostics —
-// per-case encode/solve splits, the aggregated per-engine portfolio win
-// statistics and the memo summary — to stderr, so racing runs diff
-// clean against single-engine runs. The exit code is 0 on success, 1 on
-// a usage or hard error, and 2 when some attack runs failed (their rows
-// are still printed). To split a run across machines, use cmd/campaign
-// with the same flags: campaign merge prints through the same
-// exp.RenderSuite, so a merged campaign is byte-identical to this
-// command's output.
+// per-case encode/solve splits and the memo summary — to stderr, so
+// runs on any engine diff clean against default-engine runs. The exit
+// code is 0 on success, 1 on a usage or hard error, and 2 when some
+// attack runs failed (their rows are still printed). To split a run
+// across machines, use cmd/campaign with the same flags: campaign merge
+// prints through the same exp.RenderSuite, so a merged campaign is
+// byte-identical to this command's output.
 package main
 
 import (
@@ -132,7 +128,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%v", err)
 	}
 	defer sf.EndTrace(stderr)
-	cfg.Engines, cfg.Memo, cfg.Trace = sf.Specs, sf.Memo, sf.Root
+	cfg.Engine, cfg.Memo, cfg.Trace = sf.Spec, sf.Memo, sf.Root
 
 	// Build the locked suite once; every requested report shares it.
 	cases, err := exp.BuildSuite(cfg)
@@ -176,9 +172,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			printSplit(fmt.Sprintf("%s/%s/%s", f.SA.Circuit, f.SA.Level.Token(), f.SA.Attack), f.SA.Time, f.SA.SolveNS)
 		}
 	}
-	// Racing statistics go to stderr: stdout must stay verdict-only so
-	// portfolio runs diff byte-identical against single-engine runs.
-	attack.FprintStats(stderr, exp.WinStats(all))
 	if cfg.Memo != nil {
 		st := exp.MemoStats(all)
 		if st == nil { // no unit queried a solver (-table1 alone)

@@ -28,6 +28,7 @@ func TestUsageErrorsLeaveNoTraceTemp(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "tiny", "-trace", filepath.Join(dir, "t.ndjson")},
 		{"-scale", "tiny", "-fig5", "bogus", "-trace", filepath.Join(dir, "t2.ndjson")},
+		{"-summary", "-scale", "tiny", "-portfolio", "3"}, // no such flag
 	} {
 		if code, _, stderr := cli(args...); code != 1 {
 			t.Errorf("%v: exit %d, want 1 (stderr %q)", args, code, stderr)

@@ -62,9 +62,8 @@ type Target struct {
 	Workers int
 	// Solver builds the SAT engine behind every solver instance the
 	// attack creates. nil selects a single default-configured engine;
-	// (*SolverSetup).Factory yields configured engines or per-query
-	// portfolio racing with win accounting. Attacks that use no SAT
-	// solving (SPS) ignore it.
+	// (*SolverSetup).Factory yields the engine -solver names. Attacks
+	// that use no SAT solving (SPS) ignore it.
 	Solver SolverFactory
 }
 

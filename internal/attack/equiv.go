@@ -31,9 +31,8 @@ func KeyEquivalent(ctx context.Context, locked, original *circuit.Circuit, key K
 }
 
 // KeyEquivalentWith is KeyEquivalent with the miter built on the given
-// solver factory (nil = default single engine): the miter's UNSAT proof
-// is exactly the query class portfolio racing targets, so harnesses
-// score shortlists through the same factory their attacks ran with.
+// solver factory (nil = default single engine), so harnesses score
+// shortlists through the same factory their attacks ran with.
 func KeyEquivalentWith(ctx context.Context, f SolverFactory, locked, original *circuit.Circuit, key Key) (bool, error) {
 	if locked == nil || original == nil {
 		return false, fmt.Errorf("attack: KeyEquivalent needs both circuits")

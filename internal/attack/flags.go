@@ -13,45 +13,44 @@ import (
 // attack CLIs, declared once by RegisterFlags. Start resolves the
 // parsed flags into the exported fields; Finish ends the run.
 type SolverFlags struct {
-	// Specs is the engine list -solver/-portfolio resolve to
-	// (sat.ResolveSolverFlags); nil selects the default engine.
-	Specs []sat.EngineSpec
+	// Spec is the engine -solver names (sat.ParseEngineSpec); the empty
+	// flag gives the default engine.
+	Spec sat.EngineSpec
 	// Memo is the verdict cache -memo/-memo-dir ask for, or nil.
 	Memo *sat.Memo
-	// Setup builds the run's engines over Specs, carrying Memo and the
+	// Setup builds the run's engines on Spec, carrying Memo and the
 	// trace; nil when no flag asks for one (the default engine).
 	Setup *SolverSetup
 	// Root is the trace's root span; nil without -trace.
 	Root *obs.Span
 
-	solver, portfolio, trace string
-	memoFlags                *MemoFlags
-	name                     string
-	tracer                   *obs.Tracer
+	solver, trace string
+	memoFlags     *MemoFlags
+	name          string
+	tracer        *obs.Tracer
 }
 
-// RegisterFlags declares -solver, -portfolio, -memo, -memo-dir,
-// -memo-max-bytes and -trace on fs.
+// RegisterFlags declares -solver, -memo, -memo-dir, -memo-max-bytes and
+// -trace on fs.
 func RegisterFlags(fs *flag.FlagSet) *SolverFlags {
 	f := &SolverFlags{}
 	fs.StringVar(&f.solver, "solver", "", "solver engine spec, e.g. seed=3,restart=geometric | kissat | process:cmd=/path/to/solver (empty = baseline CDCL; see sat.ParseEngineSpec)")
-	fs.StringVar(&f.portfolio, "portfolio", "", "race engines per query, first verdict wins: an integer N races N internal variants of -solver, a list like internal,kissat races heterogeneous backends")
 	f.memoFlags = RegisterMemoFlags(fs)
 	fs.StringVar(&f.trace, "trace", "", "write an NDJSON span trace of the run to FILE (verdicts and stdout unchanged; analyze with tracestat)")
 	return f
 }
 
-// Start resolves the parsed flags: the engine specs (failing fast when
+// Start resolves the parsed flags: the engine spec (failing fast when
 // a process engine's binary is missing), the memo, and — with -trace —
 // a tracer whose root span is name with the attribute pairs attrs.
 // name also prefixes Finish's diagnostics.
 func (f *SolverFlags) Start(name string, attrs ...any) error {
 	f.name = name
 	var err error
-	if f.Specs, err = sat.ResolveSolverFlags(f.solver, f.portfolio); err != nil {
+	if f.Spec, err = sat.ParseEngineSpec(f.solver); err != nil {
 		return err
 	}
-	setup := NewSolverSetupEngines(f.Specs)
+	setup := &SolverSetup{Spec: f.Spec}
 	if err := setup.Check(); err != nil {
 		return err
 	}
@@ -64,19 +63,17 @@ func (f *SolverFlags) Start(name string, attrs ...any) error {
 		}
 		f.Root = f.tracer.Start(name, attrs...)
 	}
-	if f.Specs != nil || f.Memo != nil || f.tracer != nil {
+	if setup.Label() != "" || f.Memo != nil || f.tracer != nil {
 		setup.Memo = f.Memo
 		f.Setup = setup
 	}
 	return nil
 }
 
-// Finish ends a run whose engines Setup built: the racing statistics
-// and memo summary go to w, the root span records status, and the
-// trace is closed. Call it before any verdict-driven os.Exit, which
-// skips deferred calls.
+// Finish ends a run whose engines Setup built: the memo summary goes
+// to w, the root span records status, and the trace is closed. Call it
+// before any verdict-driven os.Exit, which skips deferred calls.
 func (f *SolverFlags) Finish(w io.Writer, status string) {
-	f.Setup.FprintWinStats(w)
 	if st := f.Setup.MemoStats(); st != nil {
 		FprintMemoSummary(w, f.Memo, *st, -1)
 	}

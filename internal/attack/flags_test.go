@@ -30,23 +30,22 @@ func TestRegisterFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Specs != nil || f.Setup != nil || f.Memo != nil || f.Root != nil || f.tracer != nil {
+	if f.Spec != sat.InternalSpec(sat.Config{}) || f.Setup != nil || f.Memo != nil || f.Root != nil || f.tracer != nil {
 		t.Errorf("no flags must resolve to the default engine alone: %+v", f)
 	}
 	f.Finish(io.Discard, "unique-key") // nil-safe without a setup or trace
 
-	f, err = startFlags(t, "-portfolio", "3", "-memo")
+	f, err = startFlags(t, "-solver", "seed=7,restart=geometric", "-memo")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Specs) != 3 || f.Memo == nil || f.Setup == nil || f.Setup.Memo != f.Memo || len(f.Setup.Specs) != 3 {
-		t.Errorf("-portfolio 3 -memo: specs %+v, memo %v, setup %+v", f.Specs, f.Memo, f.Setup)
+	geo := sat.InternalSpec(sat.Config{Seed: 7, Restart: sat.RestartGeometric})
+	if f.Spec != geo || f.Memo == nil || f.Setup == nil || f.Setup.Memo != f.Memo || f.Setup.Spec != geo {
+		t.Errorf("-solver seed=7,restart=geometric -memo: spec %+v, memo %v, setup %+v", f.Spec, f.Memo, f.Setup)
 	}
 
 	for _, bad := range [][]string{
 		{"-solver", "frobnicate=1"},
-		{"-portfolio", "internal,internal"},
-		{"-portfolio", "-2"},
 		{"-solver", "definitely-not-a-sat-solver-7f3a"},
 	} {
 		if _, err := startFlags(t, bad...); err == nil {
@@ -85,8 +84,8 @@ func TestRegisterFlagsTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Setup == nil || f.Root == nil || f.Specs != nil {
-		t.Fatalf("-trace: setup %+v root %v specs %+v", f.Setup, f.Root, f.Specs)
+	if f.Setup == nil || f.Root == nil || f.Setup.Label() != "" {
+		t.Fatalf("-trace: setup %+v root %v", f.Setup, f.Root)
 	}
 	e := f.Setup.Factory()(obs.With(context.Background(), f.Root))
 	loadPigeonhole(e, 5, 4)

@@ -55,7 +55,7 @@ func ForEachIndexed(workers, n int, fn func(i int) bool) {
 
 // This file holds the SAT plumbing shared by every oracle-guided attack
 // (SAT attack, Double DIP, key confirmation) and by the FALL analyses:
-// solver-engine construction (single or portfolio, via SolverFactory),
+// solver-engine construction (via SolverFactory),
 // I/O constraint replay, and the locked-circuit/oracle output alignment.
 
 // SolverFactory builds the SAT engine an attack uses for one solver

@@ -58,8 +58,8 @@ type ResultJSON struct {
 	// attack time only. Set by cmd/attack -json and attackd artifacts so
 	// CLI output and daemon artifacts carry the same fields.
 	WallNS time.Duration `json:"wall_ns,omitempty"`
-	// Engines lists the resolved solver engine labels the run raced
-	// (SolverSetup.EngineLabels): ["internal"] for the default engine.
+	// Engines holds the label of the engine the run solved on
+	// (SolverSetup.EngineLabel): ["internal"] for the default engine.
 	Engines []string `json:"engines,omitempty"`
 	// SolveNS is the cumulative wall time spent inside solver
 	// Solve/SolveAssuming calls (SolverSetup.SolveTime) — the total a

@@ -3,9 +3,7 @@ package attack
 import (
 	"context"
 	"fmt"
-	"io"
 	"os/exec"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -14,22 +12,19 @@ import (
 	"repro/internal/sat/procengine"
 )
 
-// This file is the construction point of the heterogeneous solver
-// system: sat holds the spec grammar (pure data), the backend packages
-// hold the engines, and SolverSetup — the only place that imports all
-// of them — turns parsed specs into SolverFactory closures and shares
-// one win ledger across every engine a run builds.
+// This file is the construction point of the solver backends: sat holds
+// the spec grammar (pure data), the backend packages hold the engines,
+// and SolverSetup — the only place that imports all of them — turns a
+// parsed spec into a SolverFactory.
 
-// SolverSetup bundles a solver configuration into a SolverFactory, and
-// — when racing — accumulates per-engine win statistics across every
-// engine the factory builds. One setup typically spans one attack run
-// (or one harness case), so its WinStats describe that run.
+// SolverSetup bundles a solver configuration into a SolverFactory. One
+// setup typically spans one attack run (or one harness case), so its
+// solve time and memo counters describe that run.
 type SolverSetup struct {
-	// Specs is the engine list (sat.ResolveSolverFlags): one spec
-	// selects that engine, two or more race per query. Empty builds the
-	// default internal engine, for setups that exist only to carry a
-	// memo or a trace.
-	Specs []sat.EngineSpec
+	// Spec is the engine every query runs on (sat.ParseEngineSpec). The
+	// zero value is the default internal engine, for setups that exist
+	// only to carry a memo or a trace.
+	Spec sat.EngineSpec
 	// Memo, when non-nil, wraps every engine the factory builds in a
 	// verdict-memoizing layer (sat.MemoEngine) sharing this cache, so
 	// identical (formula, assumptions) queries — across cells,
@@ -38,22 +33,11 @@ type SolverSetup struct {
 	// setup (MemoStats).
 	Memo *sat.Memo
 
-	ledger  *sat.Ledger
 	memoCtr sat.MemoCounters
 	solveNS atomic.Int64
 }
 
-// NewSolverSetupEngines builds a setup racing the given engine specs
-// (a single spec selects that engine without racing or accounting).
-func NewSolverSetupEngines(specs []sat.EngineSpec) *SolverSetup {
-	s := &SolverSetup{Specs: specs}
-	if len(specs) >= 2 {
-		s.ledger = sat.NewLedgerLabels(sat.EngineLabels(specs))
-	}
-	return s
-}
-
-// Check verifies the setup is runnable on this machine — every
+// Check verifies the setup is runnable on this machine — a
 // process-engine binary resolves on PATH. Entry points call it once so
 // a missing solver fails fast instead of surfacing as a stream of
 // Unknown verdicts.
@@ -61,11 +45,9 @@ func (s *SolverSetup) Check() error {
 	if s == nil {
 		return nil
 	}
-	for _, spec := range s.Specs {
-		if spec.Kind == sat.EngineProcess {
-			if _, err := exec.LookPath(spec.Cmd); err != nil {
-				return fmt.Errorf("attack: solver %q not found: %w", spec.Cmd, err)
-			}
+	if s.Spec.Kind == sat.EngineProcess {
+		if _, err := exec.LookPath(s.Spec.Cmd); err != nil {
+			return fmt.Errorf("attack: solver %q not found: %w", s.Spec.Cmd, err)
 		}
 	}
 	return nil
@@ -87,27 +69,13 @@ func buildEngine(ctx context.Context, spec sat.EngineSpec) sat.Engine {
 
 // Factory returns the SolverFactory realizing the setup; a nil setup
 // yields a nil factory (the default engine). The factory is safe for
-// concurrent use: portfolios built by different workers share the
-// setup's ledger, which is mutex-guarded.
+// concurrent use: the counters it feeds are atomic or mutex-guarded.
 func (s *SolverSetup) Factory() SolverFactory {
 	if s == nil {
 		return nil
 	}
 	return func(ctx context.Context) sat.Engine {
-		if len(s.Specs) < 2 {
-			spec := sat.InternalSpec(sat.Config{})
-			if len(s.Specs) == 1 {
-				spec = s.Specs[0]
-			}
-			return s.wrap(buildEngine(ctx, spec), ctx)
-		}
-		engines := make([]sat.Engine, len(s.Specs))
-		for i, spec := range s.Specs {
-			engines[i] = buildEngine(ctx, spec)
-		}
-		p := sat.NewEnginePortfolio(engines, s.ledger)
-		p.SetContext(ctx)
-		return s.wrap(p, ctx)
+		return s.wrap(buildEngine(ctx, s.Spec), ctx)
 	}
 }
 
@@ -131,10 +99,7 @@ func (s *SolverSetup) wrap(e sat.Engine, ctx context.Context) sat.Engine {
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		t.span = sp
 		t.ctx = ctx
-		t.label = s.Label()
-		if t.label == "" {
-			t.label = "internal"
-		}
+		t.label = s.EngineLabel()
 	}
 	return t
 }
@@ -224,64 +189,40 @@ func (t *timedEngine) LitTrue(l sat.Lit) bool         { return t.inner.LitTrue(l
 func (t *timedEngine) SetContext(ctx context.Context) { t.inner.SetContext(ctx) }
 func (t *timedEngine) Stats() sat.Stats               { return t.inner.Stats() }
 
-// SolverSetupFromFlags resolves the -solver/-portfolio flag pair
-// (sat.ResolveSolverFlags) into a setup. Both flags unset (or a width
-// below 2 with no solver) yield a nil setup: the attacks' built-in
-// default engine, byte-identical to not passing the flags at all.
-func SolverSetupFromFlags(solver, portfolio string) (*SolverSetup, error) {
-	specs, err := sat.ResolveSolverFlags(solver, portfolio)
-	if specs == nil {
+// SolverSetupFromFlags resolves -solver (sat.ParseEngineSpec) into a
+// setup. The default engine, however it is spelled (including the empty
+// spec), yields a nil setup: the attacks' built-in default engine,
+// byte-identical to not passing the flag at all.
+func SolverSetupFromFlags(solver string) (*SolverSetup, error) {
+	spec, err := sat.ParseEngineSpec(solver)
+	if err != nil {
 		return nil, err
 	}
-	return NewSolverSetupEngines(specs), nil
-}
-
-// EngineLabels returns the canonical label of every engine the setup
-// resolves to, in racing order — ["internal"] for a nil setup or the
-// default single engine, the spec labels otherwise. This is the
-// "engines" field of ResultJSON and of attackd artifacts.
-func (s *SolverSetup) EngineLabels() []string {
+	s := &SolverSetup{Spec: spec}
 	if s.Label() == "" {
-		return []string{"internal"}
+		return nil, nil
 	}
-	return sat.EngineLabels(s.Specs)
+	return s, nil
 }
 
-// FprintStats writes one racing-statistics line per engine — the
-// shared rendering of the CLIs' stderr reports.
-func FprintStats(w io.Writer, stats []sat.ConfigStats) {
-	for _, cs := range stats {
-		fmt.Fprintf(w, "portfolio %-44s races %4d wins %4d (sat %d, unsat %d) conflicts %d\n",
-			cs.Config, cs.Races, cs.Wins, cs.SatWins, cs.UnsatWins, cs.Conflicts)
+// EngineLabel returns the canonical label of the engine the setup
+// builds: "internal" for a nil setup or the default engine, the spec
+// otherwise. It is the "engines" field of ResultJSON and of attackd
+// artifacts, and the engine attribute of query spans.
+func (s *SolverSetup) EngineLabel() string {
+	if l := s.Label(); l != "" {
+		return l
 	}
-}
-
-// FprintWinStats writes the setup's racing statistics (no-op for nil
-// or non-racing setups).
-func (s *SolverSetup) FprintWinStats(w io.Writer) {
-	FprintStats(w, s.WinStats())
-}
-
-// WinStats returns the per-engine portfolio statistics accumulated so
-// far; nil when the setup does not race (nothing to account).
-func (s *SolverSetup) WinStats() []sat.ConfigStats {
-	if s == nil || s.ledger == nil {
-		return nil
-	}
-	return s.ledger.Snapshot()
+	return "internal"
 }
 
 // Label returns a human/artifact-readable description of the setup:
-// "" for the default single engine however it is spelled (so serialized
-// outcomes stay byte-identical to pre-portfolio ones), the engine spec
-// for a single non-default engine, and "portfolio(<spec> | ...)" for
-// racing.
+// "" for the default engine however it is spelled (so serialized
+// outcomes stay byte-identical to runs without -solver), and the engine
+// spec otherwise.
 func (s *SolverSetup) Label() string {
-	switch {
-	case s == nil || len(s.Specs) == 0 || (len(s.Specs) == 1 && s.Specs[0] == sat.InternalSpec(sat.Config{})):
+	if s == nil || s.Spec == (sat.EngineSpec{}) || s.Spec == sat.InternalSpec(sat.Config{}) {
 		return ""
-	case len(s.Specs) == 1:
-		return s.Specs[0].String()
 	}
-	return fmt.Sprintf("portfolio(%s)", strings.Join(sat.EngineLabels(s.Specs), " | "))
+	return s.Spec.String()
 }

@@ -43,7 +43,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"repro/internal/cnf"
@@ -86,21 +85,9 @@ type Config struct {
 	// subsumes the original sat.ParseConfig syntax); empty selects the
 	// baseline internal engine. Solver choice never changes verdicts,
 	// but the spec is part of the plan (and so of its hash) because it
-	// changes the recorded solver_config and portfolio_stats artifact
-	// fields. omitempty keeps hashes of pre-portfolio plans unchanged.
+	// changes the recorded solver_config artifact field. omitempty keeps
+	// hashes of plans without a solver unchanged.
 	Solver string `json:"solver,omitempty"`
-	// Portfolio races this many internal-engine variants of the Solver
-	// config per solver query (< 2 = single engine, negative rejected);
-	// requires an internal (or empty) Solver spec. An integer -portfolio
-	// lands here rather than in PortfolioEngines so its plan hash stays
-	// the one earlier plans recorded.
-	Portfolio int `json:"portfolio,omitempty"`
-	// PortfolioEngines, when set, races an explicit heterogeneous
-	// engine list instead (sat.ParseEngineList grammar, e.g.
-	// "internal,kissat"); a bare "internal" entry inherits the Solver
-	// base config. omitempty keeps pre-heterogeneous plan hashes
-	// unchanged.
-	PortfolioEngines string `json:"portfolio_engines,omitempty"`
 	// MemoDir, when non-empty, is the plan's default persistent
 	// verdict-store directory: every shard run attaches the on-disk memo
 	// tier there unless overridden at run time. The memo only changes
@@ -126,14 +113,7 @@ func (c Config) ExpConfig() (exp.Config, error) {
 		Enc:        enc,
 		SATIterCap: c.SATIterCap,
 	}
-	portfolio := c.PortfolioEngines
-	if c.Portfolio != 0 {
-		if portfolio != "" {
-			return exp.Config{}, fmt.Errorf("campaign: portfolio and portfolio_engines are mutually exclusive")
-		}
-		portfolio = strconv.Itoa(c.Portfolio)
-	}
-	if cfg.Engines, err = sat.ResolveSolverFlags(c.Solver, portfolio); err != nil {
+	if cfg.Engine, err = sat.ParseEngineSpec(c.Solver); err != nil {
 		return exp.Config{}, err
 	}
 	return cfg, nil
@@ -227,7 +207,7 @@ func NewPlan(cfg Config) (*Plan, error) {
 				SpecIdx: idx,
 				Circuit: u.Circuit,
 				Attack:  u.Attack,
-				Seed:    cfg.Seed + int64(idx)*1009,
+				Seed:    exp.CaseSeed(cfg.Seed, idx),
 			}
 			if u.Kind != exp.UnitTable1 {
 				pc.Level = u.Level.Token()

@@ -64,12 +64,6 @@ func (m *MergeResult) results() []exp.UnitResult {
 	return rs
 }
 
-// WinStats aggregates the per-engine racing statistics recorded across
-// every artifact (exp.WinStats), keyed by engine label in plan order —
-// the campaign-level ledger snapshot that cmd/campaign merge prints.
-// Nil when the campaign did not race.
-func (m *MergeResult) WinStats() []sat.ConfigStats { return exp.WinStats(m.results()) }
-
 // MemoStats sums the verdict-cache hit/miss counters recorded across
 // every artifact (exp.MemoStats). Nil when no shard ran with
 // memoization enabled.

@@ -45,7 +45,7 @@ func (c *caseCache) get(n caseNeed) (*exp.Case, error) {
 	if !ok {
 		build = sync.OnceValues(func() (*exp.Case, error) {
 			spec := c.plan.Config.Specs[n.specIdx]
-			cs, err := exp.BuildCase(spec, n.level, c.plan.Config.Seed+int64(n.specIdx)*1009)
+			cs, err := exp.BuildCase(spec, n.level, exp.CaseSeed(c.plan.Config.Seed, n.specIdx))
 			if err != nil {
 				return nil, fmt.Errorf("campaign: build %s/%s: %w", spec.Name, n.level.Label(), err)
 			}
@@ -193,8 +193,6 @@ func Run(ctx context.Context, plan *Plan, artifactDir string, opts RunOptions) (
 	planCfg := plan.Config
 	if opts.SolverOverride != "" {
 		planCfg.Solver = opts.SolverOverride
-		planCfg.Portfolio = 0
-		planCfg.PortfolioEngines = ""
 	}
 	expCfg, err := planCfg.ExpConfig()
 	if err != nil {
@@ -203,7 +201,7 @@ func Run(ctx context.Context, plan *Plan, artifactDir string, opts RunOptions) (
 	expCfg.Workers = opts.Workers
 	// Fail fast on missing solver binaries instead of a run full of
 	// Unknown verdicts.
-	if err := attack.NewSolverSetupEngines(expCfg.Engines).Check(); err != nil {
+	if err := (&attack.SolverSetup{Spec: expCfg.Engine}).Check(); err != nil {
 		return nil, err
 	}
 	memoDir := opts.MemoDir

@@ -50,9 +50,9 @@ func ParseCardEncoding(s string) (CardEncoding, error) {
 }
 
 // Encoder owns an engine and allocates auxiliary variables for Tseitin
-// encodings built on top of it. Any sat.Engine works — a single
-// solver, a racing portfolio, an external backend or a memo engine —
-// and the clauses go straight to the engine that solves them.
+// encodings built on top of it. Any sat.Engine works — the internal
+// solver, an external backend or a memo engine — and the clauses go
+// straight to the engine that solves them.
 type Encoder struct {
 	S sat.Engine
 

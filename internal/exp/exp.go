@@ -59,18 +59,21 @@ func (l HLevel) Label() string {
 	}
 }
 
-// Value returns the Hamming distance h for key size m.
+// Value returns the Hamming distance h for key size m. Every level but
+// HD0 locks at h >= 1, so a key too short for its fraction gets h = 1.
 func (l HLevel) Value(m int) int {
+	var h int
 	switch l {
 	case HD0:
 		return 0
 	case HM8:
-		return m / 8
+		h = m / 8
 	case HM4:
-		return m / 4
+		h = m / 4
 	default:
-		return m / 3
+		h = m / 3
 	}
+	return max(h, 1)
 }
 
 // Token returns the short stable name for the configuration, used in
@@ -139,13 +142,10 @@ type Config struct {
 	// intra-attack parallelism pinned to 1, and results merge in case
 	// order.
 	Workers int
-	// Engines is the engine list behind every attack query and scoring
-	// miter (sat.ResolveSolverFlags); nil selects the baseline single
-	// engine. Two or more engines race per query, first verdict wins:
-	// racing never changes verdicts — every engine decides the same
-	// formula — only the runtime distribution, and per-engine win
-	// statistics land in each Outcome.
-	Engines []sat.EngineSpec
+	// Engine is the engine behind every attack query and scoring miter
+	// (sat.ParseEngineSpec); the zero value, like any spelling of the
+	// default spec, selects the baseline engine.
+	Engine sat.EngineSpec
 	// Memo is the runtime-only cross-query verdict cache shared by every
 	// solver the run builds (sat.NewMemo); nil disables memoization.
 	// Attaching a memo forces a solver setup even for otherwise-default
@@ -163,18 +163,17 @@ type Config struct {
 }
 
 // solverSetup derives the per-run solver setup. Each attack run gets a
-// fresh setup, so its recorded win statistics describe that run alone;
-// a fully-default config returns nil (the attacks' built-in default
-// engine), keeping default outcomes byte-identical to pre-portfolio
-// artifacts. A memo or trace alone attaches to a setup with no engine
-// list, which builds exactly the default engine, so verdicts and
-// artifacts change only by the memo/solve-time fields themselves.
+// fresh setup, so its recorded solve time and memo counters describe
+// that run alone; a fully-default config returns nil (the attacks'
+// built-in default engine), so default outcomes carry no solver fields.
+// A memo or trace alone attaches to a setup on the default engine, so
+// verdicts and artifacts change only by the memo/solve-time fields
+// themselves.
 func (cfg Config) solverSetup() *attack.SolverSetup {
-	if len(cfg.Engines) == 0 && cfg.Memo == nil && cfg.Trace == nil {
+	s := &attack.SolverSetup{Spec: cfg.Engine, Memo: cfg.Memo}
+	if s.Label() == "" && cfg.Memo == nil && cfg.Trace == nil {
 		return nil
 	}
-	s := attack.NewSolverSetupEngines(cfg.Engines)
-	s.Memo = cfg.Memo
 	return s
 }
 
@@ -211,6 +210,12 @@ type Case struct {
 	Seed int64
 }
 
+// CaseSeed returns the build seed of the spec at index specIdx of a
+// suite whose base seed is base. It depends only on the spec's
+// position, never on run order, so every harness, plan and campaign
+// worker builds the same circuits.
+func CaseSeed(base int64, specIdx int) int64 { return base + int64(specIdx)*1009 }
+
 // BuildCase generates and locks one benchmark instance.
 func BuildCase(spec genbench.Spec, level HLevel, seed int64) (*Case, error) {
 	orig, err := genbench.Generate(spec, seed)
@@ -218,9 +223,6 @@ func BuildCase(spec genbench.Spec, level HLevel, seed int64) (*Case, error) {
 		return nil, err
 	}
 	h := level.Value(spec.Keys)
-	if level != HD0 && h < 1 {
-		h = 1
-	}
 	lr, err := lock.SFLLHD(orig, lock.Options{
 		KeySize: spec.Keys, H: h, Seed: seed + int64(level)*7 + 1, Optimize: true,
 	})
@@ -244,7 +246,7 @@ func BuildSuite(cfg Config) ([]*Case, error) {
 	var jobs []job
 	for i, spec := range cfg.Specs {
 		for _, level := range Levels {
-			jobs = append(jobs, job{spec, level, cfg.Seed + int64(i)*1009})
+			jobs = append(jobs, job{spec, level, CaseSeed(cfg.Seed, i)})
 		}
 	}
 	cases := make([]*Case, len(jobs))
@@ -319,11 +321,6 @@ type Outcome struct {
 	// (attack.SolverSetup.Label form); empty for the baseline single
 	// engine, so default artifacts stay byte-identical to older ones.
 	SolverConfig string `json:"solver_config,omitempty"`
-	// PortfolioStats carries the per-config win/conflict accounting
-	// accumulated across this run's solver queries (attack and scoring
-	// miters) when portfolio racing was enabled. Wins and conflicts are
-	// scheduling-dependent diagnostics; verdict fields never are.
-	PortfolioStats []sat.ConfigStats `json:"portfolio_stats,omitempty"`
 	// SolveNS is the cumulative wall time (ns) the run's engines spent
 	// inside Solve/SolveAssuming — the solve share of Time, the rest
 	// being encoding and bookkeeping. Recorded only when a solver setup
@@ -361,9 +358,8 @@ func ScoreShortlist(ctx context.Context, cs *Case, keys []attack.Key, cfg Config
 		defer cancel()
 		for _, key := range keys {
 			miters++
-			// The miter runs through the same solver setup as the attack:
-			// its UNSAT proof is exactly the query class portfolio racing
-			// targets, and its races land in the same win accounting.
+			// The miter runs through the same solver setup as the attack,
+			// so its solve time and memo hits land in the same counters.
 			if eq, err := attack.KeyEquivalentWith(sctx, setup.Factory(), cs.Lock.Locked, cs.Orig, key); err == nil && eq {
 				out.Equivalent = true
 				break
@@ -381,7 +377,6 @@ func finishSolver(setup *attack.SolverSetup, out *Outcome) {
 	if setup == nil {
 		return
 	}
-	out.PortfolioStats = setup.WinStats()
 	out.SolveNS = int64(setup.SolveTime())
 	out.MemoStats = setup.MemoStats()
 }
@@ -522,11 +517,10 @@ type Fig6CaseResult struct {
 	KCConfirmed bool          `json:"kc_confirmed"`
 	KCElapsed   time.Duration `json:"kc_elapsed_ns"`
 	KCKey       attack.Key    `json:"kc_key,omitempty"`
-	// KCSolverConfig / KCPortfolio record the non-default solver setup
-	// of the FALL→key-confirmation pipeline (the SAT attack's setup is
-	// in SA); empty/nil for the baseline single engine.
-	KCSolverConfig string            `json:"kc_solver_config,omitempty"`
-	KCPortfolio    []sat.ConfigStats `json:"kc_portfolio,omitempty"`
+	// KCSolverConfig records the non-default solver setup of the
+	// FALL→key-confirmation pipeline (the SAT attack's setup is in SA);
+	// empty for the baseline single engine.
+	KCSolverConfig string `json:"kc_solver_config,omitempty"`
 	// KCSolveNS / KCMemoStats mirror Outcome.SolveNS / Outcome.MemoStats
 	// for the FALL→key-confirmation pipeline's solver setup.
 	KCSolveNS   int64          `json:"kc_solve_ns,omitempty"`
@@ -576,7 +570,6 @@ func RunFig6Case(ctx context.Context, cs *Case, cfg Config) Fig6CaseResult {
 			r.KCKey = kc.Keys[0]
 		}
 	}
-	r.KCPortfolio = setup.WinStats()
 	r.KCSolveNS = int64(setup.SolveTime())
 	r.KCMemoStats = setup.MemoStats()
 	r.SA = RunSAT(ctx, cs, cfg)

@@ -193,7 +193,7 @@ func TestFig6(t *testing.T) {
 	var cases []*Case
 	for i, spec := range cfg.Specs {
 		// One level per circuit keeps the test quick.
-		cs, err := BuildCase(spec, HD0, cfg.Seed+int64(i)*1009)
+		cs, err := BuildCase(spec, HD0, CaseSeed(cfg.Seed, i))
 		if err != nil {
 			t.Fatal(err)
 		}

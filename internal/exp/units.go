@@ -191,24 +191,6 @@ func (r UnitResult) Failed() bool {
 	return false
 }
 
-// WinStats aggregates the per-engine racing statistics recorded across
-// results (attack outcomes, Fig. 6 key-confirmation pipelines and their
-// SAT-attack halves), label-keyed in first-appearance order: the
-// summary fallbench and campaign merge print on stderr. Nil when
-// nothing raced.
-func WinStats(results []UnitResult) []sat.ConfigStats {
-	var groups [][]sat.ConfigStats
-	for _, r := range results {
-		if r.Outcome != nil {
-			groups = append(groups, r.Outcome.PortfolioStats)
-		}
-		if r.Fig6 != nil {
-			groups = append(groups, r.Fig6.KCPortfolio, r.Fig6.SA.PortfolioStats)
-		}
-	}
-	return sat.MergeStats(groups...)
-}
-
 // MemoStats sums the verdict-cache hit/miss counters recorded across
 // results (attack outcomes, Fig. 6 key-confirmation pipelines and their
 // SAT-attack halves). Nil when no result ran with memoization enabled.
@@ -287,9 +269,6 @@ func unitCost(u Unit, spec genbench.Spec) int64 {
 	keys := int64(spec.Keys)
 	gates := int64(spec.Gates)
 	h := int64(u.Level.Value(spec.Keys))
-	if u.Level != HD0 && h < 1 {
-		h = 1
-	}
 	base := gates + keys*keys
 	switch u.Kind {
 	case UnitTable1:

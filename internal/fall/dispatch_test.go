@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -404,5 +405,40 @@ func TestGridCancelledInPrePass(t *testing.T) {
 			t.Errorf("workers=%d: no cell reported ErrTimeout", workers)
 		}
 		ctx.cancel()
+	}
+}
+
+// TestGridDispatchOrderDeterministic: the grid's units place every job
+// in exactly one unit, and their dispatch order is a pure function of
+// the circuit and h: a second pre-pass and grouping repeat it exactly.
+func TestGridDispatchOrderDeterministic(t *testing.T) {
+	_, lr := lockFig2a(t, 1, 11)
+	units := func() [][]int {
+		cands := supportCandidates(lr.Locked)
+		filterCandidates(context.Background(), lr.Locked, cands, 1)
+		var jobs []analysisJob
+		for _, cd := range cands {
+			jobs = append(jobs, analysisJob{cd, false}, analysisJob{cd, true})
+		}
+		return gridUnits(jobs, 1)
+	}
+	a, b := units(), units()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("unit order differs between computations:\n%v\n%v", a, b)
+	}
+	jobs := 2 * len(supportCandidates(lr.Locked))
+	seen := make([]int, jobs)
+	for _, u := range a {
+		if len(u) == 0 {
+			t.Fatal("empty unit")
+		}
+		for _, i := range u {
+			seen[i]++
+		}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("job %d sits in %d units, want 1", i, n)
+		}
 	}
 }

@@ -102,8 +102,7 @@ type Options struct {
 	// shortlist is identical for every worker count.
 	Workers int
 	// Solver builds the SAT engine behind every analysis query. Each
-	// candidate×polarity cell creates its engines through this factory,
-	// so every cell can independently run a portfolio race per query;
+	// candidate×polarity cell creates its engines through this factory;
 	// nil means default single engines.
 	Solver attack.SolverFactory
 }
@@ -517,8 +516,14 @@ func (a *analysisContext) hdInstance(h int) (sat.Engine, []sat.Lit, []sat.Lit, [
 
 // SlidingWindowAnalysis implements Algorithm 2 (Lemma 3). It returns the
 // recovered cube over locked-circuit input ids, ok=false if the node is
-// inconsistent with a cube stripper, or an error on timeout.
+// inconsistent with a cube stripper, or an error on timeout. At 2h = m
+// it is inapplicable: HD(X, X') = m forces X' = ¬X, so both Lemma 3
+// queries that assume x_i = x'_i are UNSAT for every i, and it returns
+// ok=false without solving.
 func (a *analysisContext) SlidingWindowAnalysis(h int) (map[int]bool, bool, error) {
+	if 2*h == len(a.inputs) {
+		return nil, false, nil
+	}
 	s, xs, ys, ds := a.hdInstance(h)
 	switch s.Solve() {
 	case sat.Unsat:

@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"repro/internal/aig"
+	"repro/internal/attack"
 	"repro/internal/circuit"
 	"repro/internal/cnf"
 	"repro/internal/lock"
+	"repro/internal/sat"
 	"repro/internal/testcirc"
 )
 
@@ -389,6 +391,45 @@ func TestQuickLemmas23OnTrueStripper(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSlidingWindowInapplicableAtHalfWidth: at 2h = m the instance's
+// HD(X, X') = 2h forces X' = ¬X, so both Lemma 3 queries that assume
+// x_i = x'_i are UNSAT for every i and the analysis can only end without
+// a cube. It answers so before building an engine; at h = 2 on the same
+// width it still recovers the cube.
+func TestSlidingWindowInapplicableAtHalfWidth(t *testing.T) {
+	cube := []bool{true, false, true, true, false, false}
+	for _, h := range []int{3, 2} {
+		c := aig.Strash(buildStripHD(len(cube), h, cube))
+		built := 0
+		opts := Options{H: h, Solver: func(ctx context.Context) sat.Engine {
+			built++
+			return attack.NewSolver(ctx)
+		}}
+		ctx, err := newAnalysisContext(context.Background(), c, c.Outputs[0], false, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok, err := ctx.SlidingWindowAnalysis(h)
+		if err != nil {
+			t.Fatalf("h=%d: %v", h, err)
+		}
+		if 2*h == len(cube) {
+			if ok || built != 0 {
+				t.Errorf("h=%d: ok %v after building %d engines, want no cube and no engine", h, ok, built)
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("h=%d: no cube recovered", h)
+		}
+		for i, in := range ctx.inputs {
+			if got[ctx.inputMap[in]] != cube[i] {
+				t.Errorf("h=%d: bit %d = %v, want %v", h, i, got[ctx.inputMap[in]], cube[i])
+			}
+		}
 	}
 }
 

@@ -185,17 +185,3 @@ func Generate(spec Spec, seed int64) (*circuit.Circuit, error) {
 	}
 	return c, nil
 }
-
-// GenerateAll builds the full suite for the given specs with one seed per
-// circuit derived from base.
-func GenerateAll(specs []Spec, base int64) (map[string]*circuit.Circuit, error) {
-	out := make(map[string]*circuit.Circuit, len(specs))
-	for i, s := range specs {
-		ckt, err := Generate(s, base+int64(i)*1009)
-		if err != nil {
-			return nil, err
-		}
-		out[s.Name] = ckt
-	}
-	return out, nil
-}

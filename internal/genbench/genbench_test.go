@@ -159,16 +159,6 @@ func TestScaledCapsKeys(t *testing.T) {
 	}
 }
 
-func TestGenerateAll(t *testing.T) {
-	m, err := GenerateAll(Scaled(TableI, 16, 8)[:5], 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 5 {
-		t.Fatalf("generated %d circuits, want 5", len(m))
-	}
-}
-
 func TestParseScale(t *testing.T) {
 	for _, name := range []string{"paper", "medium", "small", "tiny"} {
 		specs, err := ParseScale(name)

@@ -14,7 +14,7 @@ import (
 // Prometheus text exposition format (version 0.0.4). A collector is
 // sampled at scrape time from the state it reports on, so each
 // statistic has one definition and dynamic label sets (per-tenant
-// load, per-engine ledgers, jobs by state) need no pre-registration.
+// load, jobs by state) need no pre-registration.
 
 // Label is one name="value" pair. Labels render in the order given.
 type Label struct {

@@ -88,7 +88,7 @@ type Config struct {
 	// (default 0, i.e. pure VSIDS).
 	RandomFreq float64
 	// ConflictBudget bounds conflicts per Solve call (0 = unlimited);
-	// equivalent to calling SetConflictLimit after construction.
+	// a call that exceeds it returns Unknown.
 	ConflictBudget int64
 }
 
@@ -116,7 +116,7 @@ func (c Config) withDefaults() Config {
 
 // String renders the canonical spec of the config: the seed plus every
 // field that differs from the baseline, in ParseConfig syntax. It is
-// stable, so it doubles as the config key in portfolio win statistics.
+// stable, so it doubles as the engine's label in artifacts and traces.
 func (c Config) String() string {
 	c = c.withDefaults()
 	d := DefaultConfig()

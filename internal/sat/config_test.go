@@ -85,7 +85,7 @@ func runInstance(cfg Config, load func(e Engine)) (Status, []bool, int64) {
 }
 
 // instanceTable returns named loaders for a mix of SAT and UNSAT
-// instances (the determinism/portfolio verdict table).
+// instances (the determinism and search-trajectory verdict table).
 func instanceTable() map[string]func(e Engine) {
 	loaders := map[string]func(e Engine){
 		"php65-unsat": func(e Engine) { pigeonholeEngine(e, 6, 5) },
@@ -128,8 +128,7 @@ func fmtName(base string, seed int64) string {
 	return base + "-" + string(rune('0'+seed%10)) + string(rune('a'+seed/10))
 }
 
-// pigeonholeEngine is pigeonhole over the Engine interface (usable by
-// both Solver and Portfolio tests).
+// pigeonholeEngine is pigeonhole over the Engine interface.
 func pigeonholeEngine(e Engine, p, h int) {
 	v := make([][]int, p)
 	for i := range v {

@@ -4,12 +4,11 @@ import "context"
 
 // Engine is the solver-backend interface every SAT consumer in this
 // repository programs against: the incremental subset of *Solver that
-// the CNF encoder and the attacks use. Implementations: *Solver (one
-// CDCL engine), *Portfolio (N engines racing per query),
-// procengine.ProcessEngine (an external DIMACS solver behind a pipe)
-// and *MemoEngine (a verdict cache over another engine). Engine specs
-// (see EngineSpec) name the two backends, internal and process, in
-// flags and campaign plans.
+// the CNF encoder and the attacks use. Implementations: *Solver (the
+// CDCL engine), procengine.ProcessEngine (an external DIMACS solver
+// behind a pipe) and *MemoEngine (a verdict cache over another engine).
+// Engine specs (see EngineSpec) name the two backends, internal and
+// process, in flags and campaign plans.
 //
 // Engines are not safe for concurrent use; attacks that parallelize
 // create one engine per worker through an attack.SolverFactory.
@@ -40,7 +39,4 @@ type Engine interface {
 	Stats() Stats
 }
 
-var (
-	_ Engine = (*Solver)(nil)
-	_ Engine = (*Portfolio)(nil)
-)
+var _ Engine = (*Solver)(nil)

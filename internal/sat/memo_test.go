@@ -184,33 +184,6 @@ func TestMemoKeyIsTheFormula(t *testing.T) {
 	}
 }
 
-// TestPortfolioInternalAndMemoRace races an internal solver against a
-// memo engine over a differently-configured solver, both fed the same
-// clauses through the portfolio's AddClause. Both members decide the
-// same formula, so the verdict matches a direct run whichever member
-// wins. Models are not compared (the winner varies); under -race this
-// exercises the memo engine's solve path inside a race.
-func TestPortfolioInternalAndMemoRace(t *testing.T) {
-	memo := sat.NewMemo(0)
-	for seed := int64(100); seed < 120; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ops := randOps(rng, 16)
-		as := randAssumptions(rng, countVars(ops))
-
-		ref := sat.New()
-		applyOps(ref, ops)
-		want := ref.SolveAssuming(as)
-
-		var ctr sat.MemoCounters
-		me := sat.NewMemoEngine(memo, &ctr, sat.NewWith(sat.Config{Seed: 3, Phase: sat.PhaseFalse}))
-		p := sat.NewEnginePortfolio([]sat.Engine{sat.New(), me}, nil)
-		applyOps(p, ops)
-		if got := p.SolveAssuming(as); got != want {
-			t.Fatalf("seed %d: portfolio verdict %v, direct %v", seed, got, want)
-		}
-	}
-}
-
 // TestMemoEngineHitsAndModelIdentity: two engines over the same shared
 // memo build the same formula and ask the same query; the second
 // answers from the cache with the identical verdict and model, without

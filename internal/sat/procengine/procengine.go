@@ -13,9 +13,8 @@
 // clauses do not persist. Context cancellation kills the solver
 // process; any malformed or missing output — including a SAT answer
 // whose model falsifies a dumped clause or assumption — makes the call
-// return Unknown with the underlying error retained in Err, so a
-// portfolio falls through to its other members instead of reporting a
-// verdict the engine cannot back.
+// return Unknown with the underlying error retained in Err, instead of
+// a verdict the engine cannot back.
 package procengine
 
 import (
@@ -32,8 +31,7 @@ import (
 )
 
 // ProcessEngine is a sat.Engine backed by an external DIMACS solver
-// process. Like every engine, it is not safe for concurrent use; racing
-// several lives in sat.Portfolio.
+// process. Like every engine, it is not safe for concurrent use.
 type ProcessEngine struct {
 	cmd  string   // binary name (resolved on PATH per call) or path
 	args []string // extra arguments before the CNF file
@@ -134,8 +132,8 @@ func (e *ProcessEngine) SolveAssuming(assumptions []sat.Lit) sat.Status {
 
 // checkModel verifies a reported model against the dumped clauses and
 // assumption units: an external solver's SAT answer is not taken on
-// trust, because a wrong model winning a portfolio race would reach
-// the attacks' cubes and distinguishing inputs.
+// trust, because a wrong model would reach the attacks' cubes and
+// distinguishing inputs.
 func checkModel(model []bool, clauses [][]int, units []int) error {
 	holds := func(lit int) bool {
 		v := lit

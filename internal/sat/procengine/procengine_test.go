@@ -207,7 +207,7 @@ func TestNonzeroExit(t *testing.T) {
 }
 
 // TestMissingBinary: a solver that is not on PATH yields Unknown with a
-// retained error (portfolios fall through; Check fails fast upstream).
+// retained error (Check fails fast upstream).
 func TestMissingBinary(t *testing.T) {
 	e := New("definitely-not-a-sat-solver-7f3a")
 	x := e.NewVar()
@@ -217,21 +217,5 @@ func TestMissingBinary(t *testing.T) {
 	}
 	if e.Err() == nil {
 		t.Error("missing binary: no error retained")
-	}
-}
-
-// TestPortfolioWithProcessEngine: a heterogeneous internal+process
-// portfolio agrees with the internal verdict on every instance.
-func TestPortfolioWithProcessEngine(t *testing.T) {
-	stub := testsolver.Build(t)
-	for _, inst := range instances() {
-		p := sat.NewEnginePortfolio(
-			[]sat.Engine{sat.New(), New(stub)},
-			sat.NewLedgerLabels([]string{"internal", "stub"}),
-		)
-		inst.load(p)
-		if got := p.Solve(); got != inst.want {
-			t.Errorf("%s: portfolio %v, want %v", inst.name, got, inst.want)
-		}
 	}
 }

@@ -123,7 +123,7 @@ type watcher struct {
 //
 // Counters accumulate monotonically across Solve/SolveAssuming calls on
 // one solver — they are never reset. Callers that need per-call figures
-// (the portfolio win accounting does) snapshot Stats before the call and
+// (the traced query spans do) snapshot Stats before the call and
 // subtract afterwards; TestStatsAccumulate pins this semantics down.
 type Stats struct {
 	Decisions    int64
@@ -273,13 +273,6 @@ func (s *Solver) NewVar() int {
 
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.value) }
-
-// NumClauses returns the number of original (non-learnt) clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
-
-// SetConflictLimit bounds the number of conflicts per Solve call;
-// 0 removes the bound. When exceeded, Solve returns Unknown.
-func (s *Solver) SetConflictLimit(n int64) { s.conflictLimit = n }
 
 // SetContext attaches a context to the solver: once ctx is cancelled or
 // its deadline passes (ctx.Err() reports both), the current and any

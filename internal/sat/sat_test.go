@@ -144,16 +144,22 @@ func TestPigeonholeSat(t *testing.T) {
 }
 
 func TestConflictLimitUnknown(t *testing.T) {
-	s := New()
+	s := NewWith(Config{ConflictBudget: 5})
 	pigeonhole(s, 8, 7)
-	s.SetConflictLimit(5)
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("got %v, want UNKNOWN under tiny conflict budget", got)
 	}
-	// Removing the limit must allow completion.
-	s.SetConflictLimit(0)
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("got %v after removing limit, want UNSAT", got)
+	// A budgeted Unknown leaves the solver usable: each call spends a
+	// fresh budget and keeps what earlier calls learnt, so repeated
+	// calls reach the verdict.
+	for calls := 2; ; calls++ {
+		got := s.Solve()
+		if got == Unsat {
+			break
+		}
+		if got != Unknown || calls == 100000 {
+			t.Fatalf("call %d: got %v, want UNKNOWN until UNSAT", calls, got)
+		}
 	}
 }
 

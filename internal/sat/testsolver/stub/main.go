@@ -3,9 +3,9 @@
 // (or stdin), decides it with the repository's internal CDCL solver,
 // and prints a SAT-competition answer — `s SATISFIABLE` / `v ...`
 // lines, exit code 10/20 like the real competition solvers. Because it
-// runs the same default-configured search as the in-process engine, a
-// portfolio racing `internal` against `stub` produces identical models
-// whichever member wins, keeping heterogeneous CI diffs deterministic.
+// runs the same default-configured search as the in-process engine, its
+// answers are deterministic, and CI diffs a `-solver stub` run against
+// the default engine's report.
 //
 // Fault-injection flags let tests cover procengine's malformed-output
 // handling:

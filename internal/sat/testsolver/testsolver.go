@@ -1,8 +1,8 @@
 // Package testsolver builds the stub DIMACS solver (see the stub
 // subdirectory) for tests that exercise the DIMACS-pipe engine
 // hermetically: procengine's own tests, the solver differential test,
-// the heterogeneous FALL grid race, and the CI jobs diffing fallbench
-// runs on the stub against the single-engine report.
+// the harness, campaign and FALL grid runs on the stub, and the CI jobs
+// diffing fallbench runs on the stub against the default-engine report.
 package testsolver
 
 import (

@@ -15,8 +15,7 @@ type satAttack struct{}
 // ignored: each distinguishing input depends on all previously learned
 // constraints, so the loop is inherently sequential (the parallel
 // realization is the partitioned key confirmation of
-// keyconfirm.ConfirmParallel) — per-query portfolio racing via
-// Target.Solver is how this attack uses extra cores.
+// keyconfirm.ConfirmParallel).
 func New() attack.Attack { return satAttack{} }
 
 func (satAttack) Name() string      { return "sat" }

@@ -8,7 +8,7 @@
 // campaign package's atomic temp+rename file discipline (jobs survive a
 // daemon restart and unfinished ones resume), dispatch goes through
 // attack.Registry, per-job solver configuration is the
-// sat.ParseEngineList grammar via attack.SolverSetupFromFlags, and
+// sat.ParseEngineSpec grammar via attack.SolverSetupFromFlags, and
 // cancellation — DELETE /jobs/{id}, per-job timeouts, graceful SIGTERM
 // drain — is the context-first plumbing every attack already honors.
 //

@@ -11,7 +11,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/oracle"
-	"repro/internal/sat"
 )
 
 // JobState is the lifecycle state of a job. The lifecycle is
@@ -69,11 +68,9 @@ type JobSpec struct {
 	// Workers bounds intra-attack parallelism; 0 means the daemon's
 	// per-job default. Values above the daemon cap are clamped.
 	Workers int `json:"workers,omitempty"`
-	// Solver / Portfolio are the -solver/-portfolio engine grammar
-	// (sat.ResolveSolverFlags): a single engine spec, an integer racing
-	// width, or a heterogeneous list like "internal,kissat".
-	Solver    string `json:"solver,omitempty"`
-	Portfolio string `json:"portfolio,omitempty"`
+	// Solver is the -solver engine spec (sat.ParseEngineSpec); empty
+	// selects the default engine.
+	Solver string `json:"solver,omitempty"`
 	// Candidates are key guesses for confirmation-style attacks (the φ
 	// shortlist); empty means φ = true.
 	Candidates []attack.Key `json:"candidates,omitempty"`
@@ -105,7 +102,7 @@ func (s *JobSpec) Resolve() (*resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup, err := attack.SolverSetupFromFlags(s.Solver, s.Portfolio)
+	setup, err := attack.SolverSetupFromFlags(s.Solver)
 	if err != nil {
 		return nil, err
 	}
@@ -169,10 +166,6 @@ type Job struct {
 	// RecoveredBench is the bypassed netlist of a removal attack in
 	// BENCH format (Result.RecoveredGates summarizes it).
 	RecoveredBench string `json:"recovered_bench,omitempty"`
-	// PortfolioStats carries the per-engine win ledger accumulated by
-	// this job's races, aggregated into the attackd_engine_* series of
-	// GET /metrics.prom.
-	PortfolioStats []sat.ConfigStats `json:"portfolio_stats,omitempty"`
 
 	// userCancel marks a DELETE-initiated cancellation; drainCancel
 	// marks a graceful-drain one (the job goes back to queued instead of

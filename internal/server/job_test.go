@@ -23,7 +23,8 @@ func decodeJobSpec(body []byte) (server.JobSpec, error) {
 // spec the daemon would accept re-marshals to a body that decodes to an
 // equal spec, which resolves again — the job the daemon persists and
 // reloads is the job it accepted. Plain go test replays the corpus under
-// testdata/fuzz, which holds an oversized portfolio width.
+// testdata/fuzz, whose bodies with the retired portfolio field exercise
+// the rejection of an unknown field.
 func FuzzJobSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spec, err := decodeJobSpec(body)

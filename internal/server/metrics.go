@@ -5,13 +5,12 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sat"
 )
 
 // buildRegistry wires the Prometheus-text registry served at
 // GET /metrics.prom. Histograms are observed live in runJob; everything
-// with a dynamic label set (job states, tenants, engines) is a
-// collector callback sampled at scrape time.
+// with a dynamic label set (job states, tenants) is a collector
+// callback sampled at scrape time.
 func (s *Server) buildRegistry() {
 	r := obs.NewRegistry()
 	s.reg = r
@@ -74,35 +73,6 @@ func (s *Server) buildRegistry() {
 		}
 		return out
 	})
-	// The per-engine portfolio ledger, aggregated (sat.MergeStats)
-	// across every finished job that raced: one family per column.
-	for _, col := range []struct {
-		name, help string
-		value      func(sat.ConfigStats) int64
-	}{
-		{"attackd_engine_races_total", "Portfolio races entered, by engine.",
-			func(c sat.ConfigStats) int64 { return c.Races }},
-		{"attackd_engine_wins_total", "Portfolio races won, by engine.",
-			func(c sat.ConfigStats) int64 { return c.Wins }},
-		{"attackd_engine_sat_wins_total", "Portfolio races won with a SAT verdict, by engine.",
-			func(c sat.ConfigStats) int64 { return c.SatWins }},
-		{"attackd_engine_unsat_wins_total", "Portfolio races won with an UNSAT verdict, by engine.",
-			func(c sat.ConfigStats) int64 { return c.UnsatWins }},
-		{"attackd_engine_conflicts_total", "Conflicts spent in portfolio races, won or lost, by engine.",
-			func(c sat.ConfigStats) int64 { return c.Conflicts }},
-	} {
-		r.CollectCounter(col.name, col.help, func() []obs.Sample {
-			stats := s.ledger()
-			out := make([]obs.Sample, len(stats))
-			for i, st := range stats {
-				out[i] = obs.Sample{
-					Labels: []obs.Label{{Key: "engine", Value: st.Config}},
-					Value:  float64(col.value(st)),
-				}
-			}
-			return out
-		})
-	}
 	if s.cfg.Memo != nil {
 		r.CollectCounter("attackd_memo_hits_total", "Daemon-global verdict-cache hits.", func() []obs.Sample {
 			return one(float64(s.cfg.Memo.Stats().Hits))
@@ -144,14 +114,4 @@ func (s *Server) buildRegistry() {
 func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WriteText(w)
-}
-
-// ledger returns a copy of the aggregated per-engine win statistics
-// in first-seen label order (the sat.MergeStats convention).
-func (s *Server) ledger() []sat.ConfigStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]sat.ConfigStats, len(s.stats))
-	copy(out, s.stats)
-	return out
 }

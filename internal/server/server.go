@@ -116,7 +116,6 @@ type Server struct {
 	subs     map[string]map[chan Event]bool
 	seq      map[string]int64 // per-job event sequence
 	traces   map[string]*obs.Ring
-	stats    []sat.ConfigStats
 	draining bool
 	drainNow bool // grace expired: dispatch must not start anything
 
@@ -162,9 +161,6 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		s.jobs[j.ID] = j
-		if j.Result != nil {
-			s.stats = sat.MergeStats(s.stats, j.PortfolioStats)
-		}
 	}
 	// Re-enqueue in List's deterministic oldest-first order, overflow
 	// impossible: recovery happens before any submission, and the queue
@@ -344,7 +340,7 @@ func (s *Server) runJob(id string) {
 		// hard drain racing the dispatch instead leaves the job queued
 		// on disk for the next daemon.
 		if j != nil && j.State == StateQueued && j.userCancel {
-			s.finalizeLocked(j, StateCancelled, nil, "", nil, "")
+			s.finalizeLocked(j, StateCancelled, nil, "", "")
 			releaseClaim(claim)
 		}
 		s.mu.Unlock()
@@ -422,7 +418,7 @@ func (s *Server) runJob(id string) {
 	delete(s.cancels, id)
 	switch {
 	case j.userCancel:
-		s.finalizeLocked(j, StateCancelled, nil, "", nil, "")
+		s.finalizeLocked(j, StateCancelled, nil, "", "")
 	case j.drainCancel:
 		// The drain cancelled this solve; no result to persist. Back to
 		// queued on disk, so the next daemon picks it up from scratch.
@@ -435,7 +431,7 @@ func (s *Server) runJob(id string) {
 		s.publishLocked(j, "", "requeued by graceful drain")
 	case rerr != nil:
 		s.jobSeconds.Observe(wall.Seconds())
-		s.finalizeLocked(j, StateFailed, nil, rerr.Error(), nil, "")
+		s.finalizeLocked(j, StateFailed, nil, rerr.Error(), "")
 	default:
 		s.jobSeconds.Observe(wall.Seconds())
 		if solve := r.setup.SolveTime(); solve > 0 {
@@ -444,12 +440,12 @@ func (s *Server) runJob(id string) {
 		rj := res.JSON()
 		rj.WallNS = wall
 		rj.SolveNS = int64(r.setup.SolveTime())
-		rj.Engines = r.setup.EngineLabels()
+		rj.Engines = []string{r.setup.EngineLabel()}
 		recovered := ""
 		if res.Recovered != nil {
 			recovered = bench.WriteString(res.Recovered)
 		}
-		s.finalizeLocked(j, StateDone, &rj, "", r.setup.WinStats(), recovered)
+		s.finalizeLocked(j, StateDone, &rj, "", recovered)
 	}
 	if j.State.Terminal() {
 		releaseClaim(claim)
@@ -501,9 +497,7 @@ func (s *Server) deferToPeer(id string) {
 
 // adoptFromPeer installs a terminal job record a peer daemon persisted
 // to the shared store: the local copy becomes terminal without running
-// anything, subscribers get their terminal event, and the peer's win
-// statistics fold into this daemon's ledger exactly as a local finish
-// would have.
+// anything, and subscribers get their terminal event.
 func (s *Server) adoptFromPeer(id string, disk *Job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -512,9 +506,6 @@ func (s *Server) adoptFromPeer(id string, disk *Job) {
 		return
 	}
 	*j = *disk
-	if disk.Result != nil {
-		s.stats = sat.MergeStats(s.stats, disk.PortfolioStats)
-	}
 	status := ""
 	if disk.Result != nil {
 		status = disk.Result.Status.String()
@@ -523,22 +514,17 @@ func (s *Server) adoptFromPeer(id string, disk *Job) {
 	s.log().Info("job adopted from peer", "job", id, "state", string(disk.State))
 }
 
-// finalizeLocked moves a job to a terminal state, persists it, folds
-// its win ledger into the daemon-wide statistics and publishes the
-// terminal event. Called with s.mu held.
-func (s *Server) finalizeLocked(j *Job, state JobState, res *attack.ResultJSON, errMsg string, stats []sat.ConfigStats, recovered string) {
+// finalizeLocked moves a job to a terminal state, persists it and
+// publishes the terminal event. Called with s.mu held.
+func (s *Server) finalizeLocked(j *Job, state JobState, res *attack.ResultJSON, errMsg, recovered string) {
 	now := time.Now()
 	j.State = state
 	j.Finished = &now
 	j.Error = errMsg
 	j.Result = res
-	j.PortfolioStats = stats
 	j.RecoveredBench = recovered
 	if err := s.store.Put(j); err != nil {
 		s.log().Error("persist job", "job", j.ID, "err", err)
-	}
-	if len(stats) > 0 {
-		s.stats = sat.MergeStats(s.stats, stats)
 	}
 	status := ""
 	if res != nil {
@@ -892,7 +878,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	case j.State == StateQueued && s.queue.Remove(j.ID):
 		// Still in the queue: cancel immediately.
-		s.finalizeLocked(j, StateCancelled, nil, "", nil, "")
+		s.finalizeLocked(j, StateCancelled, nil, "", "")
 	default:
 		// Dequeued or running: flag it and cut the context; the worker
 		// finalizes the cancellation.

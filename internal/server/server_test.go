@@ -278,7 +278,7 @@ func runDirect(t *testing.T, spec server.JobSpec) *attack.ResultJSON {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup, err := attack.SolverSetupFromFlags(spec.Solver, spec.Portfolio)
+	setup, err := attack.SolverSetupFromFlags(spec.Solver)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,8 @@ func checkLifecycle(t *testing.T, evs []server.Event) {
 
 // TestSubmitValidation exercises the 400 paths: unknown attack, missing
 // circuit, oracle-guided attack without oracle, bad solver spec,
-// negative or oversized portfolio width, unknown JSON fields.
+// unknown JSON fields — among them the retired portfolio field, in
+// any spelling.
 func TestSubmitValidation(t *testing.T) {
 	_, locked, _, _ := newTTLockFixture(t)
 	_, ts := startDaemon(t, server.Config{Workers: 1})
@@ -419,6 +420,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad solver", fmt.Sprintf(`{"attack":"fall","locked":%q,"solver":"martian"}`, locked)},
 		{"negative portfolio", fmt.Sprintf(`{"attack":"fall","locked":%q,"portfolio":"-2"}`, locked)},
 		{"oversized portfolio", fmt.Sprintf(`{"attack":"fall","locked":%q,"portfolio":"9223372036854775807"}`, locked)},
+		{"portfolio", fmt.Sprintf(`{"attack":"fall","locked":%q,"portfolio":"3"}`, locked)},
 		{"unknown field", fmt.Sprintf(`{"attack":"fall","locked":%q,"timeout":5}`, locked)},
 		{"bad bench", `{"attack":"fall","locked":"INPUT("}`},
 	}
@@ -491,13 +493,12 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 }
 
-// TestMetrics checks /metrics.prom reports job states, queue depth,
-// pool size and every column of the aggregated per-engine portfolio
-// ledger of a racing job, and that no JSON /metrics route remains.
+// TestMetrics checks /metrics.prom reports job states, queue depth and
+// pool size, and that no JSON /metrics route remains.
 func TestMetrics(t *testing.T) {
 	_, locked, _, _ := newTTLockFixture(t)
 	_, ts := startDaemon(t, server.Config{Workers: 2})
-	_, view := submit(t, ts, "metrics-tenant", server.JobSpec{Attack: "fall", Locked: locked, Seed: 5, Portfolio: "2"})
+	_, view := submit(t, ts, "metrics-tenant", server.JobSpec{Attack: "fall", Locked: locked, Seed: 5})
 	if final := waitTerminal(t, ts, view.ID, 60*time.Second); final.State != server.StateDone {
 		t.Fatalf("job finished %s", final.State)
 	}
@@ -510,27 +511,6 @@ func TestMetrics(t *testing.T) {
 	}
 	if got := m["attackd_workers"]; got != 2 {
 		t.Errorf("workers = %v, want 2", got)
-	}
-	// Sum each ledger family over its engine label.
-	ledger := map[string]float64{}
-	for series, v := range m {
-		if name, _, ok := strings.Cut(series, `{engine="`); ok {
-			ledger[name] += v
-		}
-	}
-	for _, family := range []string{
-		"attackd_engine_races_total",
-		"attackd_engine_wins_total",
-		"attackd_engine_sat_wins_total",
-		"attackd_engine_unsat_wins_total",
-		"attackd_engine_conflicts_total",
-	} {
-		if _, ok := ledger[family]; !ok {
-			t.Errorf("no %s series after a racing job", family)
-		}
-	}
-	if ledger["attackd_engine_races_total"] == 0 {
-		t.Error("portfolio ledger records no races")
 	}
 	if resp := getJSON(t, ts, "/metrics", nil); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("GET /metrics: %d, want 404", resp.StatusCode)
