@@ -101,17 +101,32 @@ func KeyGiven(keys []int, lits []sat.Lit) map[int]sat.Lit {
 // AddIOConstraint encodes a fresh copy of the locked circuit with primary
 // inputs fixed to xd, key inputs tied to the given key literals, and
 // outputs fixed to the oracle response yd (aligned through outIdx).
-func AddIOConstraint(e *cnf.Encoder, locked *circuit.Circuit, xd map[string]bool, yd []bool, outIdx []int, keyLits map[int]sat.Lit) {
-	given := make(map[int]sat.Lit, len(xd)+len(keyLits))
+// fanout is the circuit's KeyFanout. Every gate outside it is a constant
+// under xd, so one simulation gives its value and cnf.EncodeFixed fixes
+// its variables with unit clauses; a key-independent output that
+// disagrees with yd adds the empty clause, as fixing it would.
+func AddIOConstraint(e *cnf.Encoder, locked *circuit.Circuit, fanout []bool, xd map[string]bool, yd []bool, outIdx []int, keyLits map[int]sat.Lit) {
+	pis := locked.PrimaryInputs()
+	given := make(map[int]sat.Lit, len(pis)+len(keyLits))
 	for k, v := range keyLits {
 		given[k] = v
 	}
-	for _, pi := range locked.PrimaryInputs() {
-		given[pi] = e.ConstLit(xd[locked.Nodes[pi].Name])
+	pattern := make(map[int]bool, len(pis))
+	for _, pi := range pis {
+		v := xd[locked.Nodes[pi].Name]
+		pattern[pi] = v
+		given[pi] = e.ConstLit(v)
 	}
-	lits := e.EncodeCircuitWith(locked, given)
+	vals := locked.Eval(pattern)
+	lits := e.EncodeFixed(locked, fanout, vals, given)
 	for i, o := range locked.Outputs {
-		e.Fix(lits[o], yd[outIdx[i]])
+		want := yd[outIdx[i]]
+		switch {
+		case fanout[o]:
+			e.Fix(lits[o], want)
+		case vals[o] != want:
+			e.S.AddClause()
+		}
 	}
 }
 

@@ -455,6 +455,25 @@ func (c *Circuit) Cone(root int) (cone *Circuit, inputMap map[int]int) {
 	return cone, inputMap
 }
 
+// KeyFanout marks, by node id, the transitive fanout of the key inputs:
+// every key input and every node with a marked fanin. A node outside it
+// is a function of the primary inputs alone, so it takes one value in
+// every circuit copy over shared primary inputs, whatever their keys.
+func (c *Circuit) KeyFanout() []bool {
+	in := make([]bool, len(c.Nodes))
+	for i := range c.Nodes {
+		n := &c.Nodes[i]
+		in[i] = n.Type == Input && n.IsKey
+		for _, f := range n.Fanins {
+			if in[f] {
+				in[i] = true
+				break
+			}
+		}
+	}
+	return in
+}
+
 // FanoutCounts returns, for every node, the number of nodes that list it as
 // a fanin.
 func (c *Circuit) FanoutCounts() []int {

@@ -162,57 +162,124 @@ func (e *Encoder) EncodeCircuit(c *circuit.Circuit) []sat.Lit {
 func (e *Encoder) EncodeCircuitWith(c *circuit.Circuit, given map[int]sat.Lit) []sat.Lit {
 	lits := make([]sat.Lit, c.Len())
 	for id := range c.Nodes {
-		n := &c.Nodes[id]
-		switch n.Type {
-		case circuit.Input:
-			if l, ok := given[id]; ok {
-				lits[id] = l
-			} else {
-				lits[id] = e.NewLit()
-			}
-		case circuit.Const0:
-			lits[id] = e.ConstLit(false)
-		case circuit.Const1:
-			lits[id] = e.ConstLit(true)
-		case circuit.Buf:
-			lits[id] = lits[n.Fanins[0]]
-		case circuit.Not:
-			lits[id] = lits[n.Fanins[0]].Neg()
-		case circuit.And, circuit.Nand:
-			ins := make([]sat.Lit, len(n.Fanins))
-			for i, f := range n.Fanins {
-				ins[i] = lits[f]
-			}
-			z := e.And(ins...)
-			if n.Type == circuit.Nand {
-				z = z.Neg()
-			}
-			lits[id] = z
-		case circuit.Or, circuit.Nor:
-			ins := make([]sat.Lit, len(n.Fanins))
-			for i, f := range n.Fanins {
-				ins[i] = lits[f]
-			}
-			z := e.Or(ins...)
-			if n.Type == circuit.Nor {
-				z = z.Neg()
-			}
-			lits[id] = z
-		case circuit.Xor, circuit.Xnor:
-			ins := make([]sat.Lit, len(n.Fanins))
-			for i, f := range n.Fanins {
-				ins[i] = lits[f]
-			}
-			z := e.XorMany(ins...)
-			if n.Type == circuit.Xnor {
-				z = z.Neg()
-			}
-			lits[id] = z
-		default:
-			panic(fmt.Sprintf("cnf: unknown gate type %v", n.Type))
+		lits[id] = e.node(&c.Nodes[id], id, given, lits)
+	}
+	return lits
+}
+
+// EncodeCopy encodes a further copy of c over base, the node literals of
+// an earlier copy on this encoder. Every node outside fanout (a
+// circuit.KeyFanout marking) reuses its base literal: it is a function of
+// the primary inputs, which the copies share. Every key input gets a
+// fresh variable, and every other node in fanout the clauses
+// EncodeCircuitWith gives it.
+func (e *Encoder) EncodeCopy(c *circuit.Circuit, base []sat.Lit, fanout []bool) []sat.Lit {
+	lits := make([]sat.Lit, c.Len())
+	for id := range c.Nodes {
+		if fanout[id] {
+			lits[id] = e.node(&c.Nodes[id], id, nil, lits)
+		} else {
+			lits[id] = base[id]
 		}
 	}
 	return lits
+}
+
+// EncodeFixed encodes c with every node outside fanout (a
+// circuit.KeyFanout marking) fixed at its value in vals, a simulation of
+// c on the primary inputs' values, which given must map to constant
+// literals. Such a gate gets exactly the literal and fresh variables
+// EncodeCircuitWith would give it, but each variable is fixed by one unit
+// clause instead of its Tseitin clauses; nodes in fanout and all inputs
+// are encoded as EncodeCircuitWith encodes them, in the same node order.
+// A solver that simplifies clauses at decision level 0 reduces
+// EncodeCircuitWith's clauses to exactly those units, so both leave it in
+// the same state.
+func (e *Encoder) EncodeFixed(c *circuit.Circuit, fanout []bool, vals []bool, given map[int]sat.Lit) []sat.Lit {
+	lits := make([]sat.Lit, c.Len())
+	for id := range c.Nodes {
+		n := &c.Nodes[id]
+		if fanout[id] || n.Type == circuit.Input {
+			lits[id] = e.node(n, id, given, lits)
+		} else {
+			lits[id] = e.fixedGate(n, id, vals, lits)
+		}
+	}
+	return lits
+}
+
+// node encodes node id: an input takes its literal in given or a fresh
+// variable, and a gate is Tseitin-encoded over its fanins' literals.
+func (e *Encoder) node(n *circuit.Node, id int, given map[int]sat.Lit, lits []sat.Lit) sat.Lit {
+	switch n.Type {
+	case circuit.Input:
+		if l, ok := given[id]; ok {
+			return l
+		}
+		return e.NewLit()
+	case circuit.Const0:
+		return e.ConstLit(false)
+	case circuit.Const1:
+		return e.ConstLit(true)
+	case circuit.Buf:
+		return lits[n.Fanins[0]]
+	case circuit.Not:
+		return lits[n.Fanins[0]].Neg()
+	}
+	ins := make([]sat.Lit, len(n.Fanins))
+	for i, f := range n.Fanins {
+		ins[i] = lits[f]
+	}
+	switch n.Type {
+	case circuit.And:
+		return e.And(ins...)
+	case circuit.Nand:
+		return e.And(ins...).Neg()
+	case circuit.Or:
+		return e.Or(ins...)
+	case circuit.Nor:
+		return e.Or(ins...).Neg()
+	case circuit.Xor:
+		return e.XorMany(ins...)
+	case circuit.Xnor:
+		return e.XorMany(ins...).Neg()
+	}
+	panic(fmt.Sprintf("cnf: unknown gate type %v", n.Type))
+}
+
+// fixedGate returns the literal node would give gate id, over the same
+// fresh variables, each fixed by one unit clause to its value under
+// vals. An And, Nand, Or or Nor gate of two or more fanins has one
+// variable (the And of its fanins, or of their complements), a k-input
+// Xor or Xnor has k-1 (the running Xor of its first 2..k fanins), and
+// other gates none.
+func (e *Encoder) fixedGate(n *circuit.Node, id int, vals []bool, lits []sat.Lit) sat.Lit {
+	if len(n.Fanins) < 2 {
+		return e.node(n, id, nil, lits)
+	}
+	switch n.Type {
+	case circuit.And, circuit.Nor:
+		z := e.NewLit()
+		e.Fix(z, vals[id])
+		return z
+	case circuit.Nand, circuit.Or:
+		z := e.NewLit().Neg()
+		e.Fix(z, vals[id])
+		return z
+	case circuit.Xor, circuit.Xnor:
+		acc := vals[n.Fanins[0]]
+		var z sat.Lit
+		for _, f := range n.Fanins[1:] {
+			acc = acc != vals[f]
+			z = e.NewLit()
+			e.Fix(z, acc)
+		}
+		if n.Type == circuit.Xnor {
+			z = z.Neg()
+		}
+		return z
+	}
+	return e.node(n, id, nil, lits)
 }
 
 // XorPairs returns literals d_i = xs_i XOR ys_i. The slices must have equal

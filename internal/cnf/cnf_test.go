@@ -397,3 +397,195 @@ func TestEncodedOutputsHelper(t *testing.T) {
 		t.Error("InputLits wrong")
 	}
 }
+
+// keyedCircuit builds a circuit over primary inputs a..d and key inputs
+// k0..k2 with every gate type on both sides of the key fanout, including
+// three-input Xor and Xnor gates and an output outside the fanout.
+func keyedCircuit() *circuit.Circuit {
+	c := circuit.New("keyed")
+	a, b, cc, d := c.AddInput("a"), c.AddInput("b"), c.AddInput("c"), c.AddInput("d")
+	k0, k1, k2 := c.AddKeyInput("k0"), c.AddKeyInput("k1"), c.AddKeyInput("k2")
+	one := c.AddConst("one", true)
+	g1 := c.MustGate("g1", circuit.And, a, b, cc)
+	g2 := c.MustGate("g2", circuit.Xor, a, b, d)
+	g3 := c.MustGate("g3", circuit.Xnor, g1, k0, d)
+	g4 := c.MustGate("g4", circuit.Nor, g2, cc)
+	g5 := c.MustGate("g5", circuit.Or, g3, k1, g4)
+	g6 := c.MustGate("g6", circuit.Nand, g4, a, one)
+	g7 := c.MustGate("g7", circuit.Xor, g5, k2, g6)
+	g8 := c.MustGate("g8", circuit.Not, g7)
+	g9 := c.MustGate("g9", circuit.Buf, g6)
+	g10 := c.MustGate("g10", circuit.Xnor, g2, g9)
+	c.MarkOutput(g8)
+	c.MarkOutput(g10)
+	c.MarkOutput(g3)
+	return c
+}
+
+// randomKeyedCircuit is randomCircuit whose first nKey inputs are key
+// inputs, with its last three gates as outputs.
+func randomKeyedCircuit(rng *rand.Rand, nPI, nKey, nGates int) *circuit.Circuit {
+	r := randomCircuit(rng, nPI+nKey, nGates)
+	c := circuit.New("keyed-rand")
+	for id, n := range r.Nodes {
+		switch {
+		case id < nKey:
+			c.AddKeyInput("")
+		case n.Type == circuit.Input:
+			c.AddInput("")
+		default:
+			c.MustGate("", n.Type, n.Fanins...)
+		}
+	}
+	for id := c.Len() - 3; id < c.Len(); id++ {
+		c.MarkOutput(id)
+	}
+	return c
+}
+
+// keyedCircuits are the circuits the copy and fixed-encoding tests run on.
+func keyedCircuits() []*circuit.Circuit {
+	cs := []*circuit.Circuit{keyedCircuit()}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 4; i++ {
+		cs = append(cs, randomKeyedCircuit(rng, 4, 3, 12+4*i))
+	}
+	return cs
+}
+
+// tseitinVars is the number of fresh variables EncodeCircuitWith gives
+// node n when n is a key input or a gate.
+func tseitinVars(n *circuit.Node) int {
+	switch n.Type {
+	case circuit.Input:
+		return 1
+	case circuit.And, circuit.Nand, circuit.Or, circuit.Nor:
+		return 1
+	case circuit.Xor, circuit.Xnor:
+		return len(n.Fanins) - 1
+	}
+	return 0
+}
+
+// bits returns the assumptions setting lits to the bits of v, and the
+// matching input assignment of ids.
+func bits(v int, ids []int, lits []sat.Lit, assign map[int]bool) []sat.Lit {
+	as := make([]sat.Lit, len(ids))
+	for i, id := range ids {
+		b := v&(1<<uint(i)) != 0
+		assign[id] = b
+		as[i] = lits[id]
+		if !b {
+			as[i] = lits[id].Neg()
+		}
+	}
+	return as
+}
+
+func TestEncodeCopySharesKeyIndependentLogic(t *testing.T) {
+	for _, c := range keyedCircuits() {
+		fanout := c.KeyFanout()
+		s := sat.New()
+		e := NewEncoder(s)
+		base := e.EncodeCircuit(c)
+		before := s.NumVars()
+		cp := e.EncodeCopy(c, base, fanout)
+		want, inFanout := 0, 0
+		for id := range c.Nodes {
+			if !fanout[id] {
+				if cp[id] != base[id] {
+					t.Fatalf("%s: node %d outside the key fanout has its own literal", c.Name, id)
+				}
+				continue
+			}
+			inFanout++
+			want += tseitinVars(&c.Nodes[id])
+		}
+		if got := s.NumVars() - before; got != want {
+			t.Fatalf("%s: copy added %d variables, want %d for %d key-fanout nodes", c.Name, got, want, inFanout)
+		}
+		if inFanout == len(c.Nodes) || inFanout == len(c.KeyInputs()) {
+			t.Fatalf("%s: vacuous: %d of %d nodes in the key fanout", c.Name, inFanout, len(c.Nodes))
+		}
+		// Brute force: every input × key × key assignment gives both
+		// copies their simulated values.
+		pis, keys := c.PrimaryInputs(), c.KeyInputs()
+		for x := 0; x < 1<<len(pis); x++ {
+			for k1 := 0; k1 < 1<<len(keys); k1++ {
+				for k2 := 0; k2 < 1<<len(keys); k2++ {
+					in1, in2 := map[int]bool{}, map[int]bool{}
+					as := bits(x, pis, base, in1)
+					bits(x, pis, base, in2)
+					as = append(as, bits(k1, keys, base, in1)...)
+					as = append(as, bits(k2, keys, cp, in2)...)
+					if s.SolveAssuming(as) != sat.Sat {
+						t.Fatalf("%s: x=%b k1=%b k2=%b: unsatisfiable", c.Name, x, k1, k2)
+					}
+					want1, want2 := c.Eval(in1), c.Eval(in2)
+					for id := range c.Nodes {
+						if s.LitTrue(base[id]) != want1[id] || s.LitTrue(cp[id]) != want2[id] {
+							t.Fatalf("%s: x=%b k1=%b k2=%b: node %d encodes %v/%v, simulates %v/%v", c.Name, x, k1, k2, id,
+								s.LitTrue(base[id]), s.LitTrue(cp[id]), want1[id], want2[id])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeFixedLeavesTseitinState checks that, on every primary-input
+// pattern, EncodeFixed gives each node the literal EncodeCircuitWith
+// gives it over constant inputs, with the same variables and the same
+// solver counters, and that both solvers then answer every key alike.
+func TestEncodeFixedLeavesTseitinState(t *testing.T) {
+	for _, c := range keyedCircuits() {
+		fanout := c.KeyFanout()
+		pis, keys := c.PrimaryInputs(), c.KeyInputs()
+		for x := 0; x < 1<<len(pis); x++ {
+			encode := func(fixed bool) (*sat.Solver, []sat.Lit) {
+				s := sat.New()
+				e := NewEncoder(s)
+				e.NewLit() // a variable before the pattern, as in a miter
+				given := map[int]sat.Lit{}
+				for _, k := range keys {
+					given[k] = e.NewLit()
+				}
+				pattern := map[int]bool{}
+				for i, pi := range pis {
+					pattern[pi] = x&(1<<uint(i)) != 0
+					given[pi] = e.ConstLit(pattern[pi])
+				}
+				if fixed {
+					return s, e.EncodeFixed(c, fanout, c.Eval(pattern), given)
+				}
+				return s, e.EncodeCircuitWith(c, given)
+			}
+			sA, litsA := encode(false)
+			sB, litsB := encode(true)
+			for id := range c.Nodes {
+				if litsA[id] != litsB[id] {
+					t.Fatalf("%s: x=%b: node %d is %v fixed, %v Tseitin", c.Name, x, id, litsB[id], litsA[id])
+				}
+			}
+			if sA.NumVars() != sB.NumVars() || sA.Stats() != sB.Stats() {
+				t.Fatalf("%s: x=%b: %d vars %+v fixed, %d vars %+v Tseitin", c.Name, x, sB.NumVars(), sB.Stats(), sA.NumVars(), sA.Stats())
+			}
+			for k := 0; k < 1<<len(keys); k++ {
+				in := map[int]bool{}
+				bits(x, pis, litsA, in)
+				as := bits(k, keys, litsA, in)
+				stA, stB := sA.SolveAssuming(as), sB.SolveAssuming(as)
+				if stA != sat.Sat || stB != sat.Sat || sA.Stats() != sB.Stats() {
+					t.Fatalf("%s: x=%b k=%b: %v %+v fixed, %v %+v Tseitin", c.Name, x, k, stB, sB.Stats(), stA, sA.Stats())
+				}
+				want := c.Eval(in)
+				for id := range c.Nodes {
+					if sB.LitTrue(litsB[id]) != want[id] {
+						t.Fatalf("%s: x=%b k=%b: node %d encodes %v, simulates %v", c.Name, x, k, id, sB.LitTrue(litsB[id]), want[id])
+					}
+				}
+			}
+		}
+	}
+}

@@ -95,6 +95,7 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 	if err != nil {
 		return nil, err
 	}
+	fanout := locked.KeyFanout()
 
 	// 2-DIP solver: four key copies sharing X forming two DISJOINT
 	// distinguishing pairs at the same input — (K1,K2) and (K3,K4) with
@@ -142,9 +143,9 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 	addEverywhere := func(xd map[string]bool, yd []bool) {
 		queried = append(queried, queryRecord{xd, yd})
 		for _, g := range dGivens {
-			attack.AddIOConstraint(de, locked, xd, yd, outIdx, g)
+			attack.AddIOConstraint(de, locked, fanout, xd, yd, outIdx, g)
 		}
-		attack.AddIOConstraint(pe, locked, xd, yd, outIdx, givenP)
+		attack.AddIOConstraint(pe, locked, fanout, xd, yd, outIdx, givenP)
 	}
 	budgetLeft := func() bool {
 		return opts.MaxIterations <= 0 || res.TwoDIPIterations+res.ExactIterations < opts.MaxIterations
@@ -237,7 +238,7 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 		// Replay phase-1 observations.
 		for _, rec := range queried {
 			for _, g := range qGivens {
-				attack.AddIOConstraint(qe, locked, rec.xd, rec.yd, outIdx, g)
+				attack.AddIOConstraint(qe, locked, fanout, rec.xd, rec.yd, outIdx, g)
 			}
 		}
 		for {
@@ -266,9 +267,9 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 			yd := orc.Query(xd)
 			res.OracleQueries++
 			for _, g := range qGivens {
-				attack.AddIOConstraint(qe, locked, xd, yd, outIdx, g)
+				attack.AddIOConstraint(qe, locked, fanout, xd, yd, outIdx, g)
 			}
-			attack.AddIOConstraint(pe, locked, xd, yd, outIdx, givenP)
+			attack.AddIOConstraint(pe, locked, fanout, xd, yd, outIdx, givenP)
 		}
 	}
 

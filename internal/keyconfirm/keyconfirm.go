@@ -22,6 +22,18 @@
 // unaffected: termination is still decided by the unmodified Algorithm 4
 // query, and every returned key is consistent with φ and all oracle
 // responses.
+//
+// The miters encode only what a key can change. A gate outside the key
+// fanout (circuit.KeyFanout) is a function of the shared primary inputs
+// alone, so it takes one value in every copy: Q's second copy and D's
+// second and third copies reuse the first copy's literal for it
+// (cnf.EncodeCopy), and their output comparisons cover only the outputs
+// in the key fanout. On TTLock about a hundred nodes per copy depend on
+// a key, out of hundreds to thousands. Each distinguishing input's
+// constraint fixes the gates outside the key fanout with unit clauses
+// (attack.AddIOConstraint). The SAT attack and Double DIP keep unshared
+// miters on purpose: sharing changes their solver's search, and with it
+// which capped runs converge.
 package keyconfirm
 
 import (
@@ -123,13 +135,16 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 		encodePhi(pe, locked, keys, kp, candidates)
 	}
 
+	// Every miter copy after the first shares the first copy's literals
+	// outside the key fanout, and compares only the outputs in it.
+	fanout := locked.KeyFanout()
+
 	// Solver Q: single-copy miter per Algorithm 4 (the sound terminator).
 	q := attack.NewEngine(obs.With(ctx, qSpan), opts.Solver)
 	qe := cnf.NewEncoder(q)
-	q1lits := qe.EncodeCircuitWith(locked, nil)
-	sharedQ := piShared(locked, q1lits)
-	q2lits := qe.EncodeCircuitWith(locked, sharedQ)
-	qe.NotEqual(cnf.EncodedOutputs(locked, q1lits), cnf.EncodedOutputs(locked, q2lits))
+	q1lits := qe.EncodeCircuit(locked)
+	q2lits := qe.EncodeCopy(locked, q1lits, fanout)
+	qe.NotEqual(keyOutputs(locked, fanout, q1lits), keyOutputs(locked, fanout, q2lits))
 	qK1 := cnf.InputLits(keys, q1lits)
 	qK2given := attack.KeyGiven(keys, cnf.InputLits(keys, q2lits))
 
@@ -143,12 +158,12 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 		dSpan = root.Child("kc.D")
 		d = attack.NewEngine(obs.With(ctx, dSpan), opts.Solver)
 		de = cnf.NewEncoder(d)
-		d1 := de.EncodeCircuitWith(locked, nil)
-		sharedD := piShared(locked, d1)
-		d2 := de.EncodeCircuitWith(locked, sharedD)
-		d3 := de.EncodeCircuitWith(locked, sharedD)
-		de.NotEqual(cnf.EncodedOutputs(locked, d1), cnf.EncodedOutputs(locked, d2))
-		de.NotEqual(cnf.EncodedOutputs(locked, d1), cnf.EncodedOutputs(locked, d3))
+		d1 := de.EncodeCircuit(locked)
+		d2 := de.EncodeCopy(locked, d1, fanout)
+		d3 := de.EncodeCopy(locked, d1, fanout)
+		out1 := keyOutputs(locked, fanout, d1)
+		de.NotEqual(out1, keyOutputs(locked, fanout, d2))
+		de.NotEqual(out1, keyOutputs(locked, fanout, d3))
 		k2 := cnf.InputLits(keys, d2)
 		k3 := cnf.InputLits(keys, d3)
 		de.NotEqual(k2, k3) // the two other keys are distinct
@@ -204,10 +219,10 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 				xd := attack.ModelInput(locked, d, dPIs)
 				yd := orc.Query(xd)
 				res.OracleQueries++
-				attack.AddIOConstraint(pe, locked, xd, yd, outIdx, givenP)
-				attack.AddIOConstraint(qe, locked, xd, yd, outIdx, qK2given)
-				attack.AddIOConstraint(de, locked, xd, yd, outIdx, dK2given)
-				attack.AddIOConstraint(de, locked, xd, yd, outIdx, dK3given)
+				attack.AddIOConstraint(pe, locked, fanout, xd, yd, outIdx, givenP)
+				attack.AddIOConstraint(qe, locked, fanout, xd, yd, outIdx, qK2given)
+				attack.AddIOConstraint(de, locked, fanout, xd, yd, outIdx, dK2given)
+				attack.AddIOConstraint(de, locked, fanout, xd, yd, outIdx, dK3given)
 				continue
 			}
 		}
@@ -233,11 +248,11 @@ func Confirm(ctx context.Context, locked *circuit.Circuit, candidates []map[stri
 		yd := orc.Query(xd)
 		res.OracleQueries++
 		// Lines 15-16.
-		attack.AddIOConstraint(pe, locked, xd, yd, outIdx, givenP)
-		attack.AddIOConstraint(qe, locked, xd, yd, outIdx, qK2given)
+		attack.AddIOConstraint(pe, locked, fanout, xd, yd, outIdx, givenP)
+		attack.AddIOConstraint(qe, locked, fanout, xd, yd, outIdx, qK2given)
 		if d != nil {
-			attack.AddIOConstraint(de, locked, xd, yd, outIdx, dK2given)
-			attack.AddIOConstraint(de, locked, xd, yd, outIdx, dK3given)
+			attack.AddIOConstraint(de, locked, fanout, xd, yd, outIdx, dK2given)
+			attack.AddIOConstraint(de, locked, fanout, xd, yd, outIdx, dK3given)
 		}
 	}
 	res.Elapsed = time.Since(start)
@@ -263,10 +278,15 @@ func encodePhi(pe *cnf.Encoder, locked *circuit.Circuit, keys []int, kp []sat.Li
 	pe.S.AddClause(sels...)
 }
 
-func piShared(locked *circuit.Circuit, lits []sat.Lit) map[int]sat.Lit {
-	shared := make(map[int]sat.Lit)
-	for _, pi := range locked.PrimaryInputs() {
-		shared[pi] = lits[pi]
+// keyOutputs returns the literals of the circuit outputs in the key
+// fanout. Every other output has one literal in all copies over shared
+// primary inputs, so it can never tell two keys apart.
+func keyOutputs(locked *circuit.Circuit, fanout []bool, lits []sat.Lit) []sat.Lit {
+	var out []sat.Lit
+	for _, o := range locked.Outputs {
+		if fanout[o] {
+			out = append(out, lits[o])
+		}
 	}
-	return shared
+	return out
 }

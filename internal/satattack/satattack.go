@@ -9,6 +9,12 @@
 // each distinguishing input eliminates only a sliver of the key space, so
 // the attack needs exponentially many iterations — this is precisely the
 // SAT-resilience the FALL attack circumvents.
+//
+// The key-extraction solver takes the observed input/output pairs only
+// once the miter converges, since it is solved only then. The miter's
+// two copies are encoded in full, unlike key confirmation's shared
+// copies: sharing their key-independent logic changes the solver's
+// search, and with it which capped runs converge.
 package satattack
 
 import (
@@ -93,19 +99,15 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 	}
 	lits2 := qe.EncodeCircuitWith(locked, shared)
 	qe.NotEqual(cnf.EncodedOutputs(locked, lits1), cnf.EncodedOutputs(locked, lits2))
-	k1 := cnf.InputLits(keys, lits1)
-	k2 := cnf.InputLits(keys, lits2)
+	k1 := attack.KeyGiven(keys, cnf.InputLits(keys, lits1))
+	k2 := attack.KeyGiven(keys, cnf.InputLits(keys, lits2))
+	qPIs := cnf.InputLits(pis, lits1)
+	fanout := locked.KeyFanout()
 
-	// Key-extraction solver P accumulates I/O constraints on one key copy.
-	p := attack.NewEngine(obs.With(ctx, pSpan), opts.Solver)
-	pe := cnf.NewEncoder(p)
-	kp := make([]sat.Lit, len(keys))
-	givenP := make(map[int]sat.Lit, len(keys))
-	for i, k := range keys {
-		kp[i] = pe.NewLit()
-		givenP[k] = kp[i]
-	}
-
+	// The observations, which the key-extraction solver P takes only
+	// once Q converges: P is solved once, and most capped runs never
+	// converge.
+	var seen []observation
 	for {
 		if opts.MaxIterations > 0 && res.Iterations >= opts.MaxIterations {
 			res.TimedOut = true
@@ -119,28 +121,43 @@ func Run(ctx context.Context, locked *circuit.Circuit, orc oracle.Oracle, opts O
 		case sat.Unsat:
 			// Converged: any key consistent with the observations is
 			// correct.
-			res.Elapsed = time.Since(start)
-			return extractKey(locked, p, kp, keys, res, start)
+			p := attack.NewEngine(obs.With(ctx, pSpan), opts.Solver)
+			return extractKey(locked, fanout, outIdx, p, seen, res, start)
 		}
 		res.Iterations++
-		// Distinguishing input from the model.
-		xd := make(map[string]bool, len(pis))
-		for _, pi := range pis {
-			xd[locked.Nodes[pi].Name] = q.LitTrue(lits1[pi])
-		}
+		xd := attack.ModelInput(locked, q, qPIs)
 		yd := orc.Query(xd)
 		res.OracleQueries++
-		// Constrain both key copies in Q and the key in P to reproduce
-		// the oracle response on xd.
-		attack.AddIOConstraint(qe, locked, xd, yd, outIdx, attack.KeyGiven(keys, k1))
-		attack.AddIOConstraint(qe, locked, xd, yd, outIdx, attack.KeyGiven(keys, k2))
-		attack.AddIOConstraint(pe, locked, xd, yd, outIdx, givenP)
+		// Constrain both key copies in Q to reproduce the oracle
+		// response on xd.
+		attack.AddIOConstraint(qe, locked, fanout, xd, yd, outIdx, k1)
+		attack.AddIOConstraint(qe, locked, fanout, xd, yd, outIdx, k2)
+		seen = append(seen, observation{xd, yd})
 	}
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-func extractKey(locked *circuit.Circuit, p sat.Engine, kp []sat.Lit, keys []int, res *Result, start time.Time) (*Result, error) {
+// observation is one distinguishing input and the oracle's response.
+type observation struct {
+	xd map[string]bool
+	yd []bool
+}
+
+// extractKey constrains one key copy on engine p to reproduce every
+// observation, in the order they were made, and reads a key off its
+// model.
+func extractKey(locked *circuit.Circuit, fanout []bool, outIdx []int, p sat.Engine, seen []observation, res *Result, start time.Time) (*Result, error) {
+	keys := locked.KeyInputs()
+	pe := cnf.NewEncoder(p)
+	kp := make([]sat.Lit, len(keys))
+	for i := range keys {
+		kp[i] = pe.NewLit()
+	}
+	givenP := attack.KeyGiven(keys, kp)
+	for _, o := range seen {
+		attack.AddIOConstraint(pe, locked, fanout, o.xd, o.yd, outIdx, givenP)
+	}
 	switch p.Solve() {
 	case sat.Unknown:
 		res.TimedOut = true
