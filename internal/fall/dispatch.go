@@ -57,7 +57,7 @@ type candidate struct {
 	node int
 
 	decided  bool      // the pre-pass reached this candidate before cancellation
-	keydep   bool      // the TFC contains a key input: not a cube stripper
+	keydep   bool      // in the lock's key fanout: not a cube stripper
 	coneLen  int       // TFC size, which is the extracted cone's node count
 	rejected [2]bool   // positive/negated polarity rejected by the shape filter
 	sig      [2]uint64 // FNV-1a of each polarity's sampled output words, if not rejected
@@ -68,15 +68,16 @@ func newCandidate(node int) *candidate {
 }
 
 // filterCandidates is the grid's pre-pass, under a fall.filter span. It
-// computes each candidate's TFC and key dependence, observing ctx before
-// each candidate (candidates it does not reach stay undecided), then
-// runs the shape sweep over the decided candidates that depend on no key
-// input.
+// computes each candidate's TFC and reads its key dependence from the
+// lock's key fanout, observing ctx before each candidate (candidates it
+// does not reach stay undecided), then runs the shape sweep over the
+// decided candidates that depend on no key input.
 func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidate, h int) {
 	sp := obs.SpanFrom(ctx).Child("fall.filter")
 	var live []*candidate
 	var ins [][]int // live[i]'s inputs, ascending
 	inUnion := make([]bool, c.Len())
+	fanout := c.KeyFanout()
 	for _, cd := range cands {
 		if ctx.Err() != nil {
 			break
@@ -84,23 +85,16 @@ func filterCandidates(ctx context.Context, c *circuit.Circuit, cands []*candidat
 		cd.decided = true
 		tfc := c.TFC(cd.node)
 		cd.coneLen = len(tfc)
-		var cins []int
-		for _, id := range tfc {
-			n := &c.Nodes[id]
-			if n.Type != circuit.Input {
-				continue
-			}
-			if n.IsKey {
-				cd.keydep = true
-				break
-			}
-			cins = append(cins, id)
-		}
+		cd.keydep = fanout[cd.node]
 		if cd.keydep {
 			continue
 		}
+		var cins []int
 		for _, id := range tfc {
 			inUnion[id] = true
+			if c.Nodes[id].Type == circuit.Input {
+				cins = append(cins, id)
+			}
 		}
 		live = append(live, cd)
 		ins = append(ins, cins)

@@ -10,7 +10,11 @@
 //  3. Functional analyses (§IV): AnalyzeUnateness (Lemma 1, TTLock),
 //     SlidingWindow (Lemma 3) and Distance2H (Lemma 2) extract the
 //     protected cube from a candidate gate; combinational equivalence
-//     checking (§IV-C) ensures sufficiency.
+//     checking (§IV-C) ensures sufficiency. SlidingWindow and Distance2H
+//     share one loop over satisfying pairs at distance 2h, each of which
+//     carries the key bit on every input its two copies agree on: after
+//     the first pair, SlidingWindow asks the still-open inputs to agree
+//     one per query, Distance2H all in one query.
 //
 // The output is a shortlist of suspected keys. When more than one key
 // survives, the key confirmation algorithm (internal/keyconfirm, paper §V)
@@ -516,112 +520,71 @@ func (a *analysisContext) hdInstance(h int) (sat.Engine, []sat.Lit, []sat.Lit, [
 
 // SlidingWindowAnalysis implements Algorithm 2 (Lemma 3). It returns the
 // recovered cube over locked-circuit input ids, ok=false if the node is
-// inconsistent with a cube stripper, or an error on timeout. At 2h = m
-// it is inapplicable: HD(X, X') = m forces X' = ¬X, so both Lemma 3
-// queries that assume x_i = x'_i are UNSAT for every i, and it returns
+// inconsistent with a cube stripper, or an error on timeout. By Lemma 3
+// an open input's key bit is the one value its copies can agree on, so
+// each query assumes only x_i = x'_i for one still-open input and reads
+// the bit off the model, which also settles every other input it agrees
+// on: a true stripper costs at most 2h satisfiable queries and no UNSAT
+// proof. At 2h = m it is inapplicable: HD(X, X') = m forces X' = ¬X, so
+// no query that assumes x_i = x'_i is satisfiable, and it returns
 // ok=false without solving.
 func (a *analysisContext) SlidingWindowAnalysis(h int) (map[int]bool, bool, error) {
 	if 2*h == len(a.inputs) {
 		return nil, false, nil
 	}
-	s, xs, ys, ds := a.hdInstance(h)
-	switch s.Solve() {
-	case sat.Unsat:
-		return nil, false, nil
-	case sat.Unknown:
-		return nil, false, ErrTimeout
-	}
-	cube := make(map[int]bool, len(a.inputs))
-	type pending struct {
-		i      int
-		mi, mj bool
-	}
-	var todo []pending
-	for i, xi := range a.inputs {
-		mi := s.LitTrue(xs[i])
-		mj := s.LitTrue(ys[i])
-		if mi == mj {
-			cube[a.inputMap[xi]] = mi
-		} else {
-			todo = append(todo, pending{i, mi, mj})
-		}
-	}
-	for _, p := range todo {
-		if a.expired() {
-			return nil, false, ErrTimeout
-		}
-		// Lemma 3: exactly one of xi=x'i=mi, xi=x'i=m'i is satisfiable,
-		// and that value is the key bit.
-		ri := s.SolveAssuming([]sat.Lit{ds[p.i].Neg(), attack.LitWithValue(xs[p.i], p.mi)})
-		if ri == sat.Unknown {
-			return nil, false, ErrTimeout
-		}
-		rj := s.SolveAssuming([]sat.Lit{ds[p.i].Neg(), attack.LitWithValue(xs[p.i], p.mj)})
-		if rj == sat.Unknown {
-			return nil, false, ErrTimeout
-		}
-		switch {
-		case ri == sat.Sat && rj == sat.Unsat:
-			cube[a.inputMap[a.inputs[p.i]]] = p.mi
-		case ri == sat.Unsat && rj == sat.Sat:
-			cube[a.inputMap[a.inputs[p.i]]] = p.mj
-		default:
-			return nil, false, nil
-		}
-	}
-	return cube, true, nil
+	return a.settle(h, 1)
 }
 
 // Distance2HAnalysis implements Algorithm 3 (Lemma 2), applicable when
-// 4h <= m: two satisfying pairs at distance 2h determine all key bits.
+// 4h <= m: two satisfying pairs at distance 2h determine all key bits,
+// the second one asked to agree on every input the first leaves open.
 func (a *analysisContext) Distance2HAnalysis(h int) (map[int]bool, bool, error) {
+	return a.settle(h, len(a.inputs))
+}
+
+// settle recovers the cube from satisfying pairs of the HD instance. On
+// strip_h(K), a pair at distance 2h = HD(X, K) + HD(K, X') has K between
+// its copies: every input on which x_i = x'_i carries K's bit. After the
+// first pair, each query assumes ¬d_i (x_i = x'_i) for up to window of
+// the still-open inputs, lowest index first, and every model settles
+// each input its copies agree on. An UNSAT query, or a model whose
+// copies agree on a settled input with the other value, shows the
+// function is no stripper (ok=false); the §IV-C equivalence check rejects
+// any other non-stripper whose cube this returns.
+func (a *analysisContext) settle(h, window int) (map[int]bool, bool, error) {
 	s, xs, ys, ds := a.hdInstance(h)
-	switch s.Solve() {
-	case sat.Unsat:
-		return nil, false, nil
-	case sat.Unknown:
-		return nil, false, ErrTimeout
-	}
 	cube := make(map[int]bool, len(a.inputs))
-	var cnst []sat.Lit
-	var open []int // indices not fixed by the first model
-	for i, xi := range a.inputs {
-		mi := s.LitTrue(xs[i])
-		mj := s.LitTrue(ys[i])
-		if mi == mj {
-			cube[a.inputMap[xi]] = mi
-		} else {
-			cnst = append(cnst, ds[i].Neg())
-			open = append(open, i)
-		}
-	}
-	if len(open) > 0 {
-		switch s.SolveAssuming(cnst) {
+	st := s.Solve()
+	for {
+		switch st {
 		case sat.Unsat:
 			return nil, false, nil
 		case sat.Unknown:
 			return nil, false, ErrTimeout
 		}
+		var ask []sat.Lit
 		for i, xi := range a.inputs {
-			mi := s.LitTrue(xs[i])
-			mj := s.LitTrue(ys[i])
-			if mi != mj {
-				continue
-			}
-			orig := a.inputMap[xi]
-			if prev, done := cube[orig]; done {
-				if prev != mi {
-					return nil, false, nil // inconsistent with Lemma 2
+			orig, mi := a.inputMap[xi], s.LitTrue(xs[i])
+			prev, done := cube[orig]
+			switch {
+			case mi != s.LitTrue(ys[i]):
+				if !done && len(ask) < window {
+					ask = append(ask, ds[i].Neg())
 				}
-				continue
+			case !done:
+				cube[orig] = mi
+			case prev != mi:
+				return nil, false, nil // two pairs disagree on a key bit
 			}
-			cube[orig] = mi
 		}
+		if len(ask) == 0 {
+			return cube, true, nil
+		}
+		if a.expired() {
+			return nil, false, ErrTimeout
+		}
+		st = s.SolveAssuming(ask)
 	}
-	if len(cube) != len(a.inputs) {
-		return nil, false, nil // some bit never agreed; not a stripper
-	}
-	return cube, true, nil
 }
 
 // EquivalenceCheck implements §IV-C: verify cktfn == strip_h(cube) by a

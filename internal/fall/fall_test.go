@@ -2,9 +2,11 @@ package fall
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -303,23 +305,31 @@ func TestUnatenessRejectsBinate(t *testing.T) {
 }
 
 // buildStripHD builds strip_h(cube) as OR of minterms at Hamming distance
-// exactly h from the cube (only for small m).
-func buildStripHD(m, h int, cube []bool) *circuit.Circuit {
+// exactly h from the cube (only for small m); given several cubes, it
+// builds the OR of their strip_h functions.
+func buildStripHD(m, h int, cubes ...[]bool) *circuit.Circuit {
 	c := circuit.New("strip")
 	ins := make([]int, m)
 	for i := range ins {
 		ins[i] = c.AddInput("")
 	}
-	var minterms []int
-	for p := 0; p < 1<<uint(m); p++ {
-		hd := 0
-		for i := 0; i < m; i++ {
-			bit := p&(1<<uint(i)) != 0
-			if bit != cube[i] {
-				hd++
+	onSphere := func(p int) bool {
+		for _, cube := range cubes {
+			hd := 0
+			for i := 0; i < m; i++ {
+				if p&(1<<uint(i)) != 0 != cube[i] {
+					hd++
+				}
+			}
+			if hd == h {
+				return true
 			}
 		}
-		if hd != h {
+		return false
+	}
+	var minterms []int
+	for p := 0; p < 1<<uint(m); p++ {
+		if !onSphere(p) {
 			continue
 		}
 		lits := make([]int, m)
@@ -395,9 +405,8 @@ func TestQuickLemmas23OnTrueStripper(t *testing.T) {
 }
 
 // TestSlidingWindowInapplicableAtHalfWidth: at 2h = m the instance's
-// HD(X, X') = 2h forces X' = ¬X, so both Lemma 3 queries that assume
-// x_i = x'_i are UNSAT for every i and the analysis can only end without
-// a cube. It answers so before building an engine; at h = 2 on the same
+// HD(X, X') = 2h forces X' = ¬X, so every Lemma 3 query that assumes
+// x_i = x'_i is UNSAT and the analysis can only end without a cube. It answers so before building an engine; at h = 2 on the same
 // width it still recovers the cube.
 func TestSlidingWindowInapplicableAtHalfWidth(t *testing.T) {
 	cube := []bool{true, false, true, true, false, false}
@@ -481,6 +490,158 @@ func TestSlidingWindowRejectsNonStripper(t *testing.T) {
 		if okEq {
 			t.Error("parity accepted as a strip_1 function")
 		}
+	}
+}
+
+// countingEngine records the calls an analysis makes on its engine: the
+// Solve calls, each SolveAssuming call's assumption count, and every
+// answer in order.
+type countingEngine struct {
+	sat.Engine
+	solves  int
+	assumed []int
+	answers []sat.Status
+}
+
+func (e *countingEngine) Solve() sat.Status {
+	e.solves++
+	st := e.Engine.Solve()
+	e.answers = append(e.answers, st)
+	return st
+}
+
+func (e *countingEngine) SolveAssuming(as []sat.Lit) sat.Status {
+	e.assumed = append(e.assumed, len(as))
+	st := e.Engine.SolveAssuming(as)
+	e.answers = append(e.answers, st)
+	return st
+}
+
+// countingOptions returns analysis options whose every engine is a
+// countingEngine, appended to *engines as it is built.
+func countingOptions(h int, engines *[]*countingEngine) *Options {
+	return &Options{H: h, Solver: func(ctx context.Context) sat.Engine {
+		e := &countingEngine{Engine: attack.NewSolver(ctx)}
+		*engines = append(*engines, e)
+		return e
+	}}
+}
+
+// On a true strip_h(K) cone, the analysis Auto picks asks a fixed plan
+// on one engine and returns K: SlidingWindow (4h > m > 2h) solves once,
+// then asks at most 2h queries of one assumption each, all satisfiable;
+// Distance2H (4h <= m) solves once, then asks one satisfiable query
+// assuming the 2h inputs the first pair leaves open.
+func TestSettleQueryPlan(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, tc := range []struct {
+		m, h int
+		want string
+	}{
+		{7, 2, "SlidingWindow"}, {10, 3, "SlidingWindow"}, {12, 5, "SlidingWindow"},
+		{4, 1, "Distance2H"}, {8, 2, "Distance2H"}, {12, 3, "Distance2H"},
+	} {
+		for trial := 0; trial < 3; trial++ {
+			cube := make([]bool, tc.m)
+			for i := range cube {
+				cube[i] = rng.Intn(2) == 1
+			}
+			c := aig.Strash(buildStripHD(tc.m, tc.h, cube))
+			var engines []*countingEngine
+			opts := countingOptions(tc.h, &engines)
+			actx, err := newAnalysisContext(context.Background(), c, c.Outputs[0], false, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, ok, algo, err := runAnalysis(actx, tc.m, *opts)
+			name := fmt.Sprintf("m=%d h=%d cube=%v", tc.m, tc.h, cube)
+			if err != nil || !ok || algo != tc.want {
+				t.Fatalf("%s: %s ok=%v err=%v, want %s to recover the cube", name, algo, ok, err, tc.want)
+			}
+			for i, in := range actx.inputs {
+				if got[actx.inputMap[in]] != cube[i] {
+					t.Errorf("%s: bit %d = %v, want %v", name, i, got[actx.inputMap[in]], cube[i])
+				}
+			}
+			if len(engines) != 1 {
+				t.Fatalf("%s: built %d engines, want 1", name, len(engines))
+			}
+			e := engines[0]
+			if e.solves != 1 {
+				t.Errorf("%s: %d Solve calls, want 1", name, e.solves)
+			}
+			for _, st := range e.answers {
+				if st != sat.Sat {
+					t.Errorf("%s: answers %v, want only Sat", name, e.answers)
+					break
+				}
+			}
+			if algo == "Distance2H" {
+				if !reflect.DeepEqual(e.assumed, []int{2 * tc.h}) {
+					t.Errorf("%s: SolveAssuming sizes %v, want [%d]", name, e.assumed, 2*tc.h)
+				}
+				continue
+			}
+			if len(e.assumed) > 2*tc.h {
+				t.Errorf("%s: %d SolveAssuming calls, want at most %d", name, len(e.assumed), 2*tc.h)
+			}
+			for _, n := range e.assumed {
+				if n != 1 {
+					t.Errorf("%s: SolveAssuming sizes %v, want one assumption each", name, e.assumed)
+					break
+				}
+			}
+		}
+	}
+}
+
+// The OR of two strip_2 functions around different centers at m = 7 is
+// no stripper: SlidingWindow plus the equivalence check never accepts it,
+// for centers at every distance. Some of these are rejected by the
+// analysis itself, from satisfiable answers alone: two pairs put
+// different bits between their copies.
+func TestSlidingWindowRejectsTwoSpheres(t *testing.T) {
+	const m, h = 7, 2
+	rng := rand.New(rand.NewSource(59))
+	contradicted := 0
+	for d := 1; d <= m; d++ {
+		for trial := 0; trial < 3; trial++ {
+			k1 := make([]bool, m)
+			for i := range k1 {
+				k1[i] = rng.Intn(2) == 1
+			}
+			k2 := append([]bool(nil), k1...)
+			for _, i := range rng.Perm(m)[:d] {
+				k2[i] = !k2[i]
+			}
+			c := aig.Strash(buildStripHD(m, h, k1, k2))
+			var engines []*countingEngine
+			opts := countingOptions(h, &engines)
+			actx, err := newAnalysisContext(context.Background(), c, c.Outputs[0], false, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cube, ok, err := actx.SlidingWindowAnalysis(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if !slices.Contains(engines[0].answers, sat.Unsat) {
+					contradicted++
+				}
+				continue
+			}
+			okEq, err := actx.EquivalenceCheck(cube, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if okEq {
+				t.Errorf("centers %v and %v (distance %d): accepted as strip_2(%v)", k1, k2, d, cube)
+			}
+		}
+	}
+	if contradicted == 0 {
+		t.Error("vacuous: no two-sphere function was rejected by a contradiction")
 	}
 }
 
