@@ -144,14 +144,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sf.Finish(stderr, res.Status.String())
 	if *jsonOut {
-		// The JSON result carries the end-to-end wall clock and the
-		// resolved engine labels, the same fields attackd persists in
-		// its job artifacts — CLI output and daemon artifacts diff
-		// field-for-field.
-		j := res.JSON()
-		j.WallNS = time.Since(start)
-		j.Engines = []string{sf.Setup.EngineLabel()}
-		j.SolveNS = int64(sf.Setup.SolveTime())
+		// The same fields attackd persists in its job artifacts: CLI
+		// output and daemon artifacts diff field-for-field.
+		j := res.RunJSON(sf.Setup, time.Since(start))
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(j); err != nil {

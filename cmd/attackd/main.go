@@ -13,11 +13,9 @@
 // jobs. SIGINT/SIGTERM drain gracefully: dispatch stops, in-flight
 // jobs get -drain to finish, stragglers are cancelled mid-solve and go
 // back to the queue for the next daemon. Backpressure is explicit:
-// a full queue or an over-rate tenant gets 429 + Retry-After.
-// Several daemons can share one -dir with -claim-lease: each job is
-// guarded by a claim file (the campaign package's O_EXCL + mtime-lease
-// discipline), peers adopt each other's finished results from disk,
-// and a killed daemon's jobs are re-claimed after one lease.
+// a full queue or an over-rate tenant gets 429 + Retry-After. One
+// daemon owns a -dir; planned work spreads over machines through
+// `campaign run` workers sharing one directory instead.
 //
 // Observability: structured logs on stderr (-log-format text|json, one
 // line per job transition and per API request), every daemon
@@ -68,7 +66,6 @@ func main() {
 		logFormat   = flag.String("log-format", "text", "structured log format on stderr: text | json")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 		traceSpans  = flag.Int("trace-spans", 2048, "per-job span-trace ring capacity served at GET /jobs/{id}/trace (0 = disable per-job tracing)")
-		claimLease  = flag.Duration("claim-lease", 0, "coordinate several daemons sharing one -dir via per-job claim files with this staleness lease: peers skip claimed jobs and adopt each other's finished results; a dead daemon's claims expire and its jobs are taken over (0 = single-daemon mode)")
 	)
 	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -87,7 +84,6 @@ func main() {
 		JobWorkers:        *jobWorkers,
 		JobTimeout:        *jobTimeout,
 		TraceSpans:        *traceSpans,
-		ClaimLease:        *claimLease,
 	}
 	if !*quiet {
 		switch *logFormat {

@@ -17,7 +17,8 @@ func TestUsageExitCodes(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "repro/cmd/attackd").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for arg, want := range map[string]int{"-bogus": 1, "-h": 0} {
+	// -claim-lease is gone: one daemon owns a -dir.
+	for arg, want := range map[string]int{"-bogus": 1, "-h": 0, "-claim-lease=1s": 1} {
 		cmd := exec.Command(bin, arg)
 		if err := cmd.Run(); cmd.ProcessState == nil {
 			t.Fatalf("attackd %s did not start: %v", arg, err)

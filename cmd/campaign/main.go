@@ -36,9 +36,10 @@
 //
 // Exit codes: 0 success (or -h); 1 usage or hard error (stderr
 // explains); 2 completed with failed cases; 3 (status/merge
-// -allow-partial) campaign incomplete; 4 (run -budget) budget
-// exhausted with cases remaining — re-run to resume; 130 (run, retry,
-// watch) interrupted by SIGINT or SIGTERM.
+// -allow-partial) campaign incomplete, so a script follows a fleet by
+// polling status while it exits 3; 4 (run -budget) budget exhausted
+// with cases remaining — re-run to resume; 130 (run, retry)
+// interrupted by SIGINT or SIGTERM.
 package main
 
 import (
@@ -57,8 +58,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/campaign"
 	"repro/internal/genbench"
-	"repro/internal/obs"
-	"repro/internal/server"
 )
 
 func main() {
@@ -78,8 +77,6 @@ func main() {
 		cmdMerge(args)
 	case "status":
 		cmdStatus(args)
-	case "watch":
-		cmdWatch(args)
 	case "-h", "-help", "--help", "help":
 		usage()
 	default:
@@ -90,7 +87,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage: campaign <plan|run|retry|merge|status|watch> [flags]
+	fmt.Fprintf(os.Stderr, `usage: campaign <plan|run|retry|merge|status> [flags]
 
   plan    enumerate a campaign's cases into DIR/plan.json
   run     claim and run the plan's cases (or one static shard's),
@@ -99,8 +96,6 @@ func usage() {
   merge   reassemble artifacts into the Table I / Fig. 5 / Fig. 6 /
           summary reports (byte-identical to a monolithic run)
   status  show per-suite completion counts
-  watch   tail the artifact directories, printing per-case completion
-          events as they land (same event stream as the attackd daemon)
 
 run 'campaign <subcommand> -h' for flags.
 `)
@@ -232,7 +227,7 @@ func runFlags(fs *flag.FlagSet) shardFlags {
 		budget:     fs.Duration("budget", 0, "wall-clock budget: stop claiming new cases after this long, finish in-flight ones, exit 4 if cases remain (0 = none)"),
 		solverOver: fs.String("solver-override", "", "replace the plan's solver engine spec for this worker only (heterogeneous fleets; must be verdict-equivalent to the plan's engine)"),
 		memo:       attack.RegisterMemoFlags(fs),
-		trace:      fs.String("trace", "", "write an NDJSON span trace of the run to FILE (merge per-run traces with `campaign merge -traces` or tracestat)"),
+		trace:      fs.String("trace", "", "write an NDJSON span trace of the run to FILE (analyze one or many with tracestat)"),
 	}
 }
 
@@ -313,7 +308,6 @@ func cmdMerge(args []string) {
 	dir, artifacts := dirFlags(fs)
 	allowPartial := fs.Bool("allow-partial", false, "render even if some cases have no artifact yet")
 	rescore := fs.Bool("rescore", false, "recompute Solved/Equivalent verdicts from each artifact's persisted key shortlist (planted-key membership, then the equivalence miter) and rewrite changed artifacts before rendering — no attack re-runs")
-	traces := fs.String("traces", "", "per-shard trace files (comma-separated paths or globs); prints one merged tracestat view on stderr")
 	parseFlags(fs, args)
 	p := loadPlan(*dir)
 	m, err := campaign.Merge(p, artifactDirs(*dir, *artifacts))
@@ -338,31 +332,6 @@ func cmdMerge(args []string) {
 	if st := m.MemoStats(); st != nil {
 		attack.FprintMemoSummary(os.Stderr, nil, *st, -1)
 	}
-	// A merged tracestat view over the shards' trace files — stderr,
-	// like every diagnostic, so merge stdout stays byte-identical to a
-	// monolithic fallbench run.
-	if *traces != "" {
-		var paths []string
-		for _, pat := range strings.Split(*traces, ",") {
-			pat = strings.TrimSpace(pat)
-			if pat == "" {
-				continue
-			}
-			matches, err := filepath.Glob(pat)
-			if err != nil {
-				fatalf("traces: %v", err)
-			}
-			if matches == nil {
-				fatalf("traces: no files match %q", pat)
-			}
-			paths = append(paths, matches...)
-		}
-		files, err := obs.ReadTraceFiles(paths)
-		if err != nil {
-			fatalf("traces: %v", err)
-		}
-		obs.Analyze(files, 10).Render(os.Stderr)
-	}
 	switch {
 	case len(m.Failed) > 0:
 		fmt.Fprintf(os.Stderr, "campaign: %d case(s) failed (first: %s)\n", len(m.Failed), m.Failed[0])
@@ -370,45 +339,6 @@ func cmdMerge(args []string) {
 	case !m.Complete():
 		fmt.Fprintf(os.Stderr, "campaign: partial merge: %d case(s) missing\n", len(m.Missing))
 		os.Exit(3)
-	}
-}
-
-// cmdWatch tails the campaign's artifact directories and prints one
-// completion event per case as its artifact lands — the fleet-side
-// consumer of the same server.Event stream the attackd daemon serves
-// over /jobs/{id}/events. It blocks until the campaign is complete
-// (exit 0, or 2 when cases failed) or interrupted (exit 130).
-func cmdWatch(args []string) {
-	fs := flag.NewFlagSet("campaign watch", flag.ContinueOnError)
-	dir, artifacts := dirFlags(fs)
-	interval := fs.Duration("interval", time.Second, "poll interval")
-	ndjson := fs.Bool("ndjson", false, "emit raw NDJSON events (the daemon stream encoding) instead of human-readable lines")
-	parseFlags(fs, args)
-	p := loadPlan(*dir)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	failed := 0
-	emit := func(ev server.Event) {
-		failed = ev.Failed
-		if *ndjson {
-			server.WriteNDJSON(os.Stdout, ev)
-			return
-		}
-		switch ev.Type {
-		case server.EventCase:
-			fmt.Printf("campaign: %s %s (%d/%d)\n", ev.Case, ev.Status, ev.Done, ev.Total)
-		case server.EventComplete:
-			fmt.Printf("campaign: complete, %d/%d cases, %d failed\n", ev.Done, ev.Total, ev.Failed)
-		}
-	}
-	err := server.WatchCampaign(ctx, p, artifactDirs(*dir, *artifacts), *interval, emit)
-	switch {
-	case err != nil && ctx.Err() != nil:
-		os.Exit(130) // interrupted: the conventional SIGINT exit
-	case err != nil:
-		fatalf("%v", err)
-	case failed > 0:
-		os.Exit(2)
 	}
 }
 

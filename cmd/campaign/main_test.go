@@ -37,7 +37,7 @@ func TestUsageExitCodes(t *testing.T) {
 		}
 		return cmd.ProcessState.ExitCode(), stdout.String()
 	}
-	for _, sub := range []string{"plan", "run", "retry", "merge", "status", "watch"} {
+	for _, sub := range []string{"plan", "run", "retry", "merge", "status"} {
 		if code, stdout := exitCode(sub, "-dir", t.TempDir(), "-bogus"); code != 1 || stdout != "" {
 			t.Errorf("campaign %s -bogus: exit %d, stdout %q; want exit 1 and no stdout", sub, code, stdout)
 		}
@@ -48,6 +48,25 @@ func TestUsageExitCodes(t *testing.T) {
 	// One engine answers every query, so -portfolio is no flag.
 	if code, stdout := exitCode("plan", "-dir", t.TempDir(), "-portfolio", "3"); code != 1 || stdout != "" {
 		t.Errorf("campaign plan -portfolio 3: exit %d, stdout %q; want exit 1 and no stdout", code, stdout)
+	}
+	// A script polls status instead of watch, and tracestat merges
+	// trace files instead of merge -traces.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"watch", "-dir", t.TempDir()}, `unknown subcommand "watch"`},
+		{[]string{"merge", "-dir", t.TempDir(), "-traces", "x"}, "flag provided but not defined: -traces"},
+	} {
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); cmd.ProcessState == nil {
+			t.Fatalf("campaign %v did not start: %v", tc.args, err)
+		}
+		if code := cmd.ProcessState.ExitCode(); code != 1 || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("campaign %v: exit %d, stderr %q; want exit 1 and %q", tc.args, code, stderr.String(), tc.want)
+		}
 	}
 }
 

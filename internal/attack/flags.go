@@ -50,8 +50,7 @@ func (f *SolverFlags) Start(name string, attrs ...any) error {
 	if f.Spec, err = sat.ParseEngineSpec(f.solver); err != nil {
 		return err
 	}
-	setup := &SolverSetup{Spec: f.Spec}
-	if err := setup.Check(); err != nil {
+	if err := (&SolverSetup{Spec: f.Spec}).Check(); err != nil {
 		return err
 	}
 	if f.Memo, err = NewMemoFromFlags(f.memoFlags.Enabled, f.memoFlags.Dir, f.memoFlags.MaxBytes); err != nil {
@@ -63,10 +62,7 @@ func (f *SolverFlags) Start(name string, attrs ...any) error {
 		}
 		f.Root = f.tracer.Start(name, attrs...)
 	}
-	if setup.Label() != "" || f.Memo != nil || f.tracer != nil {
-		setup.Memo = f.Memo
-		f.Setup = setup
-	}
+	f.Setup = NewSolverSetup(f.Spec, f.Memo, f.tracer != nil)
 	return nil
 }
 

@@ -3,7 +3,9 @@ package attack
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -118,5 +120,39 @@ func TestRegisterFlagsTrace(t *testing.T) {
 	}
 	if root != 1 || queries != 1 {
 		t.Errorf("trace has %d root and %d query spans, want 1 each", root, queries)
+	}
+}
+
+// TestMemoSummaryDiskErrors: when the on-disk store cannot take a
+// record (a regular file holds every fanout directory's name), the
+// query still answers from the solver and the memo disk line Finish
+// prints names the write errors; a healthy store's line names none.
+func TestMemoSummaryDiskErrors(t *testing.T) {
+	for _, blocked := range []bool{false, true} {
+		dir := t.TempDir()
+		if blocked {
+			for i := 0; i < 256; i++ {
+				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%02x", i)), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		f, err := startFlags(t, "-memo-dir", dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := f.Setup.Factory()(context.Background())
+		v := e.NewVar()
+		e.AddClause(sat.PosLit(v))
+		if st := e.Solve(); st != sat.Sat {
+			t.Fatalf("blocked=%v: verdict %v, want SAT", blocked, st)
+		}
+		var out strings.Builder
+		f.Finish(&out, "unique-key")
+		errs := f.Memo.Disk().Stats().Errors
+		named := strings.Contains(out.String(), fmt.Sprintf(", %d errors)", errs))
+		if blocked != (errs > 0) || blocked != named {
+			t.Errorf("blocked=%v: %d disk errors, summary:\n%s", blocked, errs, out.String())
+		}
 	}
 }

@@ -56,7 +56,8 @@ func NewMemoFromFlags(enabled bool, dir string, maxBytes int64) (*sat.Memo, erro
 // FprintMemoSummary writes the shared stderr memo summary: one line of
 // per-tier hit/miss accounting (entries < 0 hides the in-memory entry
 // count for per-run stats that don't own the cache), plus — when the
-// memo carries a disk tier — one line of on-disk store accounting.
+// memo carries a disk tier — one line of on-disk store accounting,
+// which names the I/O errors when the store could not be written.
 // Stats are passed explicitly rather than read from memo so callers
 // can print per-run counters against a shared cache.
 func FprintMemoSummary(w io.Writer, memo *sat.Memo, st sat.MemoStats, entries int) {
@@ -79,8 +80,12 @@ func FprintMemoSummary(w io.Writer, memo *sat.Memo, st sat.MemoStats, entries in
 	if memo != nil {
 		if disk := memo.Disk(); disk != nil {
 			ds := disk.Stats()
-			fmt.Fprintf(w, "memo disk: %s: %d records / %d bytes (%d writes, %d evicted, %d corrupt)\n",
+			line := fmt.Sprintf("memo disk: %s: %d records / %d bytes (%d writes, %d evicted, %d corrupt",
 				disk.Dir(), ds.Entries, ds.Bytes, ds.Writes, ds.Evictions, ds.Corrupt)
+			if ds.Errors > 0 {
+				line += fmt.Sprintf(", %d errors", ds.Errors)
+			}
+			fmt.Fprintln(w, line+")")
 		}
 	}
 }

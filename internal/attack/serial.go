@@ -55,8 +55,8 @@ type ResultJSON struct {
 	RecoveredGates int           `json:"recovered_gates,omitempty"`
 	// WallNS is the end-to-end wall clock of the whole run including
 	// setup (circuit parsing, solver construction), where ElapsedNS is
-	// attack time only. Set by cmd/attack -json and attackd artifacts so
-	// CLI output and daemon artifacts carry the same fields.
+	// attack time only. Set by RunJSON, so CLI output and daemon
+	// artifacts carry the same fields.
 	WallNS time.Duration `json:"wall_ns,omitempty"`
 	// Engines holds the label of the engine the run solved on
 	// (SolverSetup.EngineLabel): ["internal"] for the default engine.
@@ -82,5 +82,16 @@ func (r *Result) JSON() ResultJSON {
 	if r.Recovered != nil {
 		j.RecoveredGates = r.Recovered.NumGates()
 	}
+	return j
+}
+
+// RunJSON returns JSON plus the run-level fields that cmd/attack -json
+// and attackd artifacts share: the end-to-end wall clock, and the
+// engine label and solve time of the setup the run's engines came from.
+func (r *Result) RunJSON(setup *SolverSetup, wall time.Duration) ResultJSON {
+	j := r.JSON()
+	j.WallNS = wall
+	j.Engines = []string{setup.EngineLabel()}
+	j.SolveNS = int64(setup.SolveTime())
 	return j
 }

@@ -189,20 +189,18 @@ func (t *timedEngine) LitTrue(l sat.Lit) bool         { return t.inner.LitTrue(l
 func (t *timedEngine) SetContext(ctx context.Context) { t.inner.SetContext(ctx) }
 func (t *timedEngine) Stats() sat.Stats               { return t.inner.Stats() }
 
-// SolverSetupFromFlags resolves -solver (sat.ParseEngineSpec) into a
-// setup. The default engine, however it is spelled (including the empty
-// spec), yields a nil setup: the attacks' built-in default engine,
-// byte-identical to not passing the flag at all.
-func SolverSetupFromFlags(solver string) (*SolverSetup, error) {
-	spec, err := sat.ParseEngineSpec(solver)
-	if err != nil {
-		return nil, err
+// NewSolverSetup returns the setup a run builds its engines with: spec,
+// carrying memo and, when traced, one span per query. It returns nil —
+// the attacks' built-in default engine, whose outcomes carry no solver
+// fields — exactly when spec is the default engine, however it is
+// spelled, and there is neither a memo nor a trace. Every entry point
+// (the CLI flags, the harness, the daemon) decides through it.
+func NewSolverSetup(spec sat.EngineSpec, memo *sat.Memo, traced bool) *SolverSetup {
+	s := &SolverSetup{Spec: spec, Memo: memo}
+	if s.Label() == "" && memo == nil && !traced {
+		return nil
 	}
-	s := &SolverSetup{Spec: spec}
-	if s.Label() == "" {
-		return nil, nil
-	}
-	return s, nil
+	return s
 }
 
 // EngineLabel returns the canonical label of the engine the setup

@@ -8,9 +8,10 @@ import (
 	"repro/internal/sat/testsolver"
 )
 
-// TestSolverSetupFromFlags pins the single resolution path: -solver
-// parses to one engine spec, and the default internal engine, however
-// it is spelled, resolves to a nil setup labelled "internal".
+// TestSolverSetupFromFlags pins how a -solver value resolves to a
+// setup through NewSolverSetup: it parses to one engine spec, and the
+// default internal engine, however it is spelled, resolves to a nil
+// setup labelled "internal" unless a memo or a trace asks for one.
 func TestSolverSetupFromFlags(t *testing.T) {
 	for _, tc := range []struct {
 		solver        string
@@ -25,11 +26,12 @@ func TestSolverSetupFromFlags(t *testing.T) {
 			"seed=9,budget=1", "seed=9,budget=1"},
 		{"kissat", sat.EngineSpec{Kind: sat.EngineProcess, Cmd: "kissat"}, "kissat", "kissat"},
 	} {
-		s, err := SolverSetupFromFlags(tc.solver)
+		spec, err := sat.ParseEngineSpec(tc.solver)
 		if err != nil {
 			t.Errorf("%q: %v", tc.solver, err)
 			continue
 		}
+		s := NewSolverSetup(spec, nil, false)
 		if (s == nil) != (tc.spec == sat.EngineSpec{}) || (s != nil && s.Spec != tc.spec) {
 			t.Errorf("%q: setup %+v, want spec %+v", tc.solver, s, tc.spec)
 		}
@@ -39,17 +41,20 @@ func TestSolverSetupFromFlags(t *testing.T) {
 		if got := s.EngineLabel(); got != tc.engine {
 			t.Errorf("%q: engine label %q, want %q", tc.solver, got, tc.engine)
 		}
-	}
-	// A zero-value setup, which carries only a memo or a trace, is the
-	// default engine too.
-	if got := (&SolverSetup{}).EngineLabel(); got != "internal" {
-		t.Errorf("zero setup: engine label %q, want internal", got)
+		// A memo or a trace alone gets a setup on the same engine.
+		memo := sat.NewMemo(16)
+		if s := NewSolverSetup(spec, memo, false); s == nil || s.Memo != memo || s.EngineLabel() != tc.engine {
+			t.Errorf("%q with a memo: setup %+v, want engine %q carrying the memo", tc.solver, s, tc.engine)
+		}
+		if s := NewSolverSetup(spec, nil, true); s == nil || s.EngineLabel() != tc.engine {
+			t.Errorf("%q traced: setup %+v, want engine %q", tc.solver, s, tc.engine)
+		}
 	}
 	// Errors: bad grammar, the removed bdd engine and persistent
 	// sessions.
 	for _, bad := range []string{"frobnicate=1", "bdd", "kissat:persistent=true"} {
-		if s, err := SolverSetupFromFlags(bad); err == nil {
-			t.Errorf("-solver %q accepted: %+v", bad, s)
+		if spec, err := sat.ParseEngineSpec(bad); err == nil {
+			t.Errorf("-solver %q accepted: %+v", bad, spec)
 		}
 	}
 }

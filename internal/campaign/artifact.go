@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/exp"
 )
 
@@ -66,34 +67,7 @@ func ArtifactPath(dir, caseID string) string {
 	return filepath.Join(dir, ArtifactFileName(caseID))
 }
 
-// WriteFileAtomic writes data to dir/name through a temp file in the
-// same directory plus a rename, so a process killed mid-write leaves no
-// partial file — readers only ever observe complete files. This is the
-// durability primitive behind campaign artifacts and the attackd job
-// store.
-func WriteFileAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, ".tmp-"+name+"-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, name)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return nil
-}
-
-// WriteArtifact persists the artifact atomically (WriteFileAtomic), so
+// WriteArtifact persists the artifact atomically (atomicfile.WriteFile), so
 // a shard killed mid-write leaves no partial artifact — only complete
 // artifacts are ever visible to resumes and merges.
 func WriteArtifact(dir string, a *Artifact) error {
@@ -101,7 +75,7 @@ func WriteArtifact(dir string, a *Artifact) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(dir, ArtifactFileName(a.CaseID), append(data, '\n'))
+	return atomicfile.WriteFile(dir, ArtifactFileName(a.CaseID), append(data, '\n'))
 }
 
 // ReadArtifact loads one artifact file.

@@ -104,8 +104,8 @@ type RunOptions struct {
 	MemoMaxBytes int64
 	// Trace, when non-empty, writes an NDJSON span trace of the run to
 	// this path (atomic temp+rename; the file appears only when the run
-	// finishes). Per-shard trace files merge in `campaign merge
-	// -traces` and cmd/tracestat.
+	// finishes). cmd/tracestat merges per-shard trace files into one
+	// view.
 	Trace string
 	// Owner identifies this worker in claim files and budget markers;
 	// empty means DefaultOwner() (host-pid).

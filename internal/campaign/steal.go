@@ -29,6 +29,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // ClaimSuffix is appended to an artifact path to form its claim path.
@@ -224,7 +226,7 @@ func writeBudgetMarker(dir, owner string, remaining int) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(dir, budgetMarkerPrefix+sanitizeOwner(owner)+".json", append(data, '\n'))
+	return atomicfile.WriteFile(dir, budgetMarkerPrefix+sanitizeOwner(owner)+".json", append(data, '\n'))
 }
 
 func removeBudgetMarker(dir, owner string) {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // Claim acquisition must be mutually exclusive for any worker count:
@@ -405,7 +407,7 @@ func TestPeerHeldLastCaseReturnsPromptly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteFileAtomic(dst, ArtifactFileName(id), data); err != nil {
+		if err := atomicfile.WriteFile(dst, ArtifactFileName(id), data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -162,19 +162,12 @@ type Config struct {
 	Trace *obs.Span
 }
 
-// solverSetup derives the per-run solver setup. Each attack run gets a
-// fresh setup, so its recorded solve time and memo counters describe
-// that run alone; a fully-default config returns nil (the attacks'
-// built-in default engine), so default outcomes carry no solver fields.
-// A memo or trace alone attaches to a setup on the default engine, so
-// verdicts and artifacts change only by the memo/solve-time fields
-// themselves.
+// solverSetup derives the per-run solver setup (attack.NewSolverSetup).
+// Each attack run gets a fresh setup, so its recorded solve time and
+// memo counters describe that run alone; a fully-default config returns
+// nil, so default outcomes carry no solver fields.
 func (cfg Config) solverSetup() *attack.SolverSetup {
-	s := &attack.SolverSetup{Spec: cfg.Engine, Memo: cfg.Memo}
-	if s.Label() == "" && cfg.Memo == nil && cfg.Trace == nil {
-		return nil
-	}
-	return s
+	return attack.NewSolverSetup(cfg.Engine, cfg.Memo, cfg.Trace != nil)
 }
 
 // workers resolves the effective harness pool size.

@@ -215,10 +215,17 @@ func (b bitset) indices() []int {
 	return out
 }
 
-// supports computes, for every node, the set of inputs in its transitive
-// fanin cone, as bitsets over input index. It returns the bitsets plus the
-// input id list defining the index space.
-func supports(c *circuit.Circuit) ([]bitset, []int) {
+// supportSets holds, for every node, the set of inputs in its
+// transitive fanin cone, as bitsets over input index, plus the input id
+// list defining the index space. Attack builds it once for both
+// structural stages.
+type supportSets struct {
+	sup    []bitset
+	inputs []int
+	idx    map[int]int // input id -> index
+}
+
+func supports(c *circuit.Circuit) *supportSets {
 	inputs := c.Inputs()
 	idx := make(map[int]int, len(inputs))
 	for i, id := range inputs {
@@ -237,7 +244,7 @@ func supports(c *circuit.Circuit) ([]bitset, []int) {
 		}
 		sup[id] = b
 	}
-	return sup, inputs
+	return &supportSets{sup: sup, inputs: inputs, idx: idx}
 }
 
 // FindComparators implements comparator identification (§III-A): all gates
@@ -245,17 +252,20 @@ func supports(c *circuit.Circuit) ([]bitset, []int) {
 // function is XOR or XNOR of them. Because the support has exactly two
 // members, the check is exact by 4-pattern cone simulation.
 func FindComparators(c *circuit.Circuit) []Comparator {
-	sup, inputs := supports(c)
+	return findComparators(c, supports(c))
+}
+
+func findComparators(c *circuit.Circuit, ss *supportSets) []Comparator {
 	var comps []Comparator
 	for id := range c.Nodes {
 		if c.Nodes[id].Type == circuit.Input {
 			continue
 		}
-		if sup[id].count() != 2 {
+		if ss.sup[id].count() != 2 {
 			continue
 		}
-		pair := sup[id].indices()
-		a, b := inputs[pair[0]], inputs[pair[1]]
+		pair := ss.sup[id].indices()
+		a, b := ss.inputs[pair[0]], ss.inputs[pair[1]]
 		var pi, key int
 		switch {
 		case c.Nodes[a].IsKey && !c.Nodes[b].IsKey:
@@ -302,21 +312,20 @@ func truthTable2(c *circuit.Circuit, id, a, b int) (uint8, bool) {
 // nodes whose support equals compX exactly (no key inputs, no missing or
 // extra circuit inputs).
 func SupportMatch(c *circuit.Circuit, compX []int) []int {
-	sup, inputs := supports(c)
-	idx := make(map[int]int, len(inputs))
-	for i, id := range inputs {
-		idx[id] = i
-	}
-	want := newBitset(len(inputs))
+	return supportMatch(c, supports(c), compX)
+}
+
+func supportMatch(c *circuit.Circuit, ss *supportSets, compX []int) []int {
+	want := newBitset(len(ss.inputs))
 	for _, x := range compX {
-		want.set(idx[x])
+		want.set(ss.idx[x])
 	}
 	var cands []int
 	for id := range c.Nodes {
 		if c.Nodes[id].Type == circuit.Input {
 			continue
 		}
-		if sup[id].equal(want) {
+		if ss.sup[id].equal(want) {
 			cands = append(cands, id)
 		}
 	}
@@ -666,7 +675,8 @@ func Attack(ctx context.Context, locked *circuit.Circuit, opts Options) (*Result
 
 	t0 := time.Now()
 	spComp := root.Child("fall.comparators")
-	res.Comparators = FindComparators(locked)
+	ss := supports(locked)
+	res.Comparators = findComparators(locked, ss)
 	res.ComparatorTime = time.Since(t0)
 	spComp.Set("comparators", len(res.Comparators))
 	spComp.EndAfter(res.ComparatorTime)
@@ -685,7 +695,7 @@ func Attack(ctx context.Context, locked *circuit.Circuit, opts Options) (*Result
 		}
 	}
 	sort.Ints(res.CompX)
-	res.Candidates = SupportMatch(locked, res.CompX)
+	res.Candidates = supportMatch(locked, ss, res.CompX)
 	res.MatchTime = time.Since(t0)
 	spMatch.Set("candidates", len(res.Candidates))
 	spMatch.EndAfter(res.MatchTime)

@@ -14,7 +14,7 @@ import (
 // This file is the analysis half of tracing: it reads NDJSON trace
 // files back into spans and aggregates them into the per-phase /
 // per-engine / per-query-family cost breakdown that cmd/tracestat
-// prints and `campaign merge -traces` reuses for merged fleet views.
+// prints, for one file or merged over many.
 // Span ids are only unique within one trace file (each process's
 // tracer counts from 1), so parentage is resolved per file.
 

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // DiskMemo is the persistent L2 tier of the verdict memo: a
@@ -22,8 +24,8 @@ import (
 // verdict records under a directory, shared by every
 // process pointed at it — campaign shards running concurrently,
 // reruns of the same suite, daemon restarts. Records are laid out in
-// a 256-way hash fanout (dir/ab/<digest>.rec) and written with the
-// same temp-file + rename discipline as campaign artifacts, so
+// a 256-way hash fanout (dir/ab/<digest>.rec) and written with
+// atomicfile.WriteFile, like campaign artifacts, so
 // concurrent writers and kill -9'd runs never leave a torn record.
 // Every record is self-verifying (magic, key echo, whole-record
 // checksum): a truncated, garbage, or foreign-key file degrades to a
@@ -45,7 +47,7 @@ type DiskMemo struct {
 	dir      string
 	maxBytes int64
 
-	hits, misses, writes, evictions, corrupt, errors atomic.Int64
+	writes, evictions, corrupt, errors atomic.Int64
 
 	mu      sync.Mutex // guards bytes/entries accounting and GC runs
 	bytes   int64
@@ -60,12 +62,9 @@ const DefaultDiskMemoBytes = 1 << 30
 
 // DiskMemoStats is a snapshot of the on-disk tier's accounting: the
 // shape behind the daemon's attackd_memo_disk_* series and CLI stderr
-// summaries.
+// summaries. Hits and misses are counted once, by the Memo that looks
+// records up (MemoStats.DiskHits and Misses).
 type DiskMemoStats struct {
-	// Hits / Misses count Get resolutions (a corrupt record counts as
-	// a miss AND in Corrupt).
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
 	// Writes counts records persisted; Evictions records removed by
 	// the size-cap compaction.
 	Writes    int64 `json:"writes"`
@@ -114,8 +113,6 @@ func (d *DiskMemo) Stats() DiskMemoStats {
 	bytes, entries := d.bytes, d.entries
 	d.mu.Unlock()
 	return DiskMemoStats{
-		Hits:      d.hits.Load(),
-		Misses:    d.misses.Load(),
 		Writes:    d.writes.Load(),
 		Evictions: d.evictions.Load(),
 		Corrupt:   d.corrupt.Load(),
@@ -152,13 +149,11 @@ func (d *DiskMemo) Get(key memoKey) (*memoEntry, bool) {
 	path := d.keyPath(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		d.misses.Add(1)
 		return nil, false
 	}
 	e, err := decodeRecord(data, key)
 	if err != nil {
 		d.corrupt.Add(1)
-		d.misses.Add(1)
 		if rmErr := os.Remove(path); rmErr == nil {
 			d.account(-int64(len(data)), -1)
 		}
@@ -166,12 +161,11 @@ func (d *DiskMemo) Get(key memoKey) (*memoEntry, bool) {
 	}
 	now := time.Now()
 	os.Chtimes(path, now, now) // best-effort LRU stamp
-	d.hits.Add(1)
 	return e, true
 }
 
-// Put persists a decided record atomically (temp + rename in the
-// record's own fanout directory, so the rename never crosses a
+// Put persists a decided record atomically (atomicfile.WriteFile in
+// the record's own fanout directory, so the rename never crosses a
 // filesystem boundary) and triggers compaction when the store
 // outgrows its cap. Write failures are counted and swallowed: the
 // cache is an accelerator, not a durability contract.
@@ -190,25 +184,7 @@ func (d *DiskMemo) Put(key memoKey, e *memoEntry) {
 	if fi, err := os.Stat(path); err == nil {
 		replaced = fi.Size()
 	}
-	tmp, err := os.CreateTemp(fan, ".tmp-*")
-	if err != nil {
-		d.errors.Add(1)
-		return
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		d.errors.Add(1)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		d.errors.Add(1)
-		return
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err := atomicfile.WriteFile(fan, filepath.Base(path), data); err != nil {
 		d.errors.Add(1)
 		return
 	}

@@ -4,18 +4,14 @@
 // get a job ID back, poll or stream the job's status, and fetch the
 // result artifact.
 //
-// The subsystem deliberately reinvents nothing: the job store is the
-// campaign package's atomic temp+rename file discipline (jobs survive a
-// daemon restart and unfinished ones resume), dispatch goes through
-// attack.Registry, per-job solver configuration is the
-// sat.ParseEngineSpec grammar via attack.SolverSetupFromFlags, and
-// cancellation — DELETE /jobs/{id}, per-job timeouts, graceful SIGTERM
-// drain — is the context-first plumbing every attack already honors.
-//
-// The same Event type and stream encodings back both the daemon's
-// GET /jobs/{id}/events endpoint and the `campaign watch` subcommand
-// (WatchCampaign), so fleet runs and the daemon share one
-// progress-streaming code path.
+// The subsystem deliberately reinvents nothing: the job store writes
+// each job with atomicfile.WriteFile (jobs survive a daemon restart and
+// unfinished ones resume), dispatch goes through attack.Registry,
+// per-job solver configuration is the sat.ParseEngineSpec grammar
+// built by attack.NewSolverSetup, and cancellation — DELETE
+// /jobs/{id}, per-job timeouts, graceful SIGTERM drain — is the
+// context-first plumbing every attack already honors. One daemon owns
+// its store directory.
 package server
 
 import (
@@ -30,18 +26,11 @@ import (
 // EventType classifies a status event.
 type EventType string
 
-const (
-	// EventJob reports a job state transition (Event.Job/State set).
-	EventJob EventType = "job"
-	// EventCase reports one completed campaign case (Event.Case set).
-	EventCase EventType = "case"
-	// EventComplete reports that a watched campaign has every artifact.
-	EventComplete EventType = "complete"
-)
+// EventJob reports a job state transition (Event.Job/State set).
+const EventJob EventType = "job"
 
-// Event is one progress/status update, shared by the daemon's job
-// streams and `campaign watch`. Exactly the fields relevant to its Type
-// are set; the rest are omitted from the JSON encoding.
+// Event is one status update of a job's event stream. Empty fields are
+// omitted from the JSON encoding.
 type Event struct {
 	// Seq orders events within one stream, starting at 1.
 	Seq int64 `json:"seq"`
@@ -53,16 +42,8 @@ type Event struct {
 	Job string `json:"job,omitempty"`
 	// State is the job state after the transition (EventJob).
 	State string `json:"state,omitempty"`
-	// Case is the campaign case ID (EventCase).
-	Case string `json:"case,omitempty"`
-	// Status is the outcome tag: the attack status for a finished job,
-	// "ok"/"FAILED" for a campaign case.
+	// Status is the attack status of a finished job.
 	Status string `json:"status,omitempty"`
-	// Done/Total/Failed carry campaign progress counters (EventCase,
-	// EventComplete).
-	Done   int `json:"done,omitempty"`
-	Total  int `json:"total,omitempty"`
-	Failed int `json:"failed,omitempty"`
 	// Detail is a human-readable annotation (e.g. a job error).
 	Detail string `json:"detail,omitempty"`
 }

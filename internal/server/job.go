@@ -11,6 +11,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/oracle"
+	"repro/internal/sat"
 )
 
 // JobState is the lifecycle state of a job. The lifecycle is
@@ -76,17 +77,19 @@ type JobSpec struct {
 	Candidates []attack.Key `json:"candidates,omitempty"`
 }
 
-// resolved is a JobSpec elaborated into runnable form.
+// resolved is a JobSpec elaborated into runnable form. The worker
+// builds the engines on engine (attack.NewSolverSetup), adding the
+// daemon's memo and trace, and sets target.Solver.
 type resolved struct {
 	atk    attack.Attack
-	setup  *attack.SolverSetup
+	engine sat.EngineSpec
 	target attack.Target
 }
 
 // Resolve validates the spec and elaborates it: parse the circuits,
-// look up the attack, build the solver setup, assemble the target. All
-// submission-time validation lives here, so a job that enqueues is a
-// job the worker can actually start.
+// look up the attack, check the solver spec and its binary, assemble
+// the target. All submission-time validation lives here, so a job that
+// enqueues is a job the worker can actually start.
 func (s *JobSpec) Resolve() (*resolved, error) {
 	if s.Attack == "" {
 		return nil, fmt.Errorf("server: job has no attack name (registered: %v)", attack.Names())
@@ -102,16 +105,16 @@ func (s *JobSpec) Resolve() (*resolved, error) {
 	if err != nil {
 		return nil, err
 	}
-	setup, err := attack.SolverSetupFromFlags(s.Solver)
+	engine, err := sat.ParseEngineSpec(s.Solver)
 	if err != nil {
 		return nil, err
 	}
-	if err := setup.Check(); err != nil {
+	if err := (&attack.SolverSetup{Spec: engine}).Check(); err != nil {
 		return nil, err
 	}
 	r := &resolved{
-		atk:   atk,
-		setup: setup,
+		atk:    atk,
+		engine: engine,
 		target: attack.Target{
 			Locked:        locked,
 			H:             s.H,
@@ -119,7 +122,6 @@ func (s *JobSpec) Resolve() (*resolved, error) {
 			MaxIterations: s.MaxIterations,
 			Workers:       s.Workers,
 			Candidates:    s.Candidates,
-			Solver:        setup.Factory(),
 		},
 	}
 	if strings.TrimSpace(s.Oracle) != "" {

@@ -88,7 +88,7 @@ func (s *Server) buildRegistry() {
 		})
 		if disk := s.cfg.Memo.Disk(); disk != nil {
 			r.CollectCounter("attackd_memo_disk_hits_total", "Persistent on-disk verdict-store hits.", func() []obs.Sample {
-				return one(float64(disk.Stats().Hits))
+				return one(float64(s.cfg.Memo.Stats().DiskHits))
 			})
 			r.CollectCounter("attackd_memo_disk_writes_total", "Verdict records persisted to the on-disk store.", func() []obs.Sample {
 				return one(float64(disk.Stats().Writes))
@@ -98,6 +98,9 @@ func (s *Server) buildRegistry() {
 			})
 			r.CollectCounter("attackd_memo_disk_corrupt_total", "On-disk verdict records rejected by validation and deleted.", func() []obs.Sample {
 				return one(float64(disk.Stats().Corrupt))
+			})
+			r.CollectCounter("attackd_memo_disk_errors_total", "On-disk verdict-store I/O errors (unwritable records, unreadable directories); lookups fall back to the memory tier.", func() []obs.Sample {
+				return one(float64(disk.Stats().Errors))
 			})
 			r.CollectGauge("attackd_memo_disk_entries", "Resident on-disk verdict records.", func() []obs.Sample {
 				return one(float64(disk.Stats().Entries))

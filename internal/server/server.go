@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/bench"
-	"repro/internal/campaign"
 	"repro/internal/obs"
 	"repro/internal/sat"
 )
@@ -59,16 +58,6 @@ type Config struct {
 	// capacity (oldest spans evicted), served as NDJSON from
 	// GET /jobs/{id}/trace. 0 disables per-job tracing.
 	TraceSpans int
-	// ClaimLease, when > 0, coordinates several daemons sharing one
-	// store directory with the campaign package's claim-file discipline:
-	// a worker claims <job>.json.claim (O_EXCL, mtime heartbeat) before
-	// running, skips jobs a live peer holds (re-checking after half a
-	// lease, when a dead peer's claim has had time to age), and adopts a
-	// peer's terminal result straight from disk. A claim not heartbeated
-	// for a full lease is stolen, so a killed daemon delays its jobs by
-	// at most one lease. 0 (the default) runs claimless — the
-	// single-daemon fast path, byte-identical behavior to before.
-	ClaimLease time.Duration
 	// Logger, when non-nil, receives structured log records: one per
 	// job transition and one per API request (method, path, tenant, job
 	// id, status, duration).
@@ -103,7 +92,6 @@ type Server struct {
 	queue   *queue
 	limiter *rateLimiter
 	started time.Time
-	owner   string // this daemon's identity in job claim files
 
 	reg          *obs.Registry  // Prometheus-text metrics, served at /metrics.prom
 	jobSeconds   *obs.Histogram // wall-clock of finished job runs
@@ -139,7 +127,6 @@ func New(cfg Config) (*Server, error) {
 		queue:   newQueue(cfg.QueueDepth, cfg.TenantConcurrency),
 		limiter: newRateLimiter(cfg.TenantRate, cfg.TenantBurst),
 		started: time.Now(),
-		owner:   campaign.DefaultOwner(),
 		jobs:    map[string]*Job{},
 		cancels: map[string]context.CancelFunc{},
 		events:  map[string][]Event{},
@@ -300,38 +287,8 @@ func (s *Server) unsubscribe(id string, ch chan Event) {
 // runJob executes one dequeued job end to end: transition to running,
 // resolve the spec, run the attack under the job's context, and
 // finalize — done/failed/cancelled, or back to queued when a graceful
-// drain cut the solve short. With Config.ClaimLease set the job is
-// first claimed against peer daemons sharing the store. A terminal
-// state releases the claim before s.mu is unlocked, so no client reads
-// a finished job whose claim file still exists; the deferred release
-// covers every other exit, including the drain-requeue path, so a
-// requeued job is immediately claimable by a peer.
+// drain cut the solve short.
 func (s *Server) runJob(id string) {
-	var claim *campaign.Claim
-	if s.cfg.ClaimLease > 0 {
-		var err error
-		claim, err = campaign.TryClaim(s.store.ClaimPath(id),
-			campaign.ClaimInfo{Owner: s.owner, Case: id}, s.cfg.ClaimLease)
-		switch {
-		case err != nil:
-			// Run unclaimed rather than wedge the queue: the worst case is
-			// duplicate work, and the store's atomic writes keep whichever
-			// terminal record lands last complete.
-			s.log().Error("claim job", "job", id, "err", err)
-		case claim == nil:
-			s.deferToPeer(id)
-			return
-		default:
-			// A peer may have finished the job while it sat in our queue
-			// (recovery re-enqueues whatever the shared store lists).
-			if disk, derr := s.store.Get(id); derr == nil && disk.State.Terminal() {
-				claim.Release()
-				s.adoptFromPeer(id, disk)
-				return
-			}
-			defer claim.Release()
-		}
-	}
 	s.mu.Lock()
 	j := s.jobs[id]
 	if j == nil || j.State != StateQueued || j.userCancel || s.drainNow {
@@ -341,7 +298,6 @@ func (s *Server) runJob(id string) {
 		// on disk for the next daemon.
 		if j != nil && j.State == StateQueued && j.userCancel {
 			s.finalizeLocked(j, StateCancelled, nil, "", "")
-			releaseClaim(claim)
 		}
 		s.mu.Unlock()
 		return
@@ -378,33 +334,24 @@ func (s *Server) runJob(id string) {
 	start := time.Now()
 	r, rerr := spec.Resolve()
 	var res *attack.Result
+	var setup *attack.SolverSetup
 	if rerr == nil {
-		if s.cfg.Memo != nil {
-			// Attach the daemon-global verdict cache. A job with no solver
-			// flags gets a zero-value setup, which builds exactly the
-			// default engine, so results are unchanged.
-			if r.setup == nil {
-				r.setup = &attack.SolverSetup{}
-				r.target.Solver = r.setup.Factory()
-			}
-			r.setup.Memo = s.cfg.Memo
-		}
 		var root *obs.Span
 		if s.cfg.TraceSpans > 0 {
 			// Per-job span trace into a bounded ring, served from
-			// GET /jobs/{id}/trace. Like the memo path, tracing forces a
-			// zero-value setup, which builds exactly the default engine.
+			// GET /jobs/{id}/trace.
 			ring := obs.NewRing(s.cfg.TraceSpans)
 			root = obs.New(ring).Start("job", "job", id, "attack", spec.Attack, "tenant", tenant)
-			if r.setup == nil {
-				r.setup = &attack.SolverSetup{}
-				r.target.Solver = r.setup.Factory()
-			}
 			runCtx = obs.With(runCtx, root)
 			s.mu.Lock()
 			s.traces[id] = ring
 			s.mu.Unlock()
 		}
+		// The daemon-global verdict cache and the trace attach to the
+		// job's engine spec; on the default spec they build exactly the
+		// default engine, so verdicts are unchanged.
+		setup = attack.NewSolverSetup(r.engine, s.cfg.Memo, root != nil)
+		r.target.Solver = setup.Factory()
 		res, rerr = r.atk.Run(runCtx, r.target)
 		if res != nil {
 			root.Set("status", res.Status.String())
@@ -434,84 +381,16 @@ func (s *Server) runJob(id string) {
 		s.finalizeLocked(j, StateFailed, nil, rerr.Error(), "")
 	default:
 		s.jobSeconds.Observe(wall.Seconds())
-		if solve := r.setup.SolveTime(); solve > 0 {
+		if solve := setup.SolveTime(); solve > 0 {
 			s.solveSeconds.Observe(solve.Seconds())
 		}
-		rj := res.JSON()
-		rj.WallNS = wall
-		rj.SolveNS = int64(r.setup.SolveTime())
-		rj.Engines = []string{r.setup.EngineLabel()}
+		rj := res.RunJSON(setup, wall)
 		recovered := ""
 		if res.Recovered != nil {
 			recovered = bench.WriteString(res.Recovered)
 		}
 		s.finalizeLocked(j, StateDone, &rj, "", recovered)
 	}
-	if j.State.Terminal() {
-		releaseClaim(claim)
-	}
-}
-
-// releaseClaim releases a job's claim, if it holds one. Release is
-// idempotent, so runJob's deferred release may follow.
-func releaseClaim(c *campaign.Claim) {
-	if c != nil {
-		c.Release()
-	}
-}
-
-// deferToPeer handles a job a live peer daemon has claimed: adopt the
-// peer's terminal record if it already finished, otherwise check back
-// after half a lease — by then the peer has either finished (adopt) or
-// died (its claim aged past the lease and the retry claims the job).
-func (s *Server) deferToPeer(id string) {
-	if disk, err := s.store.Get(id); err == nil && disk.State.Terminal() {
-		s.adoptFromPeer(id, disk)
-		return
-	}
-	s.mu.Lock()
-	j := s.jobs[id]
-	waiting := j != nil && j.State == StateQueued && !s.draining
-	s.mu.Unlock()
-	if !waiting {
-		return // cancelled, adopted meanwhile, or draining: leave it to disk recovery
-	}
-	s.log().Info("job claimed by peer, deferring", "job", id, "retry", s.cfg.ClaimLease/2)
-	time.AfterFunc(s.cfg.ClaimLease/2, func() {
-		s.mu.Lock()
-		j := s.jobs[id]
-		ok := j != nil && j.State == StateQueued && !s.draining
-		tenant := ""
-		if ok {
-			tenant = j.Tenant
-		}
-		s.mu.Unlock()
-		if !ok {
-			return
-		}
-		if err := s.queue.Enqueue(id, tenant); err != nil {
-			s.log().Error("re-enqueue peer-claimed job", "job", id, "err", err)
-		}
-	})
-}
-
-// adoptFromPeer installs a terminal job record a peer daemon persisted
-// to the shared store: the local copy becomes terminal without running
-// anything, and subscribers get their terminal event.
-func (s *Server) adoptFromPeer(id string, disk *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j := s.jobs[id]
-	if j == nil || j.State.Terminal() {
-		return
-	}
-	*j = *disk
-	status := ""
-	if disk.Result != nil {
-		status = disk.Result.Status.String()
-	}
-	s.publishLocked(j, status, "adopted from peer daemon")
-	s.log().Info("job adopted from peer", "job", id, "state", string(disk.State))
 }
 
 // finalizeLocked moves a job to a terminal state, persists it and

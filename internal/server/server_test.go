@@ -278,10 +278,11 @@ func runDirect(t *testing.T, spec server.JobSpec) *attack.ResultJSON {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup, err := attack.SolverSetupFromFlags(spec.Solver)
+	engine, err := sat.ParseEngineSpec(spec.Solver)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setup := attack.NewSolverSetup(engine, nil, false)
 	tgt := attack.Target{
 		Locked:        lockedC,
 		H:             spec.H,
@@ -557,6 +558,9 @@ func TestMemoMetrics(t *testing.T) {
 		if m[series] <= 0 {
 			t.Errorf("%s = %v after a repeated job, want > 0", series, m[series])
 		}
+	}
+	if got, ok := m["attackd_memo_disk_errors_total"]; !ok || got != 0 {
+		t.Errorf("attackd_memo_disk_errors_total = %v (present %v) on a writable store, want 0", got, ok)
 	}
 
 	// A fresh memo over the same store: the restarted daemon resumes

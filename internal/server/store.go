@@ -10,12 +10,12 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/campaign"
+	"repro/internal/atomicfile"
 )
 
 // Store persists jobs as one JSON file per job under a directory,
-// written atomically with the campaign package's temp+rename discipline
-// — a daemon killed mid-write leaves no partial job file, so whatever a
+// written atomically (atomicfile.WriteFile: temp file plus rename) — a
+// daemon killed mid-write leaves no partial job file, so whatever a
 // restart reads back is a complete record. The store is the daemon's
 // only durable state: queued and running jobs found on startup are
 // re-enqueued (Server recovery), terminal jobs serve their artifacts.
@@ -34,14 +34,6 @@ func OpenStore(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (st *Store) Dir() string { return st.dir }
 
-// ClaimPath returns the claim-file path guarding a job — the same
-// O_EXCL + mtime-lease discipline as campaign work stealing, used when
-// several daemons share one store directory (Config.ClaimLease). Claim
-// files do not end in .json, so List and recovery never read them.
-func (st *Store) ClaimPath(id string) string {
-	return st.path(id) + campaign.ClaimSuffix
-}
-
 func (st *Store) path(id string) string {
 	return filepath.Join(st.dir, id+".json")
 }
@@ -55,7 +47,7 @@ func (st *Store) Put(j *Job) error {
 	if err != nil {
 		return err
 	}
-	return campaign.WriteFileAtomic(st.dir, j.ID+".json", append(data, '\n'))
+	return atomicfile.WriteFile(st.dir, j.ID+".json", append(data, '\n'))
 }
 
 // Get loads one job by ID. A missing job returns fs.ErrNotExist.
